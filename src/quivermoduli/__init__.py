@@ -22,14 +22,14 @@ from .hn import (
     codimension_cuts,
     enumerate_hn_types,
     one_parameter_subgroup,
+    pairing_table,
     validate_hn_type,
 )
 from .semistability import (
-    StabilityReport,
+    clear_caches,
     generic_subdimension_vectors,
     has_semistable,
     is_strongly_amply_stable,
-    stability_report,
 )
 from .windows import (
     StratumReport,
@@ -51,7 +51,6 @@ __all__ = [
     "OneParameterSubgroup",
     "Quiver",
     "StabilityParameter",
-    "StabilityReport",
     "StratumReport",
     "Verdict",
     "ambient_canonical_weight",
@@ -65,8 +64,8 @@ __all__ = [
     "is_theta_coprime",
     "moduli_dimension",
     "one_parameter_subgroup",
+    "pairing_table",
     "slope",
-    "stability_report",
     "stratum_canonical_weight",
     "stratum_report",
     "subdimension_vectors",
@@ -74,12 +73,3 @@ __all__ = [
     "verdict",
     "window_width",
 ]
-
-
-def clear_caches() -> None:
-    """Drop all global memo tables (cold-start timing, memory hygiene)."""
-    from . import hn as _hn
-    from . import semistability as _semistability
-
-    _semistability.clear_caches()
-    _hn.clear_caches()

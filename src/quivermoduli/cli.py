@@ -33,7 +33,7 @@ from .core import (
     subdimension_vectors,
 )
 from .hn import enumerate_hn_types
-from .semistability import has_semistable, is_strongly_amply_stable
+from .semistability import has_semistable
 from .windows import moduli_dimension, stratum_report, verdict
 
 STRATA_COLUMNS = ("hn_type", "codim", "slopes", "C", "k", "k1_minus_kl", "eta", "inequality")
@@ -234,7 +234,7 @@ def cmd_verdict(args) -> int:
     if v.strongly_amply_stable:
         print("strongly amply stable: yes (every destabilizing e <= d has <e,d-e> <= -2)")
     else:
-        _, witness = is_strongly_amply_stable(q, d, theta)
+        witness = v.strong_failure_witness
         print(f"strongly amply stable: no (witness e = {fmt_vector(witness)} "
               f"with <e,d-e> = {q.euler_pairing(witness, d - witness)})")
     if v.all_strata_inequality:
@@ -307,9 +307,8 @@ def cmd_sweep(args) -> int:
 def cmd_oracle_census(args) -> int:
     spec = load_problem(args.problem)
     budget = _env_int("QT_BUDGET", oracle.DEFAULT_BUDGET)
-    threads = _env_int("QT_THREADS", 1)
     census = oracle.stratum_census(
-        spec.quiver, spec.d, spec.theta, args.field, budget=budget, threads=threads
+        spec.quiver, spec.d, spec.theta, args.field, budget=budget
     )
     rows = [[fmt_hn_type(t), str(census[t])] for t in sorted(census)]
     print(render_table(("hn_type", "count"), rows, "txt"))

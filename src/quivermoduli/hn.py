@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 from .core import (
@@ -78,7 +77,6 @@ def validate_hn_type(
             raise ValueError(f"piece {tuple(p)} admits no semistable representation")
 
 
-@lru_cache(maxsize=None)
 def enumerate_hn_types(
     q: Quiver, d: DimensionVector, theta: StabilityParameter
 ) -> tuple[HNType, ...]:
@@ -125,26 +123,40 @@ def enumerate_hn_types(
     return tuple(sorted(HNType(seq) for seq in extend(d, None)))
 
 
+def pairing_table(q: Quiver, t: HNType) -> list[list[int | None]]:
+    """Off-diagonal Euler pairings P[m][n] = <d^m, d^n> between the pieces.
+
+    The diagonal is None: no stratum quantity reads it.  Codimension,
+    the cuts and every window weight are sums over this one table.
+    """
+    pair = q.euler_pairing
+    return [
+        [None if m == n else pair(a, b) for n, b in enumerate(t)]
+        for m, a in enumerate(t)
+    ]
+
+
+def table_codimension(table: list[list[int | None]]) -> int:
+    """sum_{m<n} -P[m][n]."""
+    return -sum(sum(row[m + 1 :]) for m, row in enumerate(table))
+
+
 def codimension(q: Quiver, t: HNType) -> int:
     """Codimension of the stratum with HN type t: sum_{m<n} -<d^m, d^n>."""
-    ell = len(t)
-    return sum(
-        -q.euler_pairing(t[m], t[n]) for m in range(ell) for n in range(m + 1, ell)
-    )
+    return table_codimension(pairing_table(q, t))
 
 
 def codimension_cuts(q: Quiver, t: HNType) -> tuple[int, ...]:
     """The partial-sum pairings N_r = -<d^1+..+d^r, d^{r+1}+..+d^l>.
 
-    The window width decomposes as sum_r (k_r - k_{r+1}) N_r, so N_r >= 2
-    for all r forces the weight inequality on the stratum.
+    By bilinearity N_r = -sum_{m<r<=n} <d^m, d^n>.  The window width
+    decomposes as sum_r (k_r - k_{r+1}) N_r, so N_r >= 2 for all r
+    forces the weight inequality on the stratum.
     """
-    out = []
-    for r in range(1, len(t)):
-        head = HNType(t[:r]).total()
-        tail = HNType(t[r:]).total()
-        out.append(-q.euler_pairing(head, tail))
-    return tuple(out)
+    table = pairing_table(q, t)
+    return tuple(
+        -sum(sum(table[m][r:]) for m in range(r)) for r in range(1, len(t))
+    )
 
 
 @dataclass(frozen=True)
@@ -171,7 +183,3 @@ def one_parameter_subgroup(theta: StabilityParameter, t: HNType) -> OneParameter
     scale = lcm(*(mu.denominator for mu in slopes))
     weights = tuple(int(scale * mu) for mu in slopes)
     return OneParameterSubgroup(scale=scale, weights=weights)
-
-
-def clear_caches() -> None:
-    enumerate_hn_types.cache_clear()

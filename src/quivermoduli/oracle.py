@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -287,24 +286,14 @@ def stratum_census(
     theta,
     field: int,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> dict[HNType, int]:
     """Tally the HN type of every representation of d over F_field.
 
-    Counts sum to rep_count(field, q, d).  Merging is a commutative
-    monoid, so the result does not depend on the thread count.
+    Counts sum to rep_count(field, q, d).
     """
     d = DimensionVector(d)
     if d.is_zero():
         raise ValueError("stratum_census requires a nonzero dimension vector")
     _check_subspace_budget(field, d, budget)
     reps = enumerate_reps(field, q, d, budget)
-    counts: Counter = Counter()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for t in pool.map(lambda r: _hn_type(r, theta), reps):
-                counts[t] += 1
-    else:
-        for rep in reps:
-            counts[_hn_type(rep, theta)] += 1
-    return dict(counts)
+    return dict(Counter(_hn_type(rep, theta) for rep in reps))

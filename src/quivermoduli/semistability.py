@@ -14,7 +14,6 @@ mu(e).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (
@@ -33,6 +32,7 @@ def generic_subdimension_vectors(q: Quiver, e: DimensionVector) -> frozenset[Dim
     Always contains 0 and e.  Memoized globally; the recursion only ever
     descends to vectors with strictly smaller total, so it terminates.
     """
+    e = DimensionVector(e)
     result = []
     for f in subdimension_vectors(e):
         if f.is_zero() or f == e:
@@ -55,6 +55,7 @@ def has_semistable(q: Quiver, e: DimensionVector, theta: StabilityParameter) -> 
     generic subdimension vector f != e.  A generic f of larger slope
     destabilizes every representation of dimension e.
     """
+    e = DimensionVector(e)
     if e.is_zero():
         raise ValueError("has_semistable requires a nonzero dimension vector")
     mu = slope(theta, e)
@@ -77,50 +78,13 @@ def is_strongly_amply_stable(
     unstable stratum, but not necessary.
     """
     d = DimensionVector(d)
+    theta = StabilityParameter(theta)
     if theta.dot(d) != 0:
         raise ValueError("is_strongly_amply_stable requires theta(d) = 0")
     for e in subdimension_vectors(d)[1:-1]:
         if slope(theta, e) > slope(theta, d - e) and q.euler_pairing(e, d - e) > -2:
             return False, e
     return True, None
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    """Summary of the ample-stability checks for one (quiver, d, theta)."""
-
-    is_amply_stable: bool
-    min_unstable_codim: int | None
-    is_strongly_amply_stable: bool
-    strong_failure_witness: DimensionVector | None
-
-
-def stability_report(
-    q: Quiver, d: DimensionVector, theta: StabilityParameter
-) -> StabilityReport:
-    """Ample stability (every unstable stratum has codimension >= 2) and
-    strong ample stability for one instance.
-
-    Requires theta(d) = 0 and a nonempty semistable locus.
-    """
-    from .hn import codimension, enumerate_hn_types  # avoids an import cycle
-
-    d = DimensionVector(d)
-    if theta.dot(d) != 0:
-        raise ValueError("stability_report requires theta(d) = 0")
-    if not has_semistable(q, d, theta):
-        raise ValueError("stability_report requires a nonempty semistable locus")
-    codims = [
-        codimension(q, t) for t in enumerate_hn_types(q, d, theta) if len(t) > 1
-    ]
-    min_codim = min(codims) if codims else None
-    strong, witness = is_strongly_amply_stable(q, d, theta)
-    return StabilityReport(
-        is_amply_stable=min_codim is None or min_codim >= 2,
-        min_unstable_codim=min_codim,
-        is_strongly_amply_stable=strong,
-        strong_failure_witness=witness,
-    )
 
 
 def clear_caches() -> None:

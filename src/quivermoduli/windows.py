@@ -10,8 +10,10 @@ d^1, ..., d^l for the type,
     stratum weight   sum_{m<n} (k_m - k_n) <d^n,d^m>
     window width     sum_{m<n} (k_n - k_m) <d^m,d^n>
 
-and width = ambient - stratum identically.  The stratum passes the
-weight inequality when k_1 - k_l < width; if every unstable stratum
+so ambient = width + stratum.  All three, and the codimension, are
+sums over one table of the pairings <d^m,d^n> (`hn.pairing_table`),
+evaluated once per stratum.  The stratum passes the weight
+inequality when k_1 - k_l < width; if every unstable stratum
 passes and theta is coprime to d, higher cohomology of the structure
 sheaf vanishes on the moduli space, and acyclicity of the quiver
 upgrades this to rigidity.  A failed inequality only withholds the
@@ -32,33 +34,33 @@ from .core import (
 from .hn import (
     HNType,
     OneParameterSubgroup,
-    codimension,
     enumerate_hn_types,
     one_parameter_subgroup,
+    pairing_table,
+    table_codimension,
 )
 from .semistability import has_semistable, is_strongly_amply_stable
 
 
+def _window_weights(table: list[list[int | None]], k: tuple[int, ...]) -> tuple[int, int]:
+    """(stratum weight, window width) from the pairing table and weights k."""
+    stratum = width = 0
+    for m, row in enumerate(table):
+        for n in range(m + 1, len(k)):
+            gap = k[m] - k[n]
+            width -= gap * row[n]
+            stratum += gap * table[n][m]
+    return stratum, width
+
+
 def ambient_canonical_weight(q: Quiver, t: HNType, sub: OneParameterSubgroup) -> int:
     """Weight of the canonical bundle of the representation space."""
-    k = sub.weights
-    ell = len(t)
-    return sum(
-        (k[n] - k[m]) * (q.euler_pairing(t[m], t[n]) - q.euler_pairing(t[n], t[m]))
-        for m in range(ell)
-        for n in range(m + 1, ell)
-    )
+    return sum(_window_weights(pairing_table(q, t), sub.weights))
 
 
 def stratum_canonical_weight(q: Quiver, t: HNType, sub: OneParameterSubgroup) -> int:
     """Weight of the canonical bundle of the stratum."""
-    k = sub.weights
-    ell = len(t)
-    return sum(
-        (k[m] - k[n]) * q.euler_pairing(t[n], t[m])
-        for m in range(ell)
-        for n in range(m + 1, ell)
-    )
+    return _window_weights(pairing_table(q, t), sub.weights)[0]
 
 
 def window_width(q: Quiver, t: HNType, sub: OneParameterSubgroup) -> int:
@@ -66,13 +68,7 @@ def window_width(q: Quiver, t: HNType, sub: OneParameterSubgroup) -> int:
 
     Equals ambient_canonical_weight - stratum_canonical_weight.
     """
-    k = sub.weights
-    ell = len(t)
-    return sum(
-        (k[n] - k[m]) * q.euler_pairing(t[m], t[n])
-        for m in range(ell)
-        for n in range(m + 1, ell)
-    )
+    return _window_weights(pairing_table(q, t), sub.weights)[1]
 
 
 def hom_bundle_weights(
@@ -118,14 +114,15 @@ def stratum_report(q: Quiver, theta: StabilityParameter, t: HNType) -> StratumRe
     nothing to quantize away.
     """
     sub = one_parameter_subgroup(theta, t)
-    width = window_width(q, t, sub)
+    table = pairing_table(q, t)
+    stratum, width = _window_weights(table, sub.weights)
     max_bw = sub.weights[0] - sub.weights[-1]
     return StratumReport(
         hn_type=t,
         subgroup=sub,
-        codim=codimension(q, t),
-        ambient_canonical_weight=ambient_canonical_weight(q, t, sub),
-        stratum_canonical_weight=stratum_canonical_weight(q, t, sub),
+        codim=table_codimension(table),
+        ambient_canonical_weight=width + stratum,
+        stratum_canonical_weight=stratum,
         window_width=width,
         max_bundle_weight=max_bw,
         inequality_holds=True if len(t) == 1 else max_bw < width,
@@ -134,11 +131,16 @@ def stratum_report(q: Quiver, theta: StabilityParameter, t: HNType) -> StratumRe
 
 @dataclass(frozen=True)
 class Verdict:
-    """Certificate summary for one (quiver, d, theta) instance."""
+    """Certificate summary for one (quiver, d, theta) instance.
+
+    `strong_failure_witness` is the lexicographically smallest e that
+    breaks strong ample stability, or None when it holds.
+    """
 
     coprime: bool
     acyclic: bool
     strongly_amply_stable: bool
+    strong_failure_witness: DimensionVector | None
     amply_stable: bool
     all_strata_inequality: bool
     vanishing_certified: bool
@@ -152,7 +154,8 @@ def verdict(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> Verdict
 
     vanishing_certified = coprime and every unstable stratum passes the
     weight inequality; rigidity_certified additionally needs an acyclic
-    quiver.  Requires theta(d) = 0 and a nonempty semistable locus.
+    quiver.  amply_stable means every unstable stratum has codimension
+    at least 2.  Requires theta(d) = 0 and a nonempty semistable locus.
     """
     d = DimensionVector(d)
     theta = StabilityParameter(theta)
@@ -161,26 +164,29 @@ def verdict(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> Verdict
     if not has_semistable(q, d, theta):
         raise ValueError("verdict requires a nonempty semistable locus")
 
-    unstable = [
-        stratum_report(q, theta, t)
-        for t in enumerate_hn_types(q, d, theta)
-        if len(t) > 1
-    ]
-    failing = tuple(r.hn_type for r in unstable if not r.inequality_holds)
-    all_inequality = not failing
-    min_codim = min((r.codim for r in unstable), default=None)
+    failing = []
+    min_codim = None
+    for t in enumerate_hn_types(q, d, theta):
+        if len(t) == 1:
+            continue
+        report = stratum_report(q, theta, t)
+        if not report.inequality_holds:
+            failing.append(t)
+        if min_codim is None or report.codim < min_codim:
+            min_codim = report.codim
     coprime = is_theta_coprime(theta, d)
-    strong, _ = is_strongly_amply_stable(q, d, theta)
-    vanishing = coprime and all_inequality
+    strong, witness = is_strongly_amply_stable(q, d, theta)
+    vanishing = coprime and not failing
     return Verdict(
         coprime=coprime,
         acyclic=q.is_acyclic,
         strongly_amply_stable=strong,
+        strong_failure_witness=witness,
         amply_stable=min_codim is None or min_codim >= 2,
-        all_strata_inequality=all_inequality,
+        all_strata_inequality=not failing,
         vanishing_certified=vanishing,
         rigidity_certified=vanishing and q.is_acyclic,
-        failing_strata=failing,
+        failing_strata=tuple(failing),
         min_unstable_codim=min_codim,
     )
 

@@ -33,7 +33,6 @@ from quivermoduli import (
     has_semistable,
     moduli_dimension,
     one_parameter_subgroup,
-    stability_report,
     verdict,
 )
 from quivermoduli.cli import EXIT_NONE, EXIT_RIGIDITY, STRATA_COLUMNS, main
@@ -136,17 +135,17 @@ def test_criterion_03_canonical_stability():
 
 def test_criterion_04_stability_flags():
     def check():
-        rep = stability_report(TRIANGLE_A, D_A, THETA_A)
-        assert rep.is_amply_stable
-        assert rep.min_unstable_codim == 2
-        assert not rep.is_strongly_amply_stable
-        assert rep.strong_failure_witness == (3, 1, 2)
+        v = verdict(TRIANGLE_A, D_A, THETA_A)
+        assert v.amply_stable
+        assert v.min_unstable_codim == 2
+        assert not v.strongly_amply_stable
+        assert v.strong_failure_witness == (3, 1, 2)
         w = DimensionVector((3, 1, 2))
         assert TRIANGLE_A.euler_pairing(w, D_A - w) == -1
 
-        rep = stability_report(TRIANGLE_B, D_B, THETA_B)
-        assert not rep.is_amply_stable
-        assert rep.min_unstable_codim == 1
+        v = verdict(TRIANGLE_B, D_B, THETA_B)
+        assert not v.amply_stable
+        assert v.min_unstable_codim == 1
         assert FAILING_B in enumerate_hn_types(TRIANGLE_B, D_B, THETA_B)
         assert codimension(TRIANGLE_B, FAILING_B) == 1
 

@@ -167,13 +167,6 @@ class TestCensus:
             if dense in census:
                 assert has_semistable(q, d, theta)
 
-    def test_thread_count_does_not_change_result(self):
-        theta = StabilityParameter((2, -1))
-        d = DimensionVector((1, 2))
-        single = stratum_census(KRONECKER_3, d, theta, field=3, threads=1)
-        pooled = stratum_census(KRONECKER_3, d, theta, field=3, threads=4)
-        assert single == pooled
-
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError):
             stratum_census(KRONECKER_3, D_23, THETA_23, field=2, budget=1000)

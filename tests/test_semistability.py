@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import pytest
 
+import quivermoduli
 from quivermoduli import (
     DimensionVector,
     Quiver,
     StabilityParameter,
+    enumerate_hn_types,
     generic_subdimension_vectors,
     has_semistable,
     is_strongly_amply_stable,
     slope,
-    stability_report,
     subdimension_vectors,
+    verdict,
 )
 from quivermoduli.oracle import enumerate_reps, has_subrep_of_dimension
 
@@ -145,48 +147,76 @@ class TestStronglyAmplyStable:
 
 
 class TestStabilityReport:
+    """The ample-stability fields of the verdict."""
+
     def test_kronecker(self):
-        rep = stability_report(KRONECKER_3, D_23, THETA_23)
-        assert rep.is_amply_stable
-        assert rep.min_unstable_codim == 3
-        assert rep.is_strongly_amply_stable
-        assert rep.strong_failure_witness is None
+        v = verdict(KRONECKER_3, D_23, THETA_23)
+        assert v.amply_stable
+        assert v.min_unstable_codim == 3
+        assert v.strongly_amply_stable
+        assert v.strong_failure_witness is None
 
     def test_triangle_a(self):
-        rep = stability_report(TRIANGLE_A, D_A, THETA_A)
-        assert rep.is_amply_stable
-        assert rep.min_unstable_codim == 2
-        assert not rep.is_strongly_amply_stable
-        assert rep.strong_failure_witness == (3, 1, 2)
+        v = verdict(TRIANGLE_A, D_A, THETA_A)
+        assert v.amply_stable
+        assert v.min_unstable_codim == 2
+        assert not v.strongly_amply_stable
+        assert v.strong_failure_witness == (3, 1, 2)
 
     def test_triangle_b(self):
-        rep = stability_report(TRIANGLE_B, D_B, THETA_B)
-        assert not rep.is_amply_stable
-        assert rep.min_unstable_codim == 1
-        assert not rep.is_strongly_amply_stable
-        assert rep.strong_failure_witness == (0, 1, 0)
+        v = verdict(TRIANGLE_B, D_B, THETA_B)
+        assert not v.amply_stable
+        assert v.min_unstable_codim == 1
+        assert not v.strongly_amply_stable
+        assert v.strong_failure_witness == (0, 1, 0)
 
     def test_strong_implies_ample(self):
         for q, d, theta in CORPUS + random_instances(40, seed=11):
             if theta(d) != 0 or not has_semistable(q, d, theta):
                 continue
-            rep = stability_report(q, d, theta)
-            if rep.is_strongly_amply_stable:
-                assert rep.is_amply_stable
-            if rep.strong_failure_witness is not None:
-                w = rep.strong_failure_witness
+            v = verdict(q, d, theta)
+            if v.strongly_amply_stable:
+                assert v.amply_stable
+            if v.strong_failure_witness is not None:
+                w = v.strong_failure_witness
                 assert slope(theta, w) > slope(theta, d - w)
                 assert q.euler_pairing(w, d - w) >= -1
 
     def test_converse_fails(self):
         # ample stability does not imply the strong form
-        rep = stability_report(TRIANGLE_A, D_A, THETA_A)
-        assert rep.is_amply_stable and not rep.is_strongly_amply_stable
+        v = verdict(TRIANGLE_A, D_A, THETA_A)
+        assert v.amply_stable and not v.strongly_amply_stable
 
     def test_rejects_empty_semistable_locus(self):
         with pytest.raises(ValueError):
-            stability_report(K1, DimensionVector((2, 1)), StabilityParameter((1, -2)))
+            verdict(K1, DimensionVector((2, 1)), StabilityParameter((1, -2)))
 
     def test_rejects_nonzero_theta_d(self):
         with pytest.raises(ValueError):
-            stability_report(K1, DimensionVector((1, 1)), StabilityParameter((1, 1)))
+            verdict(K1, DimensionVector((1, 1)), StabilityParameter((1, 1)))
+
+
+class TestPlainInputs:
+    def test_cold_calls_match_typed_calls(self):
+        # each answer must not depend on whether a typed call cached it first
+        d, theta = tuple(D_23), tuple(THETA_23)
+        calls = [
+            (generic_subdimension_vectors, (KRONECKER_3, d), (KRONECKER_3, D_23)),
+            (has_semistable, (KRONECKER_3, d, theta), (KRONECKER_3, D_23, THETA_23)),
+            (
+                is_strongly_amply_stable,
+                (TRIANGLE_A, tuple(D_A), tuple(THETA_A)),
+                (TRIANGLE_A, D_A, THETA_A),
+            ),
+            (
+                enumerate_hn_types,
+                (KRONECKER_3, list(d), list(theta)),
+                (KRONECKER_3, D_23, THETA_23),
+            ),
+            (verdict, (KRONECKER_3, list(d), list(theta)), (KRONECKER_3, D_23, THETA_23)),
+        ]
+        for fn, plain, typed in calls:
+            quivermoduli.clear_caches()
+            cold = fn(*plain)
+            quivermoduli.clear_caches()
+            assert cold == fn(*typed), fn.__name__

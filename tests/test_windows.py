@@ -12,6 +12,8 @@ from quivermoduli import (
     Quiver,
     StabilityParameter,
     ambient_canonical_weight,
+    codimension,
+    codimension_cuts,
     enumerate_hn_types,
     has_semistable,
     hom_bundle_weights,
@@ -38,9 +40,17 @@ from cases import (
     TRIANGLE_B,
     random_instances,
 )
-from weight_oracles import ambient_weight_by_blocks, stratum_weight_by_blocks
+from weight_oracles import (
+    ambient_weight_by_blocks,
+    codimension_by_blocks,
+    stratum_weight_by_blocks,
+)
 
 JORDAN = Quiver(1, [(1, 1)])
+
+
+def _total(pieces):
+    return tuple(map(sum, zip(*pieces)))
 
 
 def all_instances():
@@ -63,6 +73,12 @@ class TestWeightFormulas:
                 )
                 assert stratum_canonical_weight(q, t, sub) == stratum_weight_by_blocks(
                     q, t, sub.weights
+                )
+                assert codimension(q, t) == codimension_by_blocks(q, t)
+                # cut r is the codimension of the two-piece coarsening at r
+                assert codimension_cuts(q, t) == tuple(
+                    codimension_by_blocks(q, (_total(t[:r]), _total(t[r:])))
+                    for r in range(1, len(t))
                 )
 
     def test_width_is_difference(self):

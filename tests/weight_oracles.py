@@ -51,3 +51,19 @@ def stratum_weight_by_blocks(quiver, hn_type, weights):
             for m in range(n + 1, length):
                 det_p += (weights[n] - weights[m]) * hn_type[n][i] * hn_type[m][i]
     return -(det_g + det_r_plus - det_p)
+
+
+def codimension_by_blocks(quiver, hn_type):
+    """Codimension of the stratum, counted blockwise.
+
+    For every pair of pieces m < n, the arrow blocks d^m_s * d^n_t over
+    arrows s -> t are the normal directions, and the vertex blocks
+    d^m_i * d^n_i are absorbed by the group; the codimension is the
+    difference summed over all such pairs.
+    """
+    total = 0
+    for m, dm in enumerate(hn_type):
+        for dn in hn_type[m + 1 :]:
+            total += sum(dm[s - 1] * dn[t - 1] for s, t in quiver.arrows)
+            total -= sum(dm[i] * dn[i] for i in range(quiver.vertex_count))
+    return total
