@@ -212,10 +212,6 @@ def cmd_strata(args) -> int:
 def cmd_verdict(args) -> int:
     spec = load_problem(args.problem)
     q, d, theta = spec.quiver, spec.d, spec.theta
-    if not has_semistable(q, d, theta):
-        raise ProblemSpecError(
-            f"no semistable representation of dimension {fmt_vector(d)} exists"
-        )
     v = verdict(q, d, theta)
 
     shape = "acyclic" if q.is_acyclic else "has a directed cycle"

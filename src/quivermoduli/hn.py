@@ -77,15 +77,26 @@ def validate_hn_type(
             raise ValueError(f"piece {tuple(p)} admits no semistable representation")
 
 
+def semistable_pieces(
+    q: Quiver, d: DimensionVector, theta: StabilityParameter
+) -> list[DimensionVector]:
+    """The nonzero e <= d admitting a semistable representation, in
+    lexicographic order: every piece an HN type of d can have."""
+    return [e for e in subdimension_vectors(d)[1:] if has_semistable(q, e, theta)]
+
+
 def enumerate_hn_types(
     q: Quiver, d: DimensionVector, theta: StabilityParameter
 ) -> tuple[HNType, ...]:
-    """All HN types for (q, d, theta), sorted lexicographically.
+    """All HN types for (q, d, theta), in lexicographic order.
 
     Requires d nonzero and theta(d) = 0.  Recursion on the remaining
     dimension vector: a type is a first piece e (nonzero, semistable
     locus nonempty, slope below the running bound) followed by a type of
-    d - e bounded by mu(e).  Memoized on (remainder, bound).
+    d - e bounded by mu(e).  Memoized on (remainder, bound).  The pieces
+    are tried in lexicographic order, so the types come out sorted.
+    The count grows exponentially with d; `windows.verdict` never
+    enumerates them.
     """
     d = DimensionVector(d)
     if d.is_zero():
@@ -94,11 +105,7 @@ def enumerate_hn_types(
     if theta.dot(d) != 0:
         raise ValueError("enumerate_hn_types requires theta(d) = 0")
 
-    candidates = [
-        (e, slope(theta, e))
-        for e in subdimension_vectors(d)[1:]
-        if has_semistable(q, e, theta)
-    ]
+    candidates = [(e, slope(theta, e)) for e in semistable_pieces(q, d, theta)]
     memo: dict = {}
 
     def extend(rest: DimensionVector, bound: Fraction | None):
@@ -120,7 +127,7 @@ def enumerate_hn_types(
         memo[key] = result
         return result
 
-    return tuple(sorted(HNType(seq) for seq in extend(d, None)))
+    return tuple(HNType(seq) for seq in extend(d, None))
 
 
 def pairing_table(q: Quiver, t: HNType) -> list[list[int | None]]:

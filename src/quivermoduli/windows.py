@@ -18,12 +18,46 @@ passes and theta is coprime to d, higher cohomology of the structure
 sheaf vanishes on the moduli space, and acyclicity of the quiver
 upgrades this to rigidity.  A failed inequality only withholds the
 certificate, it does not disprove vanishing.
+
+`verdict` decides the inequality on every unstable stratum without
+listing the HN types, whose number grows exponentially with d.  Write
+rest_r = d^{r+1} + ... + d^l for the remainder after r pieces and
+N_r = -<d - rest_r, rest_r> for the codimension of the cut there
+(`hn.codimension_cuts`).  Then k_m - k_n telescopes over the cuts
+between m and n, and
+
+    width - (k_1 - k_l) = sum_r (k_r - k_{r+1}) (N_r - 1),
+
+so with k = C mu a stratum fails iff sum_r (mu_r - mu_{r+1}) (N_r - 1)
+<= 0.  Each term depends only on the state (rest_r, mu_r) and the next
+piece, so the least such sum over all types is a minimum-path value
+
+    F(rest, mu) = min over semistable e <= rest with mu(e) < mu of
+                  (mu - mu(e)) (N(rest) - 1) + F(rest - e, mu(e)),
+
+with F(0, .) = 0; some stratum fails iff F(d - e, mu(e)) <= 0 for a
+first piece e != d.  The codimension sum_r -<d^r, rest_r> is the same
+recursion G with edge weight -<e, rest - e>, and its minimum is the
+smallest unstable codimension.  The edge term of F is
+mu (N(rest) - 1) - mu(e) (N(rest) - 1), so one table per remainder,
+prefix minima over its pieces in slope order, answers every bound mu
+by bisection: the cost is O(reachable remainders x pieces), polynomial
+in d.  Slopes are scaled to integers, so all of it is exact.  The
+failing types are then listed by a depth-first search over the pieces
+in lexicographic order that enters a branch only when its partial sum
+plus F of its state is <= 0; each branch entered ends in a failing
+type, so the search costs in proportion to the failures and returns
+them sorted.  `stratum_report` and `hn.enumerate_hn_types` remain the
+per-stratum view and the reference the tests compare against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from math import lcm
+from operator import itemgetter, le, mul, sub
 
 from .core import (
     DimensionVector,
@@ -34,9 +68,9 @@ from .core import (
 from .hn import (
     HNType,
     OneParameterSubgroup,
-    enumerate_hn_types,
     one_parameter_subgroup,
     pairing_table,
+    semistable_pieces,
     table_codimension,
 )
 from .semistability import has_semistable, is_strongly_amply_stable
@@ -156,24 +190,31 @@ def verdict(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> Verdict
     weight inequality; rigidity_certified additionally needs an acyclic
     quiver.  amply_stable means every unstable stratum has codimension
     at least 2.  Requires theta(d) = 0 and a nonempty semistable locus.
+    The strata are decided by the min-path DP of the module docstring,
+    never by enumerating the HN types.
     """
     d = DimensionVector(d)
     theta = StabilityParameter(theta)
     if theta.dot(d) != 0:
         raise ValueError("verdict requires theta(d) = 0")
     if not has_semistable(q, d, theta):
-        raise ValueError("verdict requires a nonempty semistable locus")
+        raise ValueError(
+            "no semistable representation of dimension "
+            f"({','.join(map(str, d))}) exists"
+        )
 
-    failing = []
-    min_codim = None
-    for t in enumerate_hn_types(q, d, theta):
-        if len(t) == 1:
-            continue
-        report = stratum_report(q, theta, t)
-        if not report.inequality_holds:
-            failing.append(t)
-        if min_codim is None or report.codim < min_codim:
-            min_codim = report.codim
+    pieces = _piece_data(q, d, theta)
+    tables = _cut_tables(q, d, pieces)
+    # the unstable types by first piece e != d: (e, mu_e, least F, least
+    # codimension) over the types that start with e
+    starts = []
+    for e, s, row, ee in pieces:
+        best = None if e == d else _best(tables, _sub(d, e), s)
+        if best is not None:
+            starts.append((e, s, best[0], best[1] + ee - _dot(row, d)))
+    min_codim = min((start[3] for start in starts), default=None)
+    failing = _failing_types(d, pieces, tables, starts)
+
     coprime = is_theta_coprime(theta, d)
     strong, witness = is_strongly_amply_stable(q, d, theta)
     vanishing = coprime and not failing
@@ -186,9 +227,120 @@ def verdict(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> Verdict
         all_strata_inequality=not failing,
         vanishing_certified=vanishing,
         rigidity_certified=vanishing and q.is_acyclic,
-        failing_strata=tuple(failing),
+        failing_strata=failing,
         min_unstable_codim=min_codim,
     )
+
+
+def _sub(a: tuple, b: tuple) -> tuple:
+    return tuple(map(sub, a, b))
+
+
+def _dot(a: tuple, b: tuple) -> int:
+    return sum(map(mul, a, b))
+
+
+def _piece_data(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> list[tuple]:
+    """(e, scaled slope, row, <e,e>) for every possible piece e, in
+    lexicographic order.
+
+    Slopes are multiplied by the lcm of the piece sizes, so they are
+    integers; <e, b> = row . b for any b.
+    """
+    pieces = semistable_pieces(q, d, theta)
+    scale = lcm(*{sum(e) for e in pieces})
+    n = len(d)
+    into = [[q.adjacency[i][j] for i in range(n)] for j in range(n)]
+    out = []
+    for e in pieces:
+        row = tuple(e[j] - _dot(into[j], e) for j in range(n))
+        out.append((tuple(e), _dot(theta, e) * (scale // sum(e)), row, _dot(row, e)))
+    return out
+
+
+def _cut_tables(q: Quiver, d: DimensionVector, pieces: list[tuple]) -> dict:
+    """The failure and codimension DPs, one table per reachable remainder.
+
+    tables[rest] = (c, slopes, best_f, best_g) with c = N(rest) - 1,
+    `slopes` those of the pieces e <= rest in ascending order, and
+    best_f[i], best_g[i] the minima of F(rest-e, mu_e) - mu_e c and
+    -<e, rest-e> + G(rest-e, mu_e) over the first i+1 of them (None
+    while none of them completes to a type).
+    """
+    # only the remainders reachable from d, each with its pairs
+    # (piece e <= rest, rest - e) in ascending slope order
+    by_slope = sorted(pieces, key=itemgetter(1))
+    fits = {}
+    todo = [_sub(d, p[0]) for p in pieces if p[0] != d]
+    while todo:
+        rest = todo.pop()
+        if rest in fits or not any(rest):
+            continue
+        fits[rest] = fit = [(p, _sub(rest, p[0])) for p in by_slope if all(map(le, p[0], rest))]
+        todo.extend(tail for _, tail in fit)
+
+    tables = {}
+    for rest in sorted(fits):
+        c = -q.euler_pairing(_sub(d, rest), rest) - 1
+        slopes, best_f, best_g = [], [], []
+        low_f = low_g = None
+        for (e, s, row, ee), tail in fits[rest]:
+            best = _best(tables, tail, s)
+            if best is not None:
+                f = best[0] - s * c
+                g = best[1] + ee - _dot(row, rest)
+                if low_f is None:
+                    low_f, low_g = f, g
+                else:
+                    low_f, low_g = min(low_f, f), min(low_g, g)
+            slopes.append(s)
+            best_f.append(low_f)
+            best_g.append(low_g)
+        tables[rest] = (c, slopes, best_f, best_g)
+    return tables
+
+
+def _best(tables: dict, rest: tuple, bound: int) -> tuple[int, int] | None:
+    """(F, G) at the state (rest, bound), or None if no type of rest has
+    every slope below bound."""
+    if not any(rest):
+        return 0, 0
+    c, slopes, best_f, best_g = tables[rest]
+    i = bisect_left(slopes, bound)
+    if i == 0 or best_f[i - 1] is None:
+        return None
+    return bound * c + best_f[i - 1], best_g[i - 1]
+
+
+def _failing_types(
+    d: DimensionVector, pieces: list[tuple], tables: dict, starts: list[tuple]
+) -> tuple[HNType, ...]:
+    """Every unstable type failing the inequality, in lexicographic order.
+
+    Depth-first over the pieces in lexicographic order, entering a child
+    only when its partial sum plus F of its state is <= 0: every branch
+    entered ends in at least one failing type, so the cost follows the
+    number of failing types, not the number of types.
+    """
+    stack = [(_sub(d, e), s, 0, (e,)) for e, s, fail, _ in reversed(starts) if fail <= 0]
+    failing = []
+    while stack:
+        rest, bound, partial, prefix = stack.pop()
+        if not any(rest):
+            failing.append(HNType(prefix))
+            continue
+        c = tables[rest][0]
+        children = []
+        for e, s, _, _ in pieces:
+            if s >= bound or not all(map(le, e, rest)):
+                continue
+            tail = _sub(rest, e)
+            total = partial + (bound - s) * c
+            best = _best(tables, tail, s)
+            if best is not None and total + best[0] <= 0:
+                children.append((tail, s, total, prefix + (e,)))
+        stack.extend(reversed(children))
+    return tuple(failing)
 
 
 def moduli_dimension(q: Quiver, d: DimensionVector) -> int:

@@ -35,6 +35,7 @@ from cases import (
     THETA_B,
     TRIANGLE_A,
     TRIANGLE_B,
+    random_instances,
 )
 
 K1 = Quiver.kronecker(1)
@@ -95,7 +96,8 @@ class TestEnumerateHNTypes:
         assert len(enumerate_hn_types(TRIANGLE_B, D_B, THETA_B)) == 85
 
     def test_sorted_and_unique(self):
-        for q, d, theta in CORPUS:
+        # the recursion tries pieces lexicographically, so no sort is needed
+        for q, d, theta in CORPUS + random_instances(200, seed=11):
             types = enumerate_hn_types(q, d, theta)
             assert list(types) == sorted(set(types))
 

@@ -5,7 +5,11 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import quivermoduli.hn
+import quivermoduli.windows
 from quivermoduli import (
     DimensionVector,
     HNType,
@@ -43,6 +47,7 @@ from cases import (
 from weight_oracles import (
     ambient_weight_by_blocks,
     codimension_by_blocks,
+    reference_verdict,
     stratum_weight_by_blocks,
 )
 
@@ -60,6 +65,27 @@ def all_instances():
         if has_semistable(q, d, theta)
     ]
     return CORPUS + extra
+
+
+@st.composite
+def semistable_instances(draw):
+    """(quiver, d, theta) with theta(d) = 0 and a semistable locus."""
+    n = draw(st.integers(1, 3))
+    arrows = draw(
+        st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=6)
+    )
+    q = Quiver(n, arrows)
+    d = DimensionVector(draw(st.integers(0, 4)) for _ in range(n))
+    assume(not d.is_zero() and sum(d) <= 9)
+    if draw(st.booleans()):
+        theta = q.canonical_stability(d)
+    else:
+        # |d| u - (u.d) (1,...,1) pairs to zero against d
+        u = [draw(st.integers(-3, 3)) for _ in range(n)]
+        u_dot_d = sum(ui * di for ui, di in zip(u, d))
+        theta = StabilityParameter(sum(d) * ui - u_dot_d for ui in u)
+    assume(has_semistable(q, d, theta))
+    return q, d, theta
 
 
 class TestWeightFormulas:
@@ -210,6 +236,31 @@ class TestStratumReport:
         assert rep.window_width == 0
         assert rep.inequality_holds
 
+    def test_inequality_is_a_sum_over_cuts(self):
+        # eta - (k_1 - k_l) = sum_r (k_r - k_{r+1}) (N_r - 1): the
+        # identity the verdict DP minimizes over remainders
+        for q, d, theta in all_instances():
+            for t in enumerate_hn_types(q, d, theta):
+                if len(t) == 1:
+                    continue
+                rep = stratum_report(q, theta, t)
+                k = rep.subgroup.weights
+                cuts = codimension_cuts(q, t)
+                margin = sum((k[r] - k[r + 1]) * (cuts[r] - 1) for r in range(len(cuts)))
+                assert margin == rep.window_width - rep.max_bundle_weight
+                assert rep.inequality_holds == (margin > 0)
+
+    def test_codimension_is_a_sum_over_pieces(self):
+        # codim = sum_r -<d^r, rest_r - d^r>, rest_r = d^r + ... + d^l
+        for q, d, theta in all_instances():
+            for t in enumerate_hn_types(q, d, theta):
+                if len(t) == 1:
+                    continue
+                assert stratum_report(q, theta, t).codim == sum(
+                    -q.euler_pairing(t[r], _total(t[r + 1 :]))
+                    for r in range(len(t) - 1)
+                )
+
     def test_inequality_definition_on_unstable(self):
         for q, d, theta in all_instances():
             for t in enumerate_hn_types(q, d, theta):
@@ -292,12 +343,57 @@ class TestVerdict:
                 assert v.min_unstable_codim is None
                 assert v.amply_stable
 
+    def test_matches_reference(self):
+        batch = CORPUS + [
+            (q, d, theta)
+            for seed in (7, 11, 23)
+            for q, d, theta in random_instances(150, seed)
+            if has_semistable(q, d, theta)
+        ]
+        failing = 0
+        for q, d, theta in batch:
+            v = verdict(q, d, theta)
+            assert v == reference_verdict(q, d, theta)
+            failing += bool(v.failing_strata)
+        # the batch exercises the failing-strata search, not just the flags
+        assert failing >= 10
+
+    def test_failing_strata_in_lexicographic_order(self):
+        # two failing types share a first piece, so the search has to
+        # order sibling branches as well as first pieces
+        q = Quiver(3, [(3, 2), (2, 2), (2, 1)])
+        d, theta = DimensionVector((3, 3, 3)), StabilityParameter((-1, 0, 1))
+        v = verdict(q, d, theta)
+        assert v.failing_strata == (
+            HNType(((0, 0, 1), (2, 3, 2), (1, 0, 0))),
+            HNType(((0, 0, 1), (3, 3, 2))),
+            HNType(((2, 3, 3), (1, 0, 0))),
+        )
+        assert v == reference_verdict(q, d, theta)
+
+    @settings(max_examples=80, deadline=None)
+    @given(semistable_instances())
+    def test_matches_reference_generated(self, instance):
+        q, d, theta = instance
+        assert verdict(q, d, theta) == reference_verdict(q, d, theta)
+
+    def test_never_enumerates_types(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("verdict must not enumerate the HN types")
+
+        monkeypatch.setattr(quivermoduli.hn, "enumerate_hn_types", refuse)
+        monkeypatch.setattr(quivermoduli.windows, "enumerate_hn_types", refuse, raising=False)
+        monkeypatch.setattr(quivermoduli.windows, "stratum_report", refuse)
+        assert verdict(KRONECKER_3, D_23, THETA_23).min_unstable_codim == 3
+        assert verdict(TRIANGLE_A, D_A, THETA_A).min_unstable_codim == 2
+        assert verdict(TRIANGLE_B, D_B, THETA_B).failing_strata == (FAILING_B,)
+
     def test_rejects_nonzero_theta_d(self):
         with pytest.raises(ValueError):
             verdict(KRONECKER_3, D_23, StabilityParameter((1, 1)))
 
     def test_rejects_empty_semistable_locus(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"dimension \(2,1\) exists"):
             verdict(
                 Quiver.kronecker(1), DimensionVector((2, 1)), StabilityParameter((1, -2))
             )

@@ -1,12 +1,24 @@
-"""Independent coordinate-level recomputation of stratum weights.
+"""Slow second routes to the library's numbers, for cross-checks only.
 
-These evaluators enumerate the graded blocks of the linearized action
-directly, arrow by arrow and vertex by vertex, never touching the Euler
-pairing. They give a second route to the same integers as the closed
-formulas in quivermoduli.windows and exist purely to cross-check them.
+The block evaluators enumerate the graded blocks of the linearized
+action directly, arrow by arrow and vertex by vertex, never touching the
+Euler pairing. They give a second route to the same integers as the
+closed formulas in quivermoduli.windows. `reference_verdict` decides the
+certificates stratum by stratum over the enumerated HN types, the route
+that `quivermoduli.verdict` replaces with a DP over remainders.
 """
 
 from __future__ import annotations
+
+from quivermoduli import (
+    DimensionVector,
+    Verdict,
+    enumerate_hn_types,
+    has_semistable,
+    is_strongly_amply_stable,
+    is_theta_coprime,
+    stratum_report,
+)
 
 
 def ambient_weight_by_blocks(quiver, hn_type, weights):
@@ -67,3 +79,38 @@ def codimension_by_blocks(quiver, hn_type):
             total += sum(dm[s - 1] * dn[t - 1] for s, t in quiver.arrows)
             total -= sum(dm[i] * dn[i] for i in range(quiver.vertex_count))
     return total
+
+
+def reference_verdict(quiver, d, theta):
+    """The verdict by enumeration: one stratum report per HN type.
+
+    Its cost grows with the number of HN types, exponentially in d.
+    """
+    d = DimensionVector(d)
+    if not has_semistable(quiver, d, theta):
+        raise ValueError("no semistable representation")
+    failing = []
+    min_codim = None
+    for t in enumerate_hn_types(quiver, d, theta):
+        if len(t) == 1:
+            continue
+        report = stratum_report(quiver, theta, t)
+        if not report.inequality_holds:
+            failing.append(t)
+        if min_codim is None or report.codim < min_codim:
+            min_codim = report.codim
+    coprime = is_theta_coprime(theta, d)
+    strong, witness = is_strongly_amply_stable(quiver, d, theta)
+    vanishing = coprime and not failing
+    return Verdict(
+        coprime=coprime,
+        acyclic=quiver.is_acyclic,
+        strongly_amply_stable=strong,
+        strong_failure_witness=witness,
+        amply_stable=min_codim is None or min_codim >= 2,
+        all_strata_inequality=not failing,
+        vanishing_certified=vanishing,
+        rigidity_certified=vanishing and quiver.is_acyclic,
+        failing_strata=tuple(failing),
+        min_unstable_codim=min_codim,
+    )
