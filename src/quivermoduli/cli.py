@@ -275,7 +275,10 @@ def cmd_sweep(args) -> int:
     if cells > SWEEP_CELL_BUDGET:
         raise oracle.BudgetExceededError(cells, SWEEP_CELL_BUDGET)
 
-    out = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
+    try:
+        out = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
+    except OSError as exc:
+        raise ProblemSpecError(f"cannot write {args.out}: {exc}") from exc
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(SWEEP_COLUMNS)

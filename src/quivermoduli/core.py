@@ -17,6 +17,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
+from operator import mul, sub
 from typing import Iterable
 
 
@@ -111,9 +112,9 @@ class Quiver:
         for s, t in self.arrows:
             counts[s - 1][t - 1] += 1
         self.adjacency = tuple(tuple(row) for row in counts)
-        # sparse form used by the pairing hot loop
-        self._pairs = tuple(
-            (i, j, counts[i][j]) for i in range(n) for j in range(n) if counts[i][j]
+        # the Euler form I - A: <a, b> = sum_ij a_i euler_matrix[i][j] b_j
+        self.euler_matrix = tuple(
+            tuple(int(i == j) - counts[i][j] for j in range(n)) for i in range(n)
         )
 
     @classmethod
@@ -155,6 +156,23 @@ class Quiver:
                         queue.append(j)
         return seen == n
 
+    def _vertex_tuple(self, v, kind: type) -> tuple[int, ...]:
+        """v as a plain tuple, once it is a valid `kind` with one entry per vertex."""
+        v = kind(v)
+        if len(v) != self.vertex_count:
+            raise ValueError(
+                f"vector of length {len(v)} on a quiver with {self.vertex_count} vertices"
+            )
+        return tuple(v)
+
+    def left_form(self, a: tuple) -> tuple[int, ...]:
+        """The linear form <a, -> as a vector: <a, b> = left_form(a) . b."""
+        return tuple(sum(map(mul, a, column)) for column in zip(*self.euler_matrix))
+
+    def right_form(self, b: tuple) -> tuple[int, ...]:
+        """The linear form <-, b> as a vector: <a, b> = a . right_form(b)."""
+        return tuple(sum(map(mul, row, b)) for row in self.euler_matrix)
+
     def euler_pairing(self, a: tuple, b: tuple) -> int:
         """Euler pairing <a, b> = sum_i a_i b_i - sum_{arrows s->t} a_s b_t."""
         n = self.vertex_count
@@ -162,31 +180,19 @@ class Quiver:
             raise ValueError(
                 f"vectors of length {len(a)}, {len(b)} on a quiver with {n} vertices"
             )
-        total = sum(x * y for x, y in zip(a, b))
-        for i, j, count in self._pairs:
-            total -= count * a[i] * b[j]
-        return total
+        return sum(map(mul, a, self.right_form(b)))
 
     def canonical_stability(self, d: DimensionVector) -> StabilityParameter:
         """Primitive stability parameter on the ray of <d,-> - <-,d>.
 
-        The raw linear form has theta_i = sum_j (A_ij - A_ji) d_j; the
-        result is divided by the gcd of its entries so that parallel
-        arrows do not inflate the output.  Always satisfies theta(d) = 0.
+        That difference is theta_i = sum_j (A_ij - A_ji) d_j; it is
+        divided by the gcd of its entries so that parallel arrows do not
+        inflate the output.  Always satisfies theta(d) = 0.
         """
-        d = DimensionVector(d)
-        if len(d) != self.vertex_count:
-            raise ValueError(
-                f"dimension vector of length {len(d)} on a quiver with "
-                f"{self.vertex_count} vertices"
-            )
-        if d.is_zero():
+        d = self._vertex_tuple(d, DimensionVector)
+        if not any(d):
             raise ValueError("canonical stability is undefined for the zero vector")
-        n = self.vertex_count
-        raw = [
-            sum((self.adjacency[i][j] - self.adjacency[j][i]) * d[j] for j in range(n))
-            for i in range(n)
-        ]
+        raw = list(map(sub, self.left_form(d), self.right_form(d)))
         g = math.gcd(*raw)
         if g > 1:
             raw = [x // g for x in raw]

@@ -245,15 +245,13 @@ def _piece_data(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> lis
     lexicographic order.
 
     Slopes are multiplied by the lcm of the piece sizes, so they are
-    integers; <e, b> = row . b for any b.
+    integers; row = <e, ->, so <e, b> = row . b for any b.
     """
     pieces = semistable_pieces(q, d, theta)
     scale = lcm(*{sum(e) for e in pieces})
-    n = len(d)
-    into = [[q.adjacency[i][j] for i in range(n)] for j in range(n)]
     out = []
     for e in pieces:
-        row = tuple(e[j] - _dot(into[j], e) for j in range(n))
+        row = q.left_form(e)
         out.append((tuple(e), _dot(theta, e) * (scale // sum(e)), row, _dot(row, e)))
     return out
 

@@ -305,6 +305,14 @@ class TestSweepCommand:
         assert parsed[0] == list(SWEEP_COLUMNS)
         assert len(parsed) == 4
 
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys):
+        path = write_problem(tmp_path, KRONECKER_PROBLEM)
+        for out in (tmp_path / "absent" / "sweep.csv", tmp_path):
+            assert main(["sweep", path, "--dmax", "1,1", "--out", str(out)]) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"qt: error: cannot write {out}: ")
+            assert captured.out == ""
+
     def test_dmax_validation(self, tmp_path, capsys):
         path = write_problem(tmp_path, KRONECKER_PROBLEM)
         assert main(["sweep", path, "--dmax", "1"]) == EXIT_INPUT

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quivermoduli
 from quivermoduli import (
@@ -31,6 +33,11 @@ from cases import (
     TRIANGLE_A,
     TRIANGLE_B,
     random_instances,
+)
+from weight_oracles import (
+    reference_generic_subdimension_vectors,
+    reference_has_semistable,
+    reference_strongly_amply_stable,
 )
 
 K1 = Quiver.kronecker(1)
@@ -220,3 +227,54 @@ class TestPlainInputs:
             cold = fn(*plain)
             quivermoduli.clear_caches()
             assert cold == fn(*typed), fn.__name__
+
+
+class TestVertexCount:
+    def test_wrong_length_rejected(self):
+        # zip would silently truncate these to the shorter vector
+        calls = [
+            (has_semistable, (KRONECKER_3, (1,), (0,))),
+            (has_semistable, (KRONECKER_3, (1, 2), (2, -1, 0))),
+            (generic_subdimension_vectors, (KRONECKER_3, (1,))),
+            (is_strongly_amply_stable, (KRONECKER_3, (2,), (0,))),
+        ]
+        for fn, args in calls:
+            with pytest.raises(ValueError, match="on a quiver with 2 vertices"):
+                fn(*args)
+
+
+def assert_matches_reference(q, d, theta):
+    reference = reference_generic_subdimension_vectors(q, d)
+    assert generic_subdimension_vectors(q, d) == reference
+    for e in subdimension_vectors(d)[1:]:
+        assert has_semistable(q, e, theta) == reference_has_semistable(q, e, theta), e
+    ok, witness = is_strongly_amply_stable(q, d, theta)
+    assert (ok, witness) == reference_strongly_amply_stable(q, d, theta)
+    assert witness is None or type(witness) is DimensionVector
+
+
+@st.composite
+def instances(draw):
+    """(quiver, d, theta) with theta(d) = 0, semistable locus empty or not."""
+    n = draw(st.integers(1, 3))
+    arrows = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=6))
+    q = Quiver(n, arrows)
+    d = DimensionVector(draw(st.integers(0, 4)) for _ in range(n))
+    # |d| u - (u.d) (1,...,1) pairs to zero against d
+    u = [draw(st.integers(-3, 3)) for _ in range(n)]
+    u_dot_d = sum(ui * di for ui, di in zip(u, d))
+    return q, d, StabilityParameter(sum(d) * ui - u_dot_d for ui in u)
+
+
+class TestMatchesReference:
+    """The integer recursion and slope tests against the Fraction references."""
+
+    @pytest.mark.parametrize("seed", [5, 29])
+    def test_corpus_and_random(self, seed):
+        for q, d, theta in CORPUS + random_instances(200, seed):
+            assert_matches_reference(q, d, theta)
+
+    @settings(max_examples=80, deadline=None)
+    @given(instances())
+    def test_generated(self, instance):
+        assert_matches_reference(*instance)

@@ -6,9 +6,16 @@ Euler pairing. They give a second route to the same integers as the
 closed formulas in quivermoduli.windows. `reference_verdict` decides the
 certificates stratum by stratum over the enumerated HN types, the route
 that `quivermoduli.verdict` replaces with a DP over remainders.
+
+The semistability references recurse on `DimensionVector`s, evaluate one
+Euler pairing per (generic f', f) and compare `Fraction` slopes, where
+`quivermoduli.semistability` works on plain int tuples with one linear
+form per f and cross-multiplied integer slopes.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from quivermoduli import (
     DimensionVector,
@@ -17,8 +24,49 @@ from quivermoduli import (
     has_semistable,
     is_strongly_amply_stable,
     is_theta_coprime,
+    slope,
     stratum_report,
+    subdimension_vectors,
 )
+
+
+@lru_cache(maxsize=None)
+def reference_generic_subdimension_vectors(quiver, e):
+    """Generic f <= e: f is 0 or e, or <f', e - f> >= 0 for every generic f' in f."""
+    e = DimensionVector(e)
+    result = []
+    for f in subdimension_vectors(e):
+        if f.is_zero() or f == e:
+            result.append(f)
+            continue
+        rest = e - f
+        if all(
+            quiver.euler_pairing(fp, rest) >= 0
+            for fp in reference_generic_subdimension_vectors(quiver, f)
+        ):
+            result.append(f)
+    return frozenset(result)
+
+
+def reference_has_semistable(quiver, e, theta):
+    """No nonzero generic subdimension vector has a larger Fraction slope than e."""
+    e = DimensionVector(e)
+    mu = slope(theta, e)
+    return all(
+        slope(theta, f) <= mu
+        for f in reference_generic_subdimension_vectors(quiver, e)
+        if not f.is_zero()
+    )
+
+
+def reference_strongly_amply_stable(quiver, d, theta):
+    """The first 0 < e < d with mu(e) > mu(d - e) and <e, d - e> > -2, by
+    comparing the two Fraction slopes."""
+    d = DimensionVector(d)
+    for e in subdimension_vectors(d)[1:-1]:
+        if slope(theta, e) > slope(theta, d - e) and quiver.euler_pairing(e, d - e) > -2:
+            return False, e
+    return True, None
 
 
 def ambient_weight_by_blocks(quiver, hn_type, weights):
