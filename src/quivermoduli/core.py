@@ -204,10 +204,12 @@ def slope(theta: StabilityParameter, e: tuple) -> Fraction:
 
     Undefined (raises) for the zero vector.
     """
+    if len(theta) != len(e):
+        raise ValueError(f"vector length mismatch: {len(theta)} vs {len(e)}")
     total = sum(e)
     if total == 0:
         raise ValueError("slope is undefined for the zero dimension vector")
-    return Fraction(sum(t * x for t, x in zip(theta, e)), total)
+    return Fraction(sum(map(mul, theta, e)), total)
 
 
 def subdimension_vectors(d: DimensionVector) -> list[DimensionVector]:
@@ -228,7 +230,7 @@ def is_theta_coprime(theta: StabilityParameter, d: DimensionVector) -> bool:
     setting in which the vanishing certificate applies.
     """
     d = DimensionVector(d)
-    if sum(t * x for t, x in zip(theta, d)) != 0:
+    if StabilityParameter(theta).dot(d) != 0:
         raise ValueError("is_theta_coprime requires theta(d) = 0")
     for e in subdimension_vectors(d)[1:-1]:
         if sum(t * x for t, x in zip(theta, e)) == 0:

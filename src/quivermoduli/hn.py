@@ -12,13 +12,22 @@ Each stratum carries a distinguished one-parameter subgroup acting
 blockwise with integer weights k_m = C * mu(d^m), C minimal; the weight
 vector is all later weight computations need, so the subgroup is never
 materialized as a group element.
+
+The types are listed by one depth-first search over the states
+(remainder, slope bound).  It reads one table per remainder reachable
+from d, built once for `windows.verdict` too: the pieces that fit in
+the remainder, in slope order, with their tails and the DP minima that
+tell whether a branch completes to a type.  `enumerate_hn_types` enters
+every branch that completes; `verdict` enters only those that can still
+fail the weight inequality.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
+from operator import itemgetter, le, mul, sub
 
 from .core import (
     DimensionVector,
@@ -77,26 +86,15 @@ def validate_hn_type(
             raise ValueError(f"piece {tuple(p)} admits no semistable representation")
 
 
-def semistable_pieces(
-    q: Quiver, d: DimensionVector, theta: StabilityParameter
-) -> list[DimensionVector]:
-    """The nonzero e <= d admitting a semistable representation, in
-    lexicographic order: every piece an HN type of d can have."""
-    return [e for e in subdimension_vectors(d)[1:] if has_semistable(q, e, theta)]
-
-
 def enumerate_hn_types(
     q: Quiver, d: DimensionVector, theta: StabilityParameter
 ) -> tuple[HNType, ...]:
     """All HN types for (q, d, theta), in lexicographic order.
 
-    Requires d nonzero and theta(d) = 0.  Recursion on the remaining
-    dimension vector: a type is a first piece e (nonzero, semistable
-    locus nonempty, slope below the running bound) followed by a type of
-    d - e bounded by mu(e).  Memoized on (remainder, bound).  The pieces
-    are tried in lexicographic order, so the types come out sorted.
-    The count grows exponentially with d; `windows.verdict` never
-    enumerates them.
+    Requires d nonzero and theta(d) = 0.  This is `_search` entering
+    every branch: each branch it enters completes to a type, so the cost
+    follows types x depth, and no tail is stored.  The count grows
+    exponentially with d; `windows.verdict` never enumerates them.
     """
     d = DimensionVector(d)
     if d.is_zero():
@@ -104,30 +102,124 @@ def enumerate_hn_types(
     theta = StabilityParameter(theta)
     if theta.dot(d) != 0:
         raise ValueError("enumerate_hn_types requires theta(d) = 0")
+    pieces = _piece_data(q, d, theta)
+    return _search(d, pieces, _cut_tables(q, d, pieces), lambda e, low: True)
 
-    candidates = [(e, slope(theta, e)) for e in semistable_pieces(q, d, theta)]
-    memo: dict = {}
 
-    def extend(rest: DimensionVector, bound: Fraction | None):
-        if rest.is_zero():
-            return ((),)
-        key = (rest, bound)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        out = []
-        for e, mu in candidates:
-            if bound is not None and mu >= bound:
+def _sub(a: tuple, b: tuple) -> tuple:
+    return tuple(map(sub, a, b))
+
+
+def _dot(a: tuple, b: tuple) -> int:
+    return sum(map(mul, a, b))
+
+
+def _piece_data(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> list[tuple]:
+    """(e, scaled slope, row, <e,e>) for every piece an HN type of d can
+    have: the nonzero e <= d admitting a semistable representation, in
+    lexicographic order, so d is last iff it is semistable.
+
+    Slopes are multiplied by the lcm of the piece sizes, so they are
+    integers; row = <e, ->, so <e, b> = row . b for any b.
+    """
+    pieces = [e for e in subdimension_vectors(d)[1:] if has_semistable(q, e, theta)]
+    scale = lcm(*{sum(e) for e in pieces})
+    out = []
+    for e in pieces:
+        row = q.left_form(e)
+        out.append((tuple(e), _dot(theta, e) * (scale // sum(e)), row, _dot(row, e)))
+    return out
+
+
+def _cut_tables(q: Quiver, d: DimensionVector, pieces: list[tuple]) -> dict:
+    """The failure and codimension DPs, one table per reachable remainder.
+
+    tables[rest] = (c, slopes, best_f, best_g, fit) with c = N(rest) - 1,
+    `fit` the pairs (piece e <= rest, rest - e) in ascending slope order,
+    `slopes` theirs, and best_f[i], best_g[i] the minima of
+    F(rest-e, mu_e) - mu_e c and -<e, rest-e> + G(rest-e, mu_e) over the
+    first i+1 of them (None while none of them completes to a type).
+    F and G are the minimum-path values of the `windows` module docstring.
+    """
+    # only the remainders reachable from d
+    by_slope = sorted(pieces, key=itemgetter(1))
+    fits = {}
+    todo = [_sub(d, p[0]) for p in pieces if p[0] != d]
+    while todo:
+        rest = todo.pop()
+        if rest in fits or not any(rest):
+            continue
+        fits[rest] = fit = [(p, _sub(rest, p[0])) for p in by_slope if all(map(le, p[0], rest))]
+        todo.extend(tail for _, tail in fit)
+
+    tables = {}
+    for rest in sorted(fits):
+        c = -q.euler_pairing(_sub(d, rest), rest) - 1
+        slopes, best_f, best_g = [], [], []
+        low_f = low_g = None
+        for (e, s, row, ee), tail in fits[rest]:
+            best = _best(tables, tail, s)
+            if best is not None:
+                f = best[0] - s * c
+                g = best[1] + ee - _dot(row, rest)
+                if low_f is None:
+                    low_f, low_g = f, g
+                else:
+                    low_f, low_g = min(low_f, f), min(low_g, g)
+            slopes.append(s)
+            best_f.append(low_f)
+            best_g.append(low_g)
+        tables[rest] = (c, slopes, best_f, best_g, fits[rest])
+    return tables
+
+
+def _best(tables: dict, rest: tuple, bound: int) -> tuple[int, int] | None:
+    """(F, G) at the state (rest, bound), or None if no type of rest has
+    every slope below bound."""
+    if not any(rest):
+        return 0, 0
+    c, slopes, best_f, best_g, _ = tables[rest]
+    i = bisect_left(slopes, bound)
+    if i == 0 or best_f[i - 1] is None:
+        return None
+    return bound * c + best_f[i - 1], best_g[i - 1]
+
+
+def _search(d: DimensionVector, pieces: list[tuple], tables: dict, keep) -> tuple[HNType, ...]:
+    """The HN types of d reached through children that `keep` accepts,
+    in lexicographic order.
+
+    Depth-first over the states (rest, bound).  The root's children are
+    all pieces; those of any other state are the pieces e <= rest of
+    slope below bound, the prefix of tables[rest]'s fit list found by
+    bisection, tried in lexicographic order.  A child e is entered iff
+    some type of rest - e has every slope below mu(e) and keep(e, low)
+    holds, low being the least failure sum of the `windows` module
+    docstring over the types that continue this branch.  For both
+    callers every branch entered ends in at least one type.
+    """
+    out = []
+    stack = [(d, 0, 0, ())]
+    while stack:
+        rest, bound, partial, prefix = stack.pop()
+        if not any(rest):
+            out.append(HNType(prefix))
+            continue
+        if prefix:
+            c, slopes, _, _, fit = tables[rest]
+            fit = sorted(fit[: bisect_left(slopes, bound)])
+        else:  # no cut before the first piece
+            c, fit = 0, [(p, _sub(d, p[0])) for p in pieces]
+        children = []
+        for (e, s, _, _), tail in fit:
+            best = _best(tables, tail, s)
+            if best is None:
                 continue
-            if not e.leq(rest):
-                continue
-            for tail in extend(rest - e, mu):
-                out.append((e,) + tail)
-        result = tuple(out)
-        memo[key] = result
-        return result
-
-    return tuple(HNType(seq) for seq in extend(d, None))
+            total = partial + (bound - s) * c
+            if keep(e, total + best[0]):
+                children.append((tail, s, total, prefix + (e,)))
+        stack.extend(reversed(children))
+    return tuple(out)
 
 
 def pairing_table(q: Quiver, t: HNType) -> list[list[int | None]]:

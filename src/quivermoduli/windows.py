@@ -42,22 +42,20 @@ smallest unstable codimension.  The edge term of F is
 mu (N(rest) - 1) - mu(e) (N(rest) - 1), so one table per remainder,
 prefix minima over its pieces in slope order, answers every bound mu
 by bisection: the cost is O(reachable remainders x pieces), polynomial
-in d.  Slopes are scaled to integers, so all of it is exact.  The
-failing types are then listed by a depth-first search over the pieces
-in lexicographic order that enters a branch only when its partial sum
-plus F of its state is <= 0; each branch entered ends in a failing
+in d.  Slopes are scaled to integers, so all of it is exact.  One
+depth-first search over the pieces in lexicographic order, `hn._search`,
+lists both the failing types and, for `hn.enumerate_hn_types`, all
+types.  For the failing ones it enters a branch only when its partial
+sum plus F of its state is <= 0; each branch entered ends in a failing
 type, so the search costs in proportion to the failures and returns
-them sorted.  `stratum_report` and `hn.enumerate_hn_types` remain the
-per-stratum view and the reference the tests compare against.
+them sorted.  `stratum_report` is the per-stratum view `qt strata`
+prints.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from math import lcm
-from operator import itemgetter, le, mul, sub
 
 from .core import (
     DimensionVector,
@@ -68,12 +66,17 @@ from .core import (
 from .hn import (
     HNType,
     OneParameterSubgroup,
+    _best,
+    _cut_tables,
+    _dot,
+    _piece_data,
+    _search,
+    _sub,
     one_parameter_subgroup,
     pairing_table,
-    semistable_pieces,
     table_codimension,
 )
-from .semistability import has_semistable, is_strongly_amply_stable
+from .semistability import is_strongly_amply_stable
 
 
 def _window_weights(table: list[list[int | None]], k: tuple[int, ...]) -> tuple[int, int]:
@@ -197,23 +200,24 @@ def verdict(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> Verdict
     theta = StabilityParameter(theta)
     if theta.dot(d) != 0:
         raise ValueError("verdict requires theta(d) = 0")
-    if not has_semistable(q, d, theta):
+    if d.is_zero():
+        raise ValueError("verdict requires a nonzero dimension vector")
+    pieces = _piece_data(q, d, theta)
+    if pieces[-1][0] != d:
         raise ValueError(
             "no semistable representation of dimension "
             f"({','.join(map(str, d))}) exists"
         )
 
-    pieces = _piece_data(q, d, theta)
     tables = _cut_tables(q, d, pieces)
-    # the unstable types by first piece e != d: (e, mu_e, least F, least
-    # codimension) over the types that start with e
-    starts = []
-    for e, s, row, ee in pieces:
-        best = None if e == d else _best(tables, _sub(d, e), s)
+    # the least codimension over the unstable types, by first piece e != d
+    codims = []
+    for e, s, row, ee in pieces[:-1]:
+        best = _best(tables, _sub(d, e), s)
         if best is not None:
-            starts.append((e, s, best[0], best[1] + ee - _dot(row, d)))
-    min_codim = min((start[3] for start in starts), default=None)
-    failing = _failing_types(d, pieces, tables, starts)
+            codims.append(best[1] + ee - _dot(row, d))
+    min_codim = min(codims, default=None)
+    failing = _search(d, pieces, tables, lambda e, low: low <= 0 and e != d)
 
     coprime = is_theta_coprime(theta, d)
     strong, witness = is_strongly_amply_stable(q, d, theta)
@@ -230,115 +234,6 @@ def verdict(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> Verdict
         failing_strata=failing,
         min_unstable_codim=min_codim,
     )
-
-
-def _sub(a: tuple, b: tuple) -> tuple:
-    return tuple(map(sub, a, b))
-
-
-def _dot(a: tuple, b: tuple) -> int:
-    return sum(map(mul, a, b))
-
-
-def _piece_data(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> list[tuple]:
-    """(e, scaled slope, row, <e,e>) for every possible piece e, in
-    lexicographic order.
-
-    Slopes are multiplied by the lcm of the piece sizes, so they are
-    integers; row = <e, ->, so <e, b> = row . b for any b.
-    """
-    pieces = semistable_pieces(q, d, theta)
-    scale = lcm(*{sum(e) for e in pieces})
-    out = []
-    for e in pieces:
-        row = q.left_form(e)
-        out.append((tuple(e), _dot(theta, e) * (scale // sum(e)), row, _dot(row, e)))
-    return out
-
-
-def _cut_tables(q: Quiver, d: DimensionVector, pieces: list[tuple]) -> dict:
-    """The failure and codimension DPs, one table per reachable remainder.
-
-    tables[rest] = (c, slopes, best_f, best_g) with c = N(rest) - 1,
-    `slopes` those of the pieces e <= rest in ascending order, and
-    best_f[i], best_g[i] the minima of F(rest-e, mu_e) - mu_e c and
-    -<e, rest-e> + G(rest-e, mu_e) over the first i+1 of them (None
-    while none of them completes to a type).
-    """
-    # only the remainders reachable from d, each with its pairs
-    # (piece e <= rest, rest - e) in ascending slope order
-    by_slope = sorted(pieces, key=itemgetter(1))
-    fits = {}
-    todo = [_sub(d, p[0]) for p in pieces if p[0] != d]
-    while todo:
-        rest = todo.pop()
-        if rest in fits or not any(rest):
-            continue
-        fits[rest] = fit = [(p, _sub(rest, p[0])) for p in by_slope if all(map(le, p[0], rest))]
-        todo.extend(tail for _, tail in fit)
-
-    tables = {}
-    for rest in sorted(fits):
-        c = -q.euler_pairing(_sub(d, rest), rest) - 1
-        slopes, best_f, best_g = [], [], []
-        low_f = low_g = None
-        for (e, s, row, ee), tail in fits[rest]:
-            best = _best(tables, tail, s)
-            if best is not None:
-                f = best[0] - s * c
-                g = best[1] + ee - _dot(row, rest)
-                if low_f is None:
-                    low_f, low_g = f, g
-                else:
-                    low_f, low_g = min(low_f, f), min(low_g, g)
-            slopes.append(s)
-            best_f.append(low_f)
-            best_g.append(low_g)
-        tables[rest] = (c, slopes, best_f, best_g)
-    return tables
-
-
-def _best(tables: dict, rest: tuple, bound: int) -> tuple[int, int] | None:
-    """(F, G) at the state (rest, bound), or None if no type of rest has
-    every slope below bound."""
-    if not any(rest):
-        return 0, 0
-    c, slopes, best_f, best_g = tables[rest]
-    i = bisect_left(slopes, bound)
-    if i == 0 or best_f[i - 1] is None:
-        return None
-    return bound * c + best_f[i - 1], best_g[i - 1]
-
-
-def _failing_types(
-    d: DimensionVector, pieces: list[tuple], tables: dict, starts: list[tuple]
-) -> tuple[HNType, ...]:
-    """Every unstable type failing the inequality, in lexicographic order.
-
-    Depth-first over the pieces in lexicographic order, entering a child
-    only when its partial sum plus F of its state is <= 0: every branch
-    entered ends in at least one failing type, so the cost follows the
-    number of failing types, not the number of types.
-    """
-    stack = [(_sub(d, e), s, 0, (e,)) for e, s, fail, _ in reversed(starts) if fail <= 0]
-    failing = []
-    while stack:
-        rest, bound, partial, prefix = stack.pop()
-        if not any(rest):
-            failing.append(HNType(prefix))
-            continue
-        c = tables[rest][0]
-        children = []
-        for e, s, _, _ in pieces:
-            if s >= bound or not all(map(le, e, rest)):
-                continue
-            tail = _sub(rest, e)
-            total = partial + (bound - s) * c
-            best = _best(tables, tail, s)
-            if best is not None and total + best[0] <= 0:
-                children.append((tail, s, total, prefix + (e,)))
-        stack.extend(reversed(children))
-    return tuple(failing)
 
 
 def moduli_dimension(q: Quiver, d: DimensionVector) -> int:

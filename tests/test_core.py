@@ -14,6 +14,7 @@ from quivermoduli import (
     Quiver,
     StabilityParameter,
     is_theta_coprime,
+    one_parameter_subgroup,
     slope,
     subdimension_vectors,
 )
@@ -230,3 +231,17 @@ class TestThetaCoprime:
     def test_requires_theta_d_zero(self):
         with pytest.raises(ValueError):
             is_theta_coprime(StabilityParameter((1, 1)), D_23)
+
+
+class TestThetaLength:
+    def test_wrong_length_rejected(self):
+        # zip would silently truncate theta or the vector to the shorter one
+        calls = [
+            (is_theta_coprime, ((1, -1, 7), (1, 1))),
+            (is_theta_coprime, ((1,), (0, 3))),
+            (slope, ((1, 2), (1, 1, 5))),
+            (one_parameter_subgroup, ((3, -2, 9), ((1, 1), (1, 2)))),
+        ]
+        for fn, args in calls:
+            with pytest.raises(ValueError, match="length mismatch"):
+                fn(*args)

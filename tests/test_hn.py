@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quivermoduli import (
     DimensionVector,
@@ -37,8 +39,25 @@ from cases import (
     TRIANGLE_B,
     random_instances,
 )
+from weight_oracles import reference_hn_types
 
 K1 = Quiver.kronecker(1)
+
+
+@st.composite
+def instances(draw):
+    """(quiver, d, theta) with theta(d) = 0; d need not be semistable."""
+    n = draw(st.integers(1, 3))
+    arrows = draw(
+        st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=6)
+    )
+    q = Quiver(n, arrows)
+    d = DimensionVector(draw(st.integers(0, 4)) for _ in range(n))
+    assume(not d.is_zero() and sum(d) <= 9)
+    # |d| u - (u.d) (1,...,1) pairs to zero against d
+    u = [draw(st.integers(-3, 3)) for _ in range(n)]
+    u_dot_d = sum(ui * di for ui, di in zip(u, d))
+    return q, d, StabilityParameter(sum(d) * ui - u_dot_d for ui in u)
 
 
 class TestHNType:
@@ -96,7 +115,7 @@ class TestEnumerateHNTypes:
         assert len(enumerate_hn_types(TRIANGLE_B, D_B, THETA_B)) == 85
 
     def test_sorted_and_unique(self):
-        # the recursion tries pieces lexicographically, so no sort is needed
+        # the search tries pieces lexicographically, so no final sort is needed
         for q, d, theta in CORPUS + random_instances(200, seed=11):
             types = enumerate_hn_types(q, d, theta)
             assert list(types) == sorted(set(types))
@@ -116,6 +135,21 @@ class TestEnumerateHNTypes:
         types = enumerate_hn_types(K1, DimensionVector((2, 1)), StabilityParameter((1, -2)))
         assert types == (HNType(((1, 0), (1, 1))), HNType(((2, 0), (0, 1))))
         assert HNType((DimensionVector((2, 1)),)) not in types
+
+    def test_matches_reference(self):
+        batch = CORPUS + random_instances(200, seed=3) + random_instances(200, seed=17)
+        unstable = 0
+        for q, d, theta in batch:
+            assert enumerate_hn_types(q, d, theta) == reference_hn_types(q, d, theta)
+            unstable += not has_semistable(q, d, theta)
+        # the batch also covers d without a semistable representation
+        assert unstable >= 10
+
+    @settings(max_examples=80, deadline=None)
+    @given(instances())
+    def test_matches_reference_generated(self, instance):
+        q, d, theta = instance
+        assert enumerate_hn_types(q, d, theta) == reference_hn_types(q, d, theta)
 
     def test_rejects_zero_d(self):
         with pytest.raises(ValueError):

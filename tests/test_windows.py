@@ -392,6 +392,10 @@ class TestVerdict:
         with pytest.raises(ValueError):
             verdict(KRONECKER_3, D_23, StabilityParameter((1, 1)))
 
+    def test_rejects_zero_d(self):
+        with pytest.raises(ValueError, match="nonzero dimension vector"):
+            verdict(KRONECKER_3, DimensionVector((0, 0)), THETA_23)
+
     def test_rejects_empty_semistable_locus(self):
         with pytest.raises(ValueError, match=r"dimension \(2,1\) exists"):
             verdict(

@@ -3,9 +3,12 @@
 The block evaluators enumerate the graded blocks of the linearized
 action directly, arrow by arrow and vertex by vertex, never touching the
 Euler pairing. They give a second route to the same integers as the
-closed formulas in quivermoduli.windows. `reference_verdict` decides the
-certificates stratum by stratum over the enumerated HN types, the route
-that `quivermoduli.verdict` replaces with a DP over remainders.
+closed formulas in quivermoduli.windows. `reference_hn_types` lists the
+HN types by a recursion on `Fraction` slopes that memoizes every tail,
+where `quivermoduli.enumerate_hn_types` walks the verdict's integer
+remainder tables. `reference_verdict` decides the certificates stratum
+by stratum over those reference types, the route that
+`quivermoduli.verdict` replaces with a DP over remainders.
 
 The semistability references recurse on `DimensionVector`s, evaluate one
 Euler pairing per (generic f', f) and compare `Fraction` slopes, where
@@ -19,8 +22,9 @@ from functools import lru_cache
 
 from quivermoduli import (
     DimensionVector,
+    HNType,
+    StabilityParameter,
     Verdict,
-    enumerate_hn_types,
     has_semistable,
     is_strongly_amply_stable,
     is_theta_coprime,
@@ -129,6 +133,38 @@ def codimension_by_blocks(quiver, hn_type):
     return total
 
 
+def reference_hn_types(quiver, d, theta):
+    """All HN types of d in lexicographic order, by recursion on the remainder.
+
+    A type is a first piece e (nonzero, semistable locus nonempty, slope
+    below the running bound) followed by a type of d - e bounded by
+    mu(e); memoized on (remainder, bound), so it holds every tail.
+    """
+    d = DimensionVector(d)
+    theta = StabilityParameter(theta)
+    candidates = [
+        (e, slope(theta, e))
+        for e in subdimension_vectors(d)[1:]
+        if has_semistable(quiver, e, theta)
+    ]
+    memo = {}
+
+    def extend(rest, bound):
+        if rest.is_zero():
+            return ((),)
+        key = (rest, bound)
+        if key not in memo:
+            memo[key] = tuple(
+                (e,) + tail
+                for e, mu in candidates
+                if (bound is None or mu < bound) and e.leq(rest)
+                for tail in extend(rest - e, mu)
+            )
+        return memo[key]
+
+    return tuple(HNType(seq) for seq in extend(d, None))
+
+
 def reference_verdict(quiver, d, theta):
     """The verdict by enumeration: one stratum report per HN type.
 
@@ -139,7 +175,7 @@ def reference_verdict(quiver, d, theta):
         raise ValueError("no semistable representation")
     failing = []
     min_codim = None
-    for t in enumerate_hn_types(quiver, d, theta):
+    for t in reference_hn_types(quiver, d, theta):
         if len(t) == 1:
             continue
         report = stratum_report(quiver, theta, t)
