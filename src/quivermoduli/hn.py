@@ -60,11 +60,13 @@ class HNType(tuple):
                 raise ValueError("HN type pieces must be nonzero")
         return t
 
+    @classmethod
+    def _trusted(cls, pieces) -> HNType:
+        """Wrap nonzero, equal-length `DimensionVector`s, unchecked."""
+        return super().__new__(cls, pieces)
+
     def total(self) -> DimensionVector:
-        out = self[0]
-        for p in self[1:]:
-            out = out + p
-        return out
+        return DimensionVector(map(sum, zip(*self)))
 
 
 def validate_hn_type(
@@ -127,7 +129,7 @@ def _piece_data(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> lis
     out = []
     for e in pieces:
         row = q.left_form(e)
-        out.append((tuple(e), _dot(theta, e) * (scale // sum(e)), row, _dot(row, e)))
+        out.append((e, _dot(theta, e) * (scale // sum(e)), row, _dot(row, e)))
     return out
 
 
@@ -203,7 +205,7 @@ def _search(d: DimensionVector, pieces: list[tuple], tables: dict, keep) -> tupl
     while stack:
         rest, bound, partial, prefix = stack.pop()
         if not any(rest):
-            out.append(HNType(prefix))
+            out.append(HNType._trusted(prefix))
             continue
         if prefix:
             c, slopes, _, _, fit = tables[rest]

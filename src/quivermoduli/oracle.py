@@ -1,18 +1,16 @@
 """Brute-force ground truth over small prime fields.
 
 Test support, not production surface: enumerate every representation of
-a dimension vector over F_p, extract Harder-Narasimhan types by
-repeatedly splitting off the maximal-slope (then maximal-dimension)
-invariant subrepresentation, and tally a census per stratum.
+a dimension vector over F_p, read off its Harder-Narasimhan type, and
+tally a census per stratum.  The census is one-sided evidence: a type
+that shows up has a point over F_p, one that does not may still be
+nonempty over the algebraic closure.
 
-The census is one-sided evidence.  A type that shows up certifies its
-stratum has a point over F_p; a type that does not show up proves
-nothing, because small fields can miss strata that are nonempty over
-the algebraic closure.
-
-Matrices are tuples of row tuples with entries reduced mod p; a map
-into a 0-dimensional space is the empty tuple, a map out of one is a
-tuple of empty rows.
+No quotient is ever formed.  A vector of F_p^n is numbered by its base-p
+digits, a subspace is the set of its vectors' numbers, and a tuple of
+subspaces, one per vertex, is one bit of an integer.  The invariant
+tuples of a representation are the AND of one integer per arrow, built
+once per matrix, and its HN type depends only on them.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import DimensionVector, Quiver, slope
+from .core import DimensionVector, Quiver, StabilityParameter, slope
 from .hn import HNType
 
 DEFAULT_BUDGET = 10_000_000
@@ -47,12 +45,30 @@ def _require_prime(p: int) -> None:
 
 @dataclass(frozen=True)
 class FiniteFieldRep:
-    """A representation over F_field: one matrix per arrow, in arrow order."""
+    """A representation over F_field: one matrix per arrow, in arrow order.
+
+    Construction checks that the field is prime, that dim has one entry
+    per vertex, and that arrow s -> t has a d_t x d_s tuple of row tuples
+    (so () if d_t = 0) with entries in range(field).
+    """
 
     field: int
     quiver: Quiver
     dim: DimensionVector
     matrices: tuple
+
+    def __post_init__(self):
+        _require_prime(self.field)
+        dim = DimensionVector(self.quiver._vertex_tuple(self.dim, DimensionVector))
+        object.__setattr__(self, "dim", dim)
+        if len(self.matrices) != self.quiver.arrow_count:
+            raise ValueError("a representation needs one matrix per arrow")
+        for (s, t), m in zip(self.quiver.arrows, self.matrices):
+            rows, cols, p = dim[t - 1], dim[s - 1], self.field
+            if [len(row) for row in m] != [cols] * rows or not all(
+                isinstance(x, int) and 0 <= x < p for row in m for x in row
+            ):
+                raise ValueError(f"arrow {s}->{t} needs a {rows}x{cols} matrix over range({p})")
 
 
 def rep_count(field: int, q: Quiver, d: DimensionVector) -> int:
@@ -64,101 +80,20 @@ def rep_count(field: int, q: Quiver, d: DimensionVector) -> int:
 
 
 def _all_matrices(rows: int, cols: int, p: int) -> list[tuple]:
-    out = []
-    for flat in itertools.product(range(p), repeat=rows * cols):
-        out.append(tuple(flat[r * cols : (r + 1) * cols] for r in range(rows)))
-    return out
+    flats = itertools.product(range(p), repeat=rows * cols)
+    return [tuple(flat[r * cols : (r + 1) * cols] for r in range(rows)) for flat in flats]
 
 
 def enumerate_reps(field: int, q: Quiver, d: DimensionVector, budget: int = DEFAULT_BUDGET):
-    """Yield every representation of d over F_field, deterministically.
-
-    Refuses to start if the total count exceeds the budget.
-    """
+    """Yield every representation of d over F_field, in a fixed order, within the budget."""
     _require_prime(field)
-    d = DimensionVector(d)
-    if len(d) != q.vertex_count:
-        raise ValueError("dimension vector length does not match the quiver")
+    d = q._vertex_tuple(d, DimensionVector)
     needed = rep_count(field, q, d)
     if needed > budget:
         raise BudgetExceededError(needed, budget)
     per_arrow = [_all_matrices(d[t - 1], d[s - 1], field) for s, t in q.arrows]
     for combo in itertools.product(*per_arrow):
         yield FiniteFieldRep(field, q, d, combo)
-
-
-# --- linear algebra mod p ---------------------------------------------------
-
-
-def _mat_vec(M: tuple, v: tuple, p: int) -> tuple:
-    return tuple(sum(row[i] * v[i] for i in range(len(v))) % p for row in M)
-
-
-def _mat_mul(A: tuple, B: tuple, p: int) -> tuple:
-    cols = len(B[0]) if B else 0
-    return tuple(
-        tuple(sum(row[k] * B[k][j] for k in range(len(row))) % p for j in range(cols))
-        for row in A
-    )
-
-
-def _mat_inv(M: tuple, p: int) -> tuple:
-    """Invert a square matrix over F_p by Gauss-Jordan elimination."""
-    n = len(M)
-    aug = [list(M[r]) + [1 if c == r else 0 for c in range(n)] for r in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] % p)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = pow(aug[col][col], p - 2, p)
-        aug[col] = [x * inv % p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [(x - factor * y) % p for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def _pivot_columns(rows: tuple) -> list[int]:
-    return [next(i for i, x in enumerate(row) if x) for row in rows]
-
-
-def _in_span(v: tuple, rows: tuple, p: int) -> bool:
-    """Membership in the row span of an RREF basis."""
-    w = list(v)
-    for row in rows:
-        c = next(i for i, x in enumerate(row) if x)
-        if w[c]:
-            f = w[c]
-            w = [(x - f * y) % p for x, y in zip(w, row)]
-    return not any(w)
-
-
-@lru_cache(maxsize=None)
-def _subspaces_by_dim(n: int, p: int) -> tuple[tuple, ...]:
-    """All subspaces of F_p^n as RREF bases, grouped by dimension.
-
-    Entry r is a tuple of bases; a basis is a tuple of row vectors.
-    """
-    by_dim = []
-    for r in range(n + 1):
-        bases = []
-        for pivots in itertools.combinations(range(n), r):
-            pivot_set = set(pivots)
-            free = [
-                (i, j)
-                for i, c in enumerate(pivots)
-                for j in range(c + 1, n)
-                if j not in pivot_set
-            ]
-            for values in itertools.product(range(p), repeat=len(free)):
-                rows = [[0] * n for _ in range(r)]
-                for i, c in enumerate(pivots):
-                    rows[i][c] = 1
-                for (i, j), val in zip(free, values):
-                    rows[i][j] = val
-                bases.append(tuple(tuple(row) for row in rows))
-        by_dim.append(tuple(bases))
-    return tuple(by_dim)
 
 
 def subspace_count(n: int, p: int) -> int:
@@ -172,33 +107,139 @@ def subspace_count(n: int, p: int) -> int:
     return total
 
 
-def _check_subspace_budget(field: int, d: DimensionVector, budget: int) -> None:
-    needed = 1
-    for n in d:
-        needed *= subspace_count(n, field)
-    if needed > budget:
-        raise BudgetExceededError(needed, budget)
+@lru_cache(maxsize=None)
+def _subspaces(n: int, p: int) -> list[tuple]:
+    """Every subspace of F_p^n as its RREF basis, by dimension, zero first."""
+    out = []
+    for r in range(n + 1):
+        for pivots in itertools.combinations(range(n), r):
+            free = [(i, j) for i, c in enumerate(pivots) for j in range(c + 1, n)]
+            free = [(i, j) for i, j in free if j not in pivots]
+            for values in itertools.product(range(p), repeat=len(free)):
+                rows = [[int(j == c) for j in range(n)] for c in pivots]
+                for (i, j), x in zip(free, values):
+                    rows[i][j] = x
+                out.append(tuple(map(tuple, rows)))
+    return out
 
 
-def _is_invariant(rep: FiniteFieldRep, bases: tuple) -> bool:
-    p = rep.field
-    for (s, t), M in zip(rep.quiver.arrows, rep.matrices):
-        target = bases[t - 1]
-        for v in bases[s - 1]:
-            if not _in_span(_mat_vec(M, v, p), target, p):
-                return False
-    return True
+def _number(v, p: int) -> int:
+    """The vector's number: its entries are its base-p digits, first lowest."""
+    return sum(c * p**i for i, c in enumerate(v))
 
 
-def _invariant_tuples(rep: FiniteFieldRep):
-    """Yield (dimension vector, bases) for every invariant subspace tuple."""
-    per_vertex = [
-        [b for group in _subspaces_by_dim(n, rep.field) for b in group]
-        for n in rep.dim
-    ]
-    for bases in itertools.product(*per_vertex):
-        if _is_invariant(rep, bases):
-            yield DimensionVector(len(b) for b in bases), bases
+class _Lattice:
+    """Every subspace tuple of F_p^d: tuple (j_1, ..., j_n) in `_subspaces`
+    order is bit sum_v j_v * stride_v.  Per vertex v, holders[v][x] is
+    the set of subspaces holding vector number x; slices[v][j], slabs[v][r]
+    and up_of[v][A] are the sets of tuples whose subspace at v is j, has
+    dimension r, or lies in A, for A the set of subspaces above some one.
+    """
+
+    def __init__(self, p: int, d: tuple, size: int):
+        self.p, self.d = p, d
+        self.bases = [_subspaces(n, p) for n in d]
+        self.full, stride = (1 << size) - 1, size
+        self.holders, self.slices, self.slabs, self.up_of = [], [], [], []
+        for n, bases in zip(d, self.bases):
+            count = len(bases)
+            stride //= count
+            holders = [0] * p**n
+            for j, basis in enumerate(bases):
+                span = [(0,) * n]
+                for row in basis:
+                    span = [tuple((a + c * b) % p for a, b in zip(u, row))
+                            for u in span for c in range(p)]
+                for u in span:
+                    holders[_number(u, p)] |= 1 << j
+            repeat = self.full // ((1 << stride * count) - 1)  # one bit every stride * count
+            slices = [(((1 << stride) - 1) << (j * stride)) * repeat for j in range(count)]
+            aboves = [(1 << count) - 1] * count
+            for j, basis in enumerate(bases):
+                for row in basis:
+                    aboves[j] &= holders[_number(row, p)]
+            self.holders.append(holders)
+            self.slices.append(slices)
+            self.slabs.append([sum(x for x, b in zip(slices, bases) if len(b) == r)
+                               for r in range(n + 1)])
+            self.up_of.append({a: sum(x for k, x in enumerate(slices) if a >> k & 1)
+                               for a in aboves})
+
+
+_lattice = lru_cache(maxsize=8)(_Lattice)
+
+
+def _checked_lattice(p: int, d: tuple, budget: int, reps: int = 0, masks: int = 0) -> _Lattice:
+    """The lattice of F_p^d, once p is prime and none of `reps`, its tuples
+    and the words of its integers with `masks` more exceeds the budget."""
+    _require_prime(p)
+    counts = [subspace_count(n, p) for n in d]
+    size = 1
+    for c in counts:
+        size *= c
+    words = (2 * sum(counts) + sum(d) + len(d) + masks) * -(-size // 64)
+    for needed in (reps, size, words):
+        if needed > budget:
+            raise BudgetExceededError(needed, budget)
+    return _lattice(p, tuple(d), size)
+
+
+def _arrow_mask(lat: _Lattice, s: int, t: int, m: tuple) -> int:
+    """The tuples U with m U_s inside U_t (s, t 0-based), as bits."""
+    p, holders = lat.p, lat.holders[t]
+    images = {}
+    groups = {}  # the subspaces at t holding the image -> those slices at s
+    for j, basis in enumerate(lat.bases[s]):
+        into = (1 << len(lat.bases[t])) - 1
+        for row in basis:
+            if row not in images:
+                images[row] = _number([sum(a * b for a, b in zip(r, row)) % p for r in m], p)
+            into &= holders[images[row]]
+        groups[into] = groups.get(into, 0) | lat.slices[s][j]
+    # for a loop s = t the AND keeps the j in groups[into] that lie in into
+    return sum(src & lat.up_of[t][into] for into, src in groups.items())
+
+
+def _invariants(rep: FiniteFieldRep, budget: int) -> tuple[_Lattice, int]:
+    """rep's lattice of subspace tuples and its invariant tuples in it."""
+    lat = _checked_lattice(rep.field, rep.dim, budget)
+    inv = lat.full
+    for (s, t), m in zip(rep.quiver.arrows, rep.matrices):
+        inv &= _arrow_mask(lat, s - 1, t - 1, m)
+    return lat, inv
+
+
+@lru_cache(maxsize=1024)
+def _by_slope(theta: tuple, low: tuple, d: tuple) -> list[tuple]:
+    """(f, f - low) for low < f <= d, by decreasing slope, then size, of f - low."""
+    fs = itertools.product(*(range(a, b + 1) for a, b in zip(low, d)))
+    out = [(f, DimensionVector(a - b for a, b in zip(f, low))) for f in fs if f != low]
+    out.sort(key=lambda fe: (slope(theta, fe[1]), sum(fe[1])), reverse=True)
+    return out
+
+
+def _type_from_invariants(lat: _Lattice, inv: int, theta: tuple) -> HNType:
+    """HN type of every representation whose invariant tuples are inv.
+
+    V_{i+1} is the invariant tuple containing V_i whose difference has the
+    largest slope, then size, so the first f > dim V_i in `_by_slope` order
+    that an invariant tuple has is dim V_{i+1}.  An invariant W, dim W >=
+    dim V_i, not containing V_i never comes first: W/(W n V_i) lies in
+    V/V_i, of slope <= mu_{i+1}, and V_i/(W n V_i) != 0 has slope >= mu_i
+    > mu_{i+1}, so dim W - dim V_i has slope below mu_{i+1}.
+    """
+    pieces = []
+    low = (0,) * len(lat.d)
+    while low != lat.d:
+        for f, e in _by_slope(theta, low, lat.d):
+            hit = inv
+            for slabs, r in zip(lat.slabs, f):
+                hit &= slabs[r]
+            if hit:
+                break
+        pieces.append(e)
+        low = f
+    return HNType._trusted(pieces)
 
 
 def has_subrep_of_dimension(rep: FiniteFieldRep, f: DimensionVector) -> bool:
@@ -206,94 +247,49 @@ def has_subrep_of_dimension(rep: FiniteFieldRep, f: DimensionVector) -> bool:
     f = DimensionVector(f)
     if not f.leq(rep.dim):
         return False
-    per_vertex = [
-        _subspaces_by_dim(n, rep.field)[r] for n, r in zip(rep.dim, f)
-    ]
-    return any(
-        _is_invariant(rep, bases) for bases in itertools.product(*per_vertex)
-    )
-
-
-def _quotient(rep: FiniteFieldRep, bases: tuple) -> FiniteFieldRep:
-    """Quotient of rep by an invariant subspace tuple."""
-    p = rep.field
-    subdims = [len(b) for b in bases]
-    transforms = []
-    inverses = []
-    for n, basis in zip(rep.dim, bases):
-        pivots = set(_pivot_columns(basis))
-        columns = [list(row) for row in basis]
-        for j in range(n):
-            if j not in pivots:
-                columns.append([1 if i == j else 0 for i in range(n)])
-        T = tuple(tuple(col[r] for col in columns) for r in range(n))
-        transforms.append(T)
-        inverses.append(_mat_inv(T, p))
-    new_matrices = []
-    for (s, t), M in zip(rep.quiver.arrows, rep.matrices):
-        us, ut = subdims[s - 1], subdims[t - 1]
-        changed = _mat_mul(inverses[t - 1], _mat_mul(M, transforms[s - 1], p), p)
-        if any(x for row in changed[ut:] for x in row[:us]):
-            raise ValueError("subspace tuple is not invariant")
-        new_matrices.append(tuple(row[us:] for row in changed[ut:]))
-    new_dim = DimensionVector(n - u for n, u in zip(rep.dim, subdims))
-    return FiniteFieldRep(p, rep.quiver, new_dim, tuple(new_matrices))
-
-
-# --- HN type extraction -----------------------------------------------------
-
-
-def _scss(rep: FiniteFieldRep, theta):
-    """The maximal-slope, then maximal-dimension, invariant subspace tuple."""
-    best = None
-    best_key = None
-    for e, bases in _invariant_tuples(rep):
-        if e.is_zero():
-            continue
-        key = (slope(theta, e), sum(e))
-        if best_key is None or key > best_key:
-            best_key = key
-            best = (e, bases)
-    return best
-
-
-def _hn_type(rep: FiniteFieldRep, theta) -> HNType:
-    pieces = []
-    cur = rep
-    while not cur.dim.is_zero():
-        e, bases = _scss(cur, theta)
-        pieces.append(e)
-        cur = _quotient(cur, bases)
-    return HNType(pieces)
+    lat, inv = _invariants(rep, DEFAULT_BUDGET)
+    for slabs, r in zip(lat.slabs, f):
+        inv &= slabs[r]
+    return inv != 0
 
 
 def hn_type_of(rep: FiniteFieldRep, theta, budget: int = DEFAULT_BUDGET) -> HNType:
-    """Harder-Narasimhan type of a single representation.
-
-    The cost driver is subspace enumeration, so the budget is checked
-    against the product of per-vertex subspace counts.  Requires a
-    nonzero dimension vector.
-    """
+    """Harder-Narasimhan type of a single representation of nonzero dimension."""
     if rep.dim.is_zero():
         raise ValueError("the zero representation has no HN type")
-    _check_subspace_budget(rep.field, rep.dim, budget)
-    return _hn_type(rep, theta)
+    theta = rep.quiver._vertex_tuple(theta, StabilityParameter)
+    return _type_from_invariants(*_invariants(rep, budget), theta)
 
 
 def stratum_census(
-    q: Quiver,
-    d: DimensionVector,
-    theta,
-    field: int,
-    budget: int = DEFAULT_BUDGET,
+    q: Quiver, d: DimensionVector, theta, field: int, budget: int = DEFAULT_BUDGET
 ) -> dict[HNType, int]:
     """Tally the HN type of every representation of d over F_field.
 
-    Counts sum to rep_count(field, q, d).
+    Types come in the order of their first representation in
+    `enumerate_reps`.  The integers of the matrices of each vertex pair
+    count against the budget.  They are ANDed arrow by arrow, equal
+    partial results merged, so each invariant set is met once.
     """
-    d = DimensionVector(d)
-    if d.is_zero():
+    _require_prime(field)
+    d = q._vertex_tuple(d, DimensionVector)
+    if not any(d):
         raise ValueError("stratum_census requires a nonzero dimension vector")
-    _check_subspace_budget(field, d, budget)
-    reps = enumerate_reps(field, q, d, budget)
-    return dict(Counter(_hn_type(rep, theta) for rep in reps))
+    theta = q._vertex_tuple(theta, StabilityParameter)
+    pairs = dict.fromkeys((s - 1, t - 1) for s, t in q.arrows)
+    masks = sum(field ** (d[s] * d[t]) for s, t in pairs)
+    lat = _checked_lattice(field, d, budget, rep_count(field, q, d), masks)
+    for s, t in pairs:
+        matrices = _all_matrices(d[t], d[s], field)
+        pairs[s, t] = Counter(_arrow_mask(lat, s, t, m) for m in matrices)
+    reached = Counter({lat.full: 1})
+    for s, t in q.arrows:
+        merged = Counter()
+        for part, n in reached.items():
+            for mask, k in pairs[s - 1, t - 1].items():
+                merged[part & mask] += n * k
+        reached = merged
+    census = Counter()
+    for inv, n in reached.items():
+        census[_type_from_invariants(lat, inv, theta)] += n
+    return dict(census)

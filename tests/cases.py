@@ -64,6 +64,20 @@ CORPUS = [
     (Quiver(3, [(1, 2), (1, 3), (2, 3)]), DimensionVector((1, 1, 1)), StabilityParameter((1, 0, -1))),
 ]
 
+# (quiver, d, theta, field) for the finite-field census, small enough to
+# check every representation against the quotient-based reference
+CENSUS_BATTERY = [
+    (KRONECKER_3, DimensionVector((1, 1)), StabilityParameter((1, -1)), 2),
+    (KRONECKER_3, DimensionVector((1, 1)), StabilityParameter((1, -1)), 3),
+    (KRONECKER_3, DimensionVector((1, 2)), StabilityParameter((2, -1)), 2),
+    (KRONECKER_3, DimensionVector((1, 2)), StabilityParameter((2, -1)), 3),
+    (Quiver.kronecker(1), DimensionVector((1, 1)), StabilityParameter((1, -1)), 2),
+    (Quiver.kronecker(1), DimensionVector((2, 1)), StabilityParameter((1, -2)), 2),
+    (Quiver.kronecker(1), DimensionVector((2, 1)), StabilityParameter((1, -2)), 3),
+    (Quiver.kronecker(2), DimensionVector((1, 1)), StabilityParameter((1, -1)), 3),
+    (Quiver(3, [(1, 2), (1, 3), (2, 3)]), DimensionVector((1, 1, 1)), StabilityParameter((1, 0, -1)), 2),
+]
+
 
 def random_instances(count: int, seed: int):
     """Seeded random (quiver, d, theta) triples with theta(d) = 0.

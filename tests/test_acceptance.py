@@ -44,6 +44,7 @@ from quivermoduli.windows import (
 )
 
 from cases import (
+    CENSUS_BATTERY,
     CORPUS,
     D_23,
     D_A,
@@ -217,22 +218,8 @@ def test_criterion_08_strong_stability_implications():
 
 def test_criterion_09_finite_field_census_agreement():
     def check():
-        battery = [
-            (KRONECKER_3, DimensionVector((1, 1)), StabilityParameter((1, -1)), 2),
-            (KRONECKER_3, DimensionVector((1, 1)), StabilityParameter((1, -1)), 3),
-            (KRONECKER_3, DimensionVector((1, 2)), StabilityParameter((2, -1)), 2),
-            (KRONECKER_3, DimensionVector((1, 2)), StabilityParameter((2, -1)), 3),
-            (Quiver.kronecker(1), DimensionVector((1, 1)), StabilityParameter((1, -1)), 2),
-            (Quiver.kronecker(1), DimensionVector((2, 1)), StabilityParameter((1, -2)), 2),
-            (Quiver.kronecker(1), DimensionVector((2, 1)), StabilityParameter((1, -2)), 3),
-            (Quiver.kronecker(2), DimensionVector((1, 1)), StabilityParameter((1, -1)), 3),
-            (
-                Quiver(3, [(1, 2), (1, 3), (2, 3)]),
-                DimensionVector((1, 1, 1)),
-                StabilityParameter((1, 0, -1)),
-                2,
-            ),
-        ]
+        # the paper's instance over F_2: 2^18 representations
+        battery = CENSUS_BATTERY + [(KRONECKER_3, D_23, THETA_23, 2)]
         start = time.perf_counter()
         for q, d, theta, p in battery:
             census = stratum_census(q, d, theta, field=p)

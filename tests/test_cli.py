@@ -382,3 +382,21 @@ class TestOracleCensusCommand:
         path = write_problem(tmp_path, self.PROBLEM)
         assert main(["oracle-census", path, "--field", "4"]) == EXIT_INPUT
         assert "prime" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["1", "4", "0"])
+    def test_field_below_two_or_composite(self, tmp_path, capsys, field):
+        # --field 1 used to die on a ZeroDivisionError traceback, exit 1
+        path = write_problem(tmp_path, self.PROBLEM)
+        assert main(["oracle-census", path, "--field", field]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("qt: error:") and "prime" in captured.err
+
+    def test_table_budget(self, tmp_path, capsys, monkeypatch):
+        # the per-matrix masks of K1 (4,4)/F_2 need about 4.6 M words
+        problem = {"vertices": 2, "arrows": [[1, 2]], "d": [4, 4], "theta": [1, -1]}
+        path = write_problem(tmp_path, problem)
+        monkeypatch.setenv("QT_BUDGET", str(10**5))
+        assert main(["oracle-census", path, "--field", "2"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("qt: error:") and "budget is 100000" in err

@@ -77,6 +77,17 @@ class TestHNType:
         with pytest.raises(ValueError):
             HNType(((1, 0), (1, 2, 3)))
 
+    def test_enumerated_pieces_are_dimension_vectors(self):
+        # the search wraps its pieces unchecked, so they must already be
+        # the checked DimensionVectors a public HNType(...) would hold
+        batch = CORPUS + random_instances(100, seed=41)
+        for q, d, theta in batch:
+            types = enumerate_hn_types(q, d, theta)
+            assert types == reference_hn_types(q, d, theta)
+            for t in types:
+                assert type(t) is HNType
+                assert all(type(p) is DimensionVector for p in t)
+
 
 class TestValidateHNType:
     def test_accepts_golden_types(self):

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quivermoduli import (
     DimensionVector,
@@ -13,7 +16,9 @@ from quivermoduli import (
     StabilityParameter,
     enumerate_hn_types,
     has_semistable,
+    subdimension_vectors,
 )
+from quivermoduli import oracle
 from quivermoduli.oracle import (
     BudgetExceededError,
     FiniteFieldRep,
@@ -25,7 +30,20 @@ from quivermoduli.oracle import (
     subspace_count,
 )
 
-from cases import D_23, KRONECKER_3, THETA_23
+from cases import (
+    CENSUS_BATTERY,
+    D_23,
+    GOLDEN_TYPES_23,
+    KRONECKER_3,
+    THETA_23,
+    TRIANGLE_A,
+    TRIANGLE_B,
+)
+from weight_oracles import (
+    reference_hn_type_of,
+    reference_subrep_dimensions,
+    reference_subspaces_by_dim,
+)
 
 K1 = Quiver.kronecker(1)
 D11 = DimensionVector((1, 1))
@@ -74,6 +92,14 @@ class TestSubspaceCount:
         assert subspace_count(2, 2) == 5
         assert subspace_count(2, 3) == 6
         assert subspace_count(3, 2) == 16
+
+    def test_listed_subspaces_match_count(self):
+        # the tables and the reference each list the subspaces their own way
+        for n, p in [(0, 2), (1, 3), (2, 2), (2, 5), (3, 2), (3, 3), (4, 2)]:
+            listed = oracle._subspaces(n, p)
+            assert len(set(listed)) == len(listed) == subspace_count(n, p)
+            assert listed[0] == () and len(listed[-1]) == n
+            assert [b for group in reference_subspaces_by_dim(n, p) for b in group] == listed
 
 
 class TestSubreps:
@@ -178,3 +204,141 @@ class TestCensus:
     def test_field_must_be_prime(self):
         with pytest.raises(ValueError):
             stratum_census(K1, D11, THETA11, field=6)
+
+
+def random_rep(rng, field, q, d):
+    matrices = tuple(
+        tuple(tuple(rng.randrange(field) for _ in range(d[s - 1])) for _ in range(d[t - 1]))
+        for s, t in q.arrows
+    )
+    return FiniteFieldRep(field, q, d, matrices)
+
+
+@st.composite
+def small_reps(draw):
+    """(rep, theta): at most 3 vertices, 3 arrows (loops too), d <= 2, F_2 or F_3."""
+    n = draw(st.integers(1, 3))
+    q = Quiver(n, draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=3)))
+    d = DimensionVector(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    field = draw(st.sampled_from([2, 3]))
+    matrices = tuple(
+        tuple(
+            tuple(draw(st.integers(0, field - 1)) for _ in range(d[s - 1]))
+            for _ in range(d[t - 1])
+        )
+        for s, t in q.arrows
+    )
+    theta = StabilityParameter(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    return FiniteFieldRep(field, q, d, matrices), theta
+
+
+class TestMatchesReference:
+    """The bitmask tables against Gaussian elimination and quotients."""
+
+    def test_every_rep_of_the_battery(self):
+        for q, d, theta, p in CENSUS_BATTERY:
+            for rep in enumerate_reps(p, q, d):
+                assert hn_type_of(rep, theta) == reference_hn_type_of(rep, theta)
+                dims = reference_subrep_dimensions(rep)
+                for f in subdimension_vectors(d):
+                    assert has_subrep_of_dimension(rep, f) == (f in dims)
+
+    def test_census_is_a_counter_of_reference_types(self):
+        # same counts and the same insertion order, that of enumerate_reps
+        for q, d, theta, p in CENSUS_BATTERY + [
+            (Quiver.kronecker(2), DimensionVector((2, 2)), StabilityParameter((1, -1)), 3),
+        ]:
+            census = stratum_census(q, d, theta, field=p)
+            reference = Counter(reference_hn_type_of(rep, theta) for rep in enumerate_reps(p, q, d))
+            assert list(census.items()) == list(reference.items())
+
+    def test_random_reps_over_f5(self):
+        rng = random.Random(20261018)
+        instances = [
+            (KRONECKER_3, D_23, THETA_23),
+            (TRIANGLE_A, DimensionVector((2, 1, 2)), None),
+            (TRIANGLE_B, DimensionVector((1, 2, 2)), None),
+            (TRIANGLE_B, DimensionVector((1, 2, 2)), StabilityParameter((4, 1, -3))),
+            (Quiver(2, [(1, 1), (1, 2), (2, 1)]), DimensionVector((2, 1)), StabilityParameter((1, -2))),
+        ]
+        for q, d, theta in instances:
+            theta = theta or q.canonical_stability(d)
+            for _ in range(6):
+                rep = random_rep(rng, 5, q, d)
+                assert hn_type_of(rep, theta) == reference_hn_type_of(rep, theta)
+            # a sparse point, so that some types are not dense
+            zero = FiniteFieldRep(5, q, d, tuple(
+                tuple((0,) * d[s - 1] for _ in range(d[t - 1])) for s, t in q.arrows
+            ))
+            assert hn_type_of(zero, theta) == reference_hn_type_of(zero, theta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_reps())
+    def test_generated(self, drawn):
+        rep, theta = drawn
+        if not rep.dim.is_zero():
+            assert hn_type_of(rep, theta) == reference_hn_type_of(rep, theta)
+        dims = reference_subrep_dimensions(rep)
+        for f in subdimension_vectors(rep.dim):
+            assert has_subrep_of_dimension(rep, f) == (f in dims)
+
+
+class TestGoldenCensus:
+    def test_every_golden_stratum_has_an_f2_point(self):
+        census = stratum_census(KRONECKER_3, D_23, THETA_23, field=2)
+        assert sum(census.values()) == 2**18
+        assert set(census) == set(GOLDEN_TYPES_23)
+
+
+class TestValidation:
+    def test_non_prime_field_rejected_first(self):
+        # p^k - 1 = 0 at p = 1 used to divide by zero before the check
+        for field in (0, 1, 4, 6):
+            with pytest.raises(ValueError, match="prime"):
+                stratum_census(K1, D11, THETA11, field=field)
+            with pytest.raises(ValueError, match="prime"):
+                FiniteFieldRep(field, K1, D11, (((0,),),))
+
+    def test_rep_checks_itself(self):
+        with pytest.raises(ValueError):  # one vertex short
+            FiniteFieldRep(2, K1, DimensionVector((1,)), (((0,),),))
+        with pytest.raises(ValueError):  # one matrix per arrow
+            FiniteFieldRep(2, KRONECKER_3, D11, (((0,),),))
+        with pytest.raises(ValueError):  # 1x2 where 2x1 is needed
+            FiniteFieldRep(2, K1, DimensionVector((1, 2)), (((0, 0),),))
+        with pytest.raises(ValueError):  # 2 is not an entry of F_2
+            FiniteFieldRep(2, K1, D11, (((2,),),))
+        with pytest.raises(ValueError):
+            FiniteFieldRep(3, K1, D11, (((-1,),),))
+        rep = FiniteFieldRep(2, K1, (1, 1), (((1,),),))
+        assert isinstance(rep.dim, DimensionVector)
+
+    def test_theta_length_checked(self):
+        rep = FiniteFieldRep(2, K1, D11, (((1,),),))
+        with pytest.raises(ValueError):
+            hn_type_of(rep, StabilityParameter((1, -1, 0)))
+        with pytest.raises(ValueError):
+            stratum_census(K1, D11, StabilityParameter((1,)), field=2)
+
+
+class TestTableBudget:
+    def test_tables_refused_before_they_are_built(self, monkeypatch):
+        # 2^16 matrices, each a mask over 67^2 = 4489 tuples: about 4.6 M words
+        q, d = K1, DimensionVector((4, 4))
+        assert rep_count(2, q, d) == 65_536 and subspace_count(4, 2) ** 2 == 4_489
+
+        def refuse(*args):
+            raise AssertionError("built despite the budget")
+
+        monkeypatch.setattr(oracle, "_lattice", refuse)
+        monkeypatch.setattr(oracle, "_all_matrices", refuse)
+        with pytest.raises(BudgetExceededError) as exc:
+            stratum_census(q, d, q.canonical_stability(d), field=2, budget=10**5)
+        assert exc.value.needed >= 65_536 * 71
+        assert exc.value.budget == 10**5
+
+    def test_lattice_words_bound_single_reps(self):
+        # 67 subspaces per vertex: the tuples fit 10^4, their masks do not
+        rep = FiniteFieldRep(2, K1, DimensionVector((4, 4)), (((0,) * 4,) * 4,))
+        with pytest.raises(BudgetExceededError):
+            hn_type_of(rep, StabilityParameter((1, -1)), budget=10**4)

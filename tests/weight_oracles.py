@@ -14,10 +14,18 @@ The semistability references recurse on `DimensionVector`s, evaluate one
 Euler pairing per (generic f', f) and compare `Fraction` slopes, where
 `quivermoduli.semistability` works on plain int tuples with one linear
 form per f and cross-multiplied integer slopes.
+
+`reference_hn_type_of` finds the HN type of one finite-field
+representation by Gaussian elimination mod p: it tests every subspace
+tuple for invariance, splits off the maximal-slope, then
+maximal-dimension one, passes to the quotient and starts again, where
+`quivermoduli.oracle` reads the type off bitmask tables of the invariant
+tuples without forming a quotient.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 from quivermoduli import (
@@ -32,6 +40,7 @@ from quivermoduli import (
     stratum_report,
     subdimension_vectors,
 )
+from quivermoduli.oracle import FiniteFieldRep
 
 
 @lru_cache(maxsize=None)
@@ -198,3 +207,154 @@ def reference_verdict(quiver, d, theta):
         failing_strata=tuple(failing),
         min_unstable_codim=min_codim,
     )
+
+
+# --- finite-field representations by linear algebra mod p ----------------
+
+
+@lru_cache(maxsize=None)
+def reference_subspaces_by_dim(n, p):
+    """All subspaces of F_p^n as RREF bases, grouped by dimension.
+
+    Entry r is a tuple of bases; a basis is a tuple of row vectors.
+    """
+    by_dim = []
+    for r in range(n + 1):
+        bases = []
+        for pivots in itertools.combinations(range(n), r):
+            pivot_set = set(pivots)
+            free = [
+                (i, j)
+                for i, c in enumerate(pivots)
+                for j in range(c + 1, n)
+                if j not in pivot_set
+            ]
+            for values in itertools.product(range(p), repeat=len(free)):
+                rows = [[0] * n for _ in range(r)]
+                for i, c in enumerate(pivots):
+                    rows[i][c] = 1
+                for (i, j), val in zip(free, values):
+                    rows[i][j] = val
+                bases.append(tuple(tuple(row) for row in rows))
+        by_dim.append(tuple(bases))
+    return tuple(by_dim)
+
+
+def _mat_vec(M, v, p):
+    return tuple(sum(row[i] * v[i] for i in range(len(v))) % p for row in M)
+
+
+def _mat_mul(A, B, p):
+    cols = len(B[0]) if B else 0
+    return tuple(
+        tuple(sum(row[k] * B[k][j] for k in range(len(row))) % p for j in range(cols))
+        for row in A
+    )
+
+
+def _mat_inv(M, p):
+    """Invert a square matrix over F_p by Gauss-Jordan elimination."""
+    n = len(M)
+    aug = [list(M[r]) + [1 if c == r else 0 for c in range(n)] for r in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] % p)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = pow(aug[col][col], p - 2, p)
+        aug[col] = [x * inv % p for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [(x - factor * y) % p for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def _pivot_columns(rows):
+    return [next(i for i, x in enumerate(row) if x) for row in rows]
+
+
+def _in_span(v, rows, p):
+    """Membership in the row span of an RREF basis."""
+    w = list(v)
+    for row in rows:
+        c = next(i for i, x in enumerate(row) if x)
+        if w[c]:
+            f = w[c]
+            w = [(x - f * y) % p for x, y in zip(w, row)]
+    return not any(w)
+
+
+def _is_invariant(rep, bases):
+    p = rep.field
+    for (s, t), M in zip(rep.quiver.arrows, rep.matrices):
+        target = bases[t - 1]
+        for v in bases[s - 1]:
+            if not _in_span(_mat_vec(M, v, p), target, p):
+                return False
+    return True
+
+
+def _invariant_tuples(rep):
+    """Yield (dimension vector, bases) for every invariant subspace tuple."""
+    per_vertex = [
+        [b for group in reference_subspaces_by_dim(n, rep.field) for b in group]
+        for n in rep.dim
+    ]
+    for bases in itertools.product(*per_vertex):
+        if _is_invariant(rep, bases):
+            yield DimensionVector(len(b) for b in bases), bases
+
+
+def _quotient(rep, bases):
+    """Quotient of rep by an invariant subspace tuple."""
+    p = rep.field
+    subdims = [len(b) for b in bases]
+    transforms = []
+    inverses = []
+    for n, basis in zip(rep.dim, bases):
+        pivots = set(_pivot_columns(basis))
+        columns = [list(row) for row in basis]
+        for j in range(n):
+            if j not in pivots:
+                columns.append([1 if i == j else 0 for i in range(n)])
+        T = tuple(tuple(col[r] for col in columns) for r in range(n))
+        transforms.append(T)
+        inverses.append(_mat_inv(T, p))
+    new_matrices = []
+    for (s, t), M in zip(rep.quiver.arrows, rep.matrices):
+        us, ut = subdims[s - 1], subdims[t - 1]
+        changed = _mat_mul(inverses[t - 1], _mat_mul(M, transforms[s - 1], p), p)
+        if any(x for row in changed[ut:] for x in row[:us]):
+            raise ValueError("subspace tuple is not invariant")
+        new_matrices.append(tuple(row[us:] for row in changed[ut:]))
+    new_dim = DimensionVector(n - u for n, u in zip(rep.dim, subdims))
+    return FiniteFieldRep(p, rep.quiver, new_dim, tuple(new_matrices))
+
+
+def _scss(rep, theta):
+    """The maximal-slope, then maximal-dimension, invariant subspace tuple."""
+    best = None
+    best_key = None
+    for e, bases in _invariant_tuples(rep):
+        if e.is_zero():
+            continue
+        key = (slope(theta, e), sum(e))
+        if best_key is None or key > best_key:
+            best_key = key
+            best = (e, bases)
+    return best
+
+
+def reference_hn_type_of(rep, theta):
+    """HN type of rep: split off the scss, pass to the quotient, repeat."""
+    pieces = []
+    cur = rep
+    while not cur.dim.is_zero():
+        e, bases = _scss(cur, theta)
+        pieces.append(e)
+        cur = _quotient(cur, bases)
+    return HNType(pieces)
+
+
+def reference_subrep_dimensions(rep):
+    """The dimension vectors of rep's invariant subspace tuples."""
+    return {e for e, _ in _invariant_tuples(rep)}
