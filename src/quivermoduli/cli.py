@@ -273,7 +273,9 @@ def cmd_sweep(args) -> int:
     for x in d_max:
         cells *= x + 1
     if cells > SWEEP_CELL_BUDGET:
-        raise oracle.BudgetExceededError(cells, SWEEP_CELL_BUDGET)
+        raise oracle.BudgetExceededError(
+            cells, SWEEP_CELL_BUDGET, "sweep needs {} cells", "lower --dmax"
+        )
 
     try:
         out = sys.stdout if args.out == "-" else open(args.out, "w", newline="")

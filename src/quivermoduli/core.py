@@ -107,6 +107,7 @@ class Quiver:
                 )
             checked.append((int(s), int(t)))
         self.arrows = tuple(checked)
+        self._hash = hash((vertex_count, self.arrows))
         n = vertex_count
         counts = [[0] * n for _ in range(n)]
         for s, t in self.arrows:
@@ -132,7 +133,7 @@ class Quiver:
         return self.vertex_count == other.vertex_count and self.arrows == other.arrows
 
     def __hash__(self) -> int:
-        return hash((self.vertex_count, self.arrows))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Quiver({self.vertex_count}, {list(self.arrows)})"

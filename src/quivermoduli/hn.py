@@ -27,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import lcm
-from operator import itemgetter, le, mul, sub
+from operator import itemgetter, mul, sub
 
 from .core import (
     DimensionVector,
@@ -142,16 +142,34 @@ def _cut_tables(q: Quiver, d: DimensionVector, pieces: list[tuple]) -> dict:
     F(rest-e, mu_e) - mu_e c and -<e, rest-e> + G(rest-e, mu_e) over the
     first i+1 of them (None while none of them completes to a type).
     F and G are the minimum-path values of the `windows` module docstring.
+    Each fit list is the AND of one bitmask per coordinate over the
+    pieces in slope order (ties in lexicographic order), read in bit order.
     """
-    # only the remainders reachable from d
     by_slope = sorted(pieces, key=itemgetter(1))
+    # below[i][v] has bit k set iff piece k of by_slope has e_i <= v
+    below = [[0] * (x + 1) for x in d]
+    for k, p in enumerate(by_slope):
+        for row, x in zip(below, p[0]):
+            row[x] |= 1 << k
+    for row in below:
+        for v in range(1, len(row)):
+            row[v] |= row[v - 1]
+    # only the remainders reachable from d
     fits = {}
     todo = [_sub(d, p[0]) for p in pieces if p[0] != d]
     while todo:
         rest = todo.pop()
         if rest in fits or not any(rest):
             continue
-        fits[rest] = fit = [(p, _sub(rest, p[0])) for p in by_slope if all(map(le, p[0], rest))]
+        mask = -1
+        for row, v in zip(below, rest):
+            mask &= row[v]
+        fits[rest] = fit = []
+        while mask:
+            low = mask & -mask
+            p = by_slope[low.bit_length() - 1]
+            fit.append((p, _sub(rest, p[0])))
+            mask ^= low
         todo.extend(tail for _, tail in fit)
 
     tables = {}

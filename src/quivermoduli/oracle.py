@@ -27,13 +27,19 @@ DEFAULT_BUDGET = 10_000_000
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised instead of starting an enumeration that is too large."""
+    """Raised instead of starting a computation that is too large.
 
-    def __init__(self, needed: int, budget: int):
-        super().__init__(
-            f"enumeration needs {needed} points, budget is {budget} "
-            "(raise the budget to force the computation)"
-        )
+    `what` names the counted quantity, a format string whose `{}` takes
+    `needed`; `remedy` says how to get past the refusal."""
+
+    def __init__(
+        self,
+        needed: int,
+        budget: int,
+        what: str = "enumeration needs {} points",
+        remedy: str = "raise the budget to force the computation",
+    ):
+        super().__init__(f"{what.format(needed)}, budget is {budget} ({remedy})")
         self.needed = needed
         self.budget = budget
 
@@ -178,9 +184,13 @@ def _checked_lattice(p: int, d: tuple, budget: int, reps: int = 0, masks: int = 
     for c in counts:
         size *= c
     words = (2 * sum(counts) + sum(d) + len(d) + masks) * -(-size // 64)
-    for needed in (reps, size, words):
+    for needed, what in (
+        (reps, "enumeration needs {} points"),
+        (size, "subspace lattice needs {} tuples"),
+        (words, "subspace tables need {} 64-bit words"),
+    ):
         if needed > budget:
-            raise BudgetExceededError(needed, budget)
+            raise BudgetExceededError(needed, budget, what)
     return _lattice(p, tuple(d), size)
 
 

@@ -327,6 +327,14 @@ class TestSweepCommand:
         assert main(["sweep", path, "--dmax", "1000,1000"]) == EXIT_INPUT
         assert "budget" in capsys.readouterr().err
 
+    def test_cell_budget_message(self, tmp_path, capsys):
+        # the cell count is fixed, so the remedy is a smaller --dmax
+        path = write_problem(tmp_path, KRONECKER_PROBLEM)
+        assert main(["sweep", path, "--dmax", "1000,1000"]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "qt: error: sweep needs 1002001 cells, budget is 100000 (lower --dmax)\n"
+        )
+
     def test_closed_pipe_exits_quietly(self, tmp_path):
         # a consumer like head closing stdout must not produce a traceback
         path = write_problem(tmp_path, KRONECKER_PROBLEM)
@@ -400,3 +408,12 @@ class TestOracleCensusCommand:
         assert main(["oracle-census", path, "--field", "2"]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("qt: error:") and "budget is 100000" in err
+
+    def test_table_budget_message(self, tmp_path, capsys, monkeypatch):
+        problem = {"vertices": 2, "arrows": [[1, 2]], "d": [4, 4], "theta": [1, -1]}
+        path = write_problem(tmp_path, problem)
+        monkeypatch.setenv("QT_BUDGET", str(10**5))
+        assert main(["oracle-census", path, "--field", "2"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(
+            "qt: error: subspace tables need 4672794 64-bit words, budget is 100000 "
+        )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import le, sub
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,6 +23,7 @@ from quivermoduli import (
     validate_hn_type,
     window_width,
 )
+from quivermoduli.hn import _cut_tables, _piece_data
 
 from cases import (
     CORPUS,
@@ -169,6 +171,46 @@ class TestEnumerateHNTypes:
     def test_rejects_nonzero_theta_d(self):
         with pytest.raises(ValueError):
             enumerate_hn_types(K1, DimensionVector((1, 1)), StabilityParameter((1, 0)))
+
+
+class TestFitLists:
+    """`_cut_tables` reads each fit list off per-coordinate bitmasks; the
+    reference is the plain filter over the pieces in slope order."""
+
+    @staticmethod
+    def reference_fits(d, theta, pieces):
+        by_slope = sorted(pieces, key=lambda p: slope(theta, p[0]))
+        fits = {}
+        todo = [tuple(d - p[0]) for p in pieces if p[0] != d]
+        while todo:
+            rest = todo.pop()
+            if rest in fits or not any(rest):
+                continue
+            fits[rest] = [p for p in by_slope if all(map(le, p[0], rest))]
+            todo.extend(tuple(map(sub, rest, p[0])) for p in fits[rest])
+        return fits
+
+    def test_equal_to_filter(self):
+        for q, d, theta in CORPUS + random_instances(200, seed=23):
+            pieces = _piece_data(q, d, theta)
+            tables = _cut_tables(q, d, pieces)
+            expected = self.reference_fits(d, theta, pieces)
+            assert tables.keys() == expected.keys()
+            for rest, fit in expected.items():
+                assert [p for p, _ in tables[rest][4]] == fit, (q, d, rest)
+                assert all(tuple(p[0] + tail) == rest for p, tail in tables[rest][4])
+
+    def test_ties_in_lexicographic_order(self):
+        ties = 0
+        for q, d, theta in CORPUS:
+            pieces = _piece_data(q, d, theta)
+            for *_, fit in _cut_tables(q, d, pieces).values():
+                for (a, _), (b, _) in zip(fit, fit[1:]):
+                    assert slope(theta, a[0]) <= slope(theta, b[0])
+                    if slope(theta, a[0]) == slope(theta, b[0]):
+                        assert tuple(a[0]) < tuple(b[0])
+                        ties += 1
+        assert ties > 0
 
 
 class TestCodimension:

@@ -321,6 +321,25 @@ class TestValidation:
             stratum_census(K1, D11, StabilityParameter((1,)), field=2)
 
 
+class TestBudgetMessages:
+    """Each refusal names the quantity it counted; the CLI tests cover sweep cells."""
+
+    def test_points(self):
+        with pytest.raises(BudgetExceededError, match="^enumeration needs 262144 points, budget is 100 "):
+            list(enumerate_reps(2, KRONECKER_3, D_23, budget=100))
+
+    def test_lattice_tuples(self):
+        rep = FiniteFieldRep(2, K1, DimensionVector((4, 4)), (((0,) * 4,) * 4,))
+        with pytest.raises(BudgetExceededError, match="^subspace lattice needs 4489 tuples, budget is 1000 "):
+            hn_type_of(rep, StabilityParameter((1, -1)), budget=1000)
+
+    def test_table_words(self):
+        # (2 * (67 + 67) + 8 + 2) words per 64 tuples, 71 blocks of 64
+        rep = FiniteFieldRep(2, K1, DimensionVector((4, 4)), (((0,) * 4,) * 4,))
+        with pytest.raises(BudgetExceededError, match="^subspace tables need 19738 64-bit words, budget is 10000 "):
+            hn_type_of(rep, StabilityParameter((1, -1)), budget=10**4)
+
+
 class TestTableBudget:
     def test_tables_refused_before_they_are_built(self, monkeypatch):
         # 2^16 matrices, each a mask over 67^2 = 4489 tuples: about 4.6 M words

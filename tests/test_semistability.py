@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,9 @@ from quivermoduli import (
     subdimension_vectors,
     verdict,
 )
+from quivermoduli import semistability
 from quivermoduli.oracle import enumerate_reps, has_subrep_of_dimension
+from quivermoduli.semistability import _extreme_rays, _rays
 
 from cases import (
     CORPUS,
@@ -278,3 +282,175 @@ class TestMatchesReference:
     @given(instances())
     def test_generated(self, instance):
         assert_matches_reference(*instance)
+
+
+def least_sign(points, u):
+    least = min(sum(a * b for a, b in zip(u, g)) for g in points)
+    return (least > 0) - (least < 0)
+
+
+def parallel(a, b):
+    return all(a[i] * b[j] == a[j] * b[i] for i in range(len(a)) for j in range(i))
+
+
+def probe_functionals(points, seed=0, count=60):
+    """Small random functionals, plus those vanishing on one of the points
+    (n = 2) or on two (n = 3): the supporting lines and planes of the
+    cone's faces are among these, so they find a missing ray where random
+    ones may not."""
+    n = len(points[0])
+    rng = random.Random(seed)
+    out = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(count)]
+    if n == 2:
+        out += [[-a[1], a[0]] for a in points]
+    if n == 3:
+        for a in points:
+            for b in points:
+                out.append([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
+    return out + [[-x for x in u] for u in out]
+
+
+def assert_extreme_rays(points):
+    out = _extreme_rays(points)
+    assert out and all(g in points for g in out)
+    for u in probe_functionals(points):
+        assert least_sign(out, u) == least_sign(points, u), u
+    if len(points[0]) <= 3:
+        # one generator per ray
+        assert not any(parallel(a, b) for i, a in enumerate(out) for b in out[:i])
+    else:
+        assert out == list(points)
+    return out
+
+
+nonneg_points = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.tuples(*[st.integers(0, 6)] * n).filter(any), min_size=1, max_size=14
+    )
+)
+
+
+@st.composite
+def degenerate_points(draw):
+    """Nonnegative combinations of at most two vectors: repeated rays
+    (g, 2g) and points on one projected line."""
+    n = draw(st.integers(2, 3))
+    base = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n).filter(any), min_size=1, max_size=2))
+    points = []
+    for _ in range(draw(st.integers(1, 8))):
+        coeffs = [draw(st.integers(0, 3)) for _ in base]
+        g = tuple(sum(c * b[i] for c, b in zip(coeffs, base)) for i in range(n))
+        if any(g):
+            points.append(g)
+    return points or [base[0]]
+
+
+class TestExtremeRays:
+    """The ray helper keeps the least sign of every linear functional."""
+
+    def test_single_point(self):
+        assert assert_extreme_rays([(2, 3)]) == [(2, 3)]
+        assert assert_extreme_rays([(1, 0, 2)]) == [(1, 0, 2)]
+
+    def test_one_vertex(self):
+        assert assert_extreme_rays([(2,), (1,), (3,)]) == [(2,)]
+
+    def test_two_vertices_repeated_rays(self):
+        out = assert_extreme_rays([(1, 2), (2, 4), (3, 1), (6, 2), (1, 1)])
+        assert sorted(out) == [(1, 2), (3, 1)]
+        assert assert_extreme_rays([(1, 1), (2, 2), (3, 3)]) == [(1, 1)]
+
+    def test_three_vertices_repeated_rays(self):
+        points = [(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (0, 3, 0), (1, 1, 0)]
+        assert sorted(assert_extreme_rays(points)) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+        assert assert_extreme_rays([(1, 2, 3), (2, 4, 6)]) == [(1, 2, 3)]
+
+    def test_three_vertices_one_projected_line(self):
+        # all in the span of (1,0,1) and (0,1,1): only the two ends remain
+        points = [(1, 1, 2), (1, 0, 1), (2, 1, 3), (0, 2, 2), (3, 3, 6), (0, 1, 1)]
+        assert sorted(assert_extreme_rays(points)) == [(0, 2, 2), (1, 0, 1)]
+
+    def test_three_vertices_quadrilateral(self):
+        corners = [(3, 1, 0), (1, 3, 0), (0, 1, 3), (1, 0, 3)]
+        inside = [(1, 1, 1), (2, 2, 1), (4, 4, 3)]
+        assert sorted(assert_extreme_rays(inside + corners)) == sorted(corners)
+
+    def test_four_vertices_keep_everything(self):
+        points = [(1, 0, 0, 0), (2, 0, 0, 0), (1, 1, 1, 1)]
+        assert assert_extreme_rays(points) == points
+
+    @settings(max_examples=150, deadline=None)
+    @given(nonneg_points)
+    def test_generated(self, points):
+        assert_extreme_rays(points)
+
+    @settings(max_examples=100, deadline=None)
+    @given(degenerate_points())
+    def test_generated_degenerate(self, points):
+        out = assert_extreme_rays(points)
+        assert len(out) <= 2
+
+
+FOUR_VERTEX = Quiver(4, [(1, 2), (1, 2), (2, 3), (3, 4), (4, 1), (1, 3), (2, 2)])
+
+
+def thetas(e, seed):
+    """A few theta with theta(e) = 0."""
+    rng = random.Random(seed)
+    for _ in range(3):
+        u = [rng.randint(-3, 3) for _ in e]
+        u_dot_e = sum(a * b for a, b in zip(u, e))
+        yield StabilityParameter(sum(e) * a - u_dot_e for a in u)
+
+
+class TestRayTables:
+    """The memoized ray generators against the reference generic sets."""
+
+    def test_rays_represent_the_generic_set(self):
+        for q, d, _ in CORPUS + random_instances(100, seed=7):
+            for e in subdimension_vectors(d):
+                full = [tuple(f) for f in reference_generic_subdimension_vectors(q, e) if any(f)]
+                rays = _rays(q, tuple(e))
+                assert all(g in full for g, _ in rays)
+                assert all(pairing == q.euler_pairing(g, e) for g, pairing in rays)
+                if not full:
+                    assert rays == ()
+                    continue
+                kept = [g for g, _ in rays]
+                for u in probe_functionals(kept, seed=len(full)):
+                    assert least_sign(kept, u) == least_sign(full, u)
+
+    def test_four_vertices_unpruned(self):
+        d = DimensionVector((2, 1, 2, 1))
+        for e in subdimension_vectors(d):
+            reference = reference_generic_subdimension_vectors(FOUR_VERTEX, e)
+            assert generic_subdimension_vectors(FOUR_VERTEX, e) == reference
+            members = sorted(tuple(f) for f in reference if any(f))
+            assert sorted(g for g, _ in _rays(FOUR_VERTEX, tuple(e))) == members
+            if any(e):
+                for theta in thetas(e, seed=sum(e)):
+                    assert has_semistable(FOUR_VERTEX, e, theta) == reference_has_semistable(
+                        FOUR_VERTEX, e, theta
+                    )
+        assert_matches_reference(FOUR_VERTEX, d, next(thetas(d, seed=1)))
+
+    def test_dropping_a_ray_is_caught(self, monkeypatch):
+        # a mutant table that loses one ray wherever it has two or more
+        full = semistability._rays
+
+        def one_short(q, e):
+            rays = full(q, e)
+            return rays[:-1] if len(rays) > 1 else rays
+
+        monkeypatch.setattr(semistability, "_rays", one_short)
+        caught = 0
+        try:
+            for q, d, theta in CORPUS + random_instances(200, seed=5):
+                if generic_subdimension_vectors(q, d) != reference_generic_subdimension_vectors(q, d):
+                    caught += 1
+                elif any(has_semistable(q, e, theta) != reference_has_semistable(q, e, theta)
+                         for e in subdimension_vectors(d)[1:]):
+                    caught += 1
+        finally:
+            full.cache_clear()  # the mutant filled the memo
+        assert caught > 0
