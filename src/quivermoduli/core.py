@@ -17,7 +17,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
-from operator import mul, sub
+from operator import index, mul, sub
 from typing import Iterable
 
 
@@ -30,7 +30,11 @@ class IntVector(tuple):
     """
 
     def __new__(cls, entries: Iterable[int]):
-        vec = super().__new__(cls, (int(x) for x in entries))
+        entries = map(index, entries)
+        try:
+            vec = super().__new__(cls, entries)
+        except TypeError as exc:
+            raise ValueError(f"vector entries must be integers: {exc}") from None
         vec._check_entries()
         return vec
 
@@ -95,17 +99,20 @@ class Quiver:
     """
 
     def __init__(self, vertex_count: int, arrows: Iterable[tuple[int, int]]):
-        if not isinstance(vertex_count, int) or vertex_count < 1:
+        if isinstance(vertex_count, bool) or not isinstance(vertex_count, int) or vertex_count < 1:
             raise ValueError(f"vertex_count must be a positive integer, got {vertex_count!r}")
         self.vertex_count = vertex_count
         checked = []
         for arrow in arrows:
-            s, t = arrow
+            try:
+                s, t = map(index, arrow)
+            except TypeError:
+                raise ValueError(f"arrow {arrow!r} must join integer vertices") from None
             if not (1 <= s <= vertex_count and 1 <= t <= vertex_count):
                 raise ValueError(
                     f"arrow {tuple(arrow)} out of range for {vertex_count} vertices"
                 )
-            checked.append((int(s), int(t)))
+            checked.append((s, t))
         self.arrows = tuple(checked)
         self._hash = hash((vertex_count, self.arrows))
         n = vertex_count

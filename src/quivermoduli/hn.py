@@ -14,12 +14,14 @@ vector is all later weight computations need, so the subgroup is never
 materialized as a group element.
 
 The types are listed by one depth-first search over the states
-(remainder, slope bound).  It reads one table per remainder reachable
-from d, built once for `windows.verdict` too: the pieces that fit in
-the remainder, in slope order, with their tails and the DP minima that
-tell whether a branch completes to a type.  `enumerate_hn_types` enters
-every branch that completes; `verdict` enters only those that can still
-fail the weight inequality.
+(remainder, slope bound).  It runs on `_Tables`, the one object built
+per (q, d, theta) that `enumerate_hn_types` and `windows.verdict` both
+read: the pieces, and for every nonzero remainder e <= d the pieces
+that fit in it, in slope order, with their tails and the prefix minima
+of the DPs F and G derived in the `windows` module docstring, which
+tell whether a branch completes to a type.  `enumerate_hn_types`
+enters every branch that completes; `verdict` enters only those that
+can still fail the weight inequality.
 """
 
 from __future__ import annotations
@@ -93,19 +95,12 @@ def enumerate_hn_types(
 ) -> tuple[HNType, ...]:
     """All HN types for (q, d, theta), in lexicographic order.
 
-    Requires d nonzero and theta(d) = 0.  This is `_search` entering
+    Requires d nonzero and theta(d) = 0.  This is the search entering
     every branch: each branch it enters completes to a type, so the cost
     follows types x depth, and no tail is stored.  The count grows
     exponentially with d; `windows.verdict` never enumerates them.
     """
-    d = DimensionVector(d)
-    if d.is_zero():
-        raise ValueError("enumerate_hn_types requires a nonzero dimension vector")
-    theta = StabilityParameter(theta)
-    if theta.dot(d) != 0:
-        raise ValueError("enumerate_hn_types requires theta(d) = 0")
-    pieces = _piece_data(q, d, theta)
-    return _search(d, pieces, _cut_tables(q, d, pieces), lambda e, low: True)
+    return _Tables(q, d, theta, "enumerate_hn_types").search(lambda e, low: True)
 
 
 def _sub(a: tuple, b: tuple) -> tuple:
@@ -116,130 +111,138 @@ def _dot(a: tuple, b: tuple) -> int:
     return sum(map(mul, a, b))
 
 
-def _piece_data(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> list[tuple]:
-    """(e, scaled slope, row, <e,e>) for every piece an HN type of d can
-    have: the nonzero e <= d admitting a semistable representation, in
-    lexicographic order, so d is last iff it is semistable.
+class _Tables:
+    """The pieces of (q, d, theta) and the DP tables over their remainders.
 
-    Slopes are multiplied by the lcm of the piece sizes, so they are
-    integers; row = <e, ->, so <e, b> = row . b for any b.
-    """
-    pieces = [e for e in subdimension_vectors(d)[1:] if has_semistable(q, e, theta)]
-    scale = lcm(*{sum(e) for e in pieces})
-    out = []
-    for e in pieces:
-        row = q.left_form(e)
-        out.append((e, _dot(theta, e) * (scale // sum(e)), row, _dot(row, e)))
-    return out
+    A piece is (e, s, row, <e,e>) for a nonzero e <= d admitting a
+    semistable representation: s is its slope times the lcm of the
+    piece sizes, an integer, and row = <e, ->, so <e, b> = row . b.
+    `semistable` says whether d itself is a piece.
 
-
-def _cut_tables(q: Quiver, d: DimensionVector, pieces: list[tuple]) -> dict:
-    """The failure and codimension DPs, one table per reachable remainder.
-
-    tables[rest] = (c, slopes, best_f, best_g, fit) with c = N(rest) - 1,
-    `fit` the pairs (piece e <= rest, rest - e) in ascending slope order,
-    `slopes` theirs, and best_f[i], best_g[i] the minima of
-    F(rest-e, mu_e) - mu_e c and -<e, rest-e> + G(rest-e, mu_e) over the
+    tables[rest], for every nonzero rest <= d, is
+    (c, slopes, best_f, best_g, fit): c = N(rest) - 1 with
+    N(rest) = -<d - rest, rest>; `fit` the pairs (piece e <= rest,
+    rest - e) in ascending slope order, ties in lexicographic order;
+    `slopes` theirs; best_f[i], best_g[i] the minima of
+    F(rest - e, s) - s c and -<e, rest - e> + G(rest - e, s) over the
     first i+1 of them (None while none of them completes to a type).
-    F and G are the minimum-path values of the `windows` module docstring.
+    The tables are built in one pass over the remainders in
+    lexicographic order, which puts every tail rest - e before rest.
     Each fit list is the AND of one bitmask per coordinate over the
-    pieces in slope order (ties in lexicographic order), read in bit order.
+    pieces in slope order, read in bit order.
     """
-    by_slope = sorted(pieces, key=itemgetter(1))
-    # below[i][v] has bit k set iff piece k of by_slope has e_i <= v
-    below = [[0] * (x + 1) for x in d]
-    for k, p in enumerate(by_slope):
-        for row, x in zip(below, p[0]):
-            row[x] |= 1 << k
-    for row in below:
-        for v in range(1, len(row)):
-            row[v] |= row[v - 1]
-    # only the remainders reachable from d
-    fits = {}
-    todo = [_sub(d, p[0]) for p in pieces if p[0] != d]
-    while todo:
-        rest = todo.pop()
-        if rest in fits or not any(rest):
-            continue
-        mask = -1
-        for row, v in zip(below, rest):
-            mask &= row[v]
-        fits[rest] = fit = []
-        while mask:
-            low = mask & -mask
-            p = by_slope[low.bit_length() - 1]
-            fit.append((p, _sub(rest, p[0])))
-            mask ^= low
-        todo.extend(tail for _, tail in fit)
 
-    tables = {}
-    for rest in sorted(fits):
-        c = -q.euler_pairing(_sub(d, rest), rest) - 1
-        slopes, best_f, best_g = [], [], []
-        low_f = low_g = None
-        for (e, s, row, ee), tail in fits[rest]:
-            best = _best(tables, tail, s)
-            if best is not None:
-                f = best[0] - s * c
-                g = best[1] + ee - _dot(row, rest)
-                if low_f is None:
-                    low_f, low_g = f, g
-                else:
-                    low_f, low_g = min(low_f, f), min(low_g, g)
-            slopes.append(s)
-            best_f.append(low_f)
-            best_g.append(low_g)
-        tables[rest] = (c, slopes, best_f, best_g, fits[rest])
-    return tables
+    def __init__(self, q: Quiver, d: DimensionVector, theta: StabilityParameter, caller: str):
+        d = DimensionVector(d)
+        if d.is_zero():
+            raise ValueError(f"{caller} requires a nonzero dimension vector")
+        theta = StabilityParameter(theta)
+        if theta.dot(d) != 0:
+            raise ValueError(f"{caller} requires theta(d) = 0")
+        self.d, self.theta = d, theta
+        remainders = subdimension_vectors(d)[1:]
+        pieces = [e for e in remainders if has_semistable(q, e, theta)]
+        self.semistable = pieces[-1] == d
+        scale = lcm(*{sum(e) for e in pieces})
+        by_slope = []
+        for e in pieces:
+            row = q.left_form(e)
+            by_slope.append((e, _dot(theta, e) * (scale // sum(e)), row, _dot(row, e)))
+        by_slope.sort(key=itemgetter(1))
+        # below[i][v] has bit k set iff piece k of by_slope has e_i <= v
+        below = [[0] * (x + 1) for x in d]
+        for k, p in enumerate(by_slope):
+            for row, x in zip(below, p[0]):
+                row[x] |= 1 << k
+        for row in below:
+            for v in range(1, len(row)):
+                row[v] |= row[v - 1]
 
+        self.tables = {}
+        for rest in remainders:
+            mask = -1
+            for row, v in zip(below, rest):
+                mask &= row[v]
+            c = -q.euler_pairing(_sub(d, rest), rest) - 1
+            fit, slopes, best_f, best_g = [], [], [], []
+            low_f = low_g = None
+            while mask:
+                bit = mask & -mask
+                mask ^= bit
+                p = by_slope[bit.bit_length() - 1]
+                e, s, row, ee = p
+                tail = _sub(rest, e)
+                best = self._best(tail, s)
+                if best is not None:
+                    f = best[0] - s * c
+                    g = best[1] + ee - _dot(row, rest)
+                    if low_f is None:
+                        low_f, low_g = f, g
+                    else:
+                        low_f, low_g = min(low_f, f), min(low_g, g)
+                fit.append((p, tail))
+                slopes.append(s)
+                best_f.append(low_f)
+                best_g.append(low_g)
+            self.tables[rest] = (c, slopes, best_f, best_g, fit)
 
-def _best(tables: dict, rest: tuple, bound: int) -> tuple[int, int] | None:
-    """(F, G) at the state (rest, bound), or None if no type of rest has
-    every slope below bound."""
-    if not any(rest):
-        return 0, 0
-    c, slopes, best_f, best_g, _ = tables[rest]
-    i = bisect_left(slopes, bound)
-    if i == 0 or best_f[i - 1] is None:
-        return None
-    return bound * c + best_f[i - 1], best_g[i - 1]
-
-
-def _search(d: DimensionVector, pieces: list[tuple], tables: dict, keep) -> tuple[HNType, ...]:
-    """The HN types of d reached through children that `keep` accepts,
-    in lexicographic order.
-
-    Depth-first over the states (rest, bound).  The root's children are
-    all pieces; those of any other state are the pieces e <= rest of
-    slope below bound, the prefix of tables[rest]'s fit list found by
-    bisection, tried in lexicographic order.  A child e is entered iff
-    some type of rest - e has every slope below mu(e) and keep(e, low)
-    holds, low being the least failure sum of the `windows` module
-    docstring over the types that continue this branch.  For both
-    callers every branch entered ends in at least one type.
-    """
-    out = []
-    stack = [(d, 0, 0, ())]
-    while stack:
-        rest, bound, partial, prefix = stack.pop()
+    def _best(self, rest: tuple, bound: int) -> tuple[int, int] | None:
+        """(F, G) at the state (rest, bound), or None if no type of rest
+        has every slope below bound."""
         if not any(rest):
-            out.append(HNType._trusted(prefix))
-            continue
-        if prefix:
-            c, slopes, _, _, fit = tables[rest]
-            fit = sorted(fit[: bisect_left(slopes, bound)])
-        else:  # no cut before the first piece
-            c, fit = 0, [(p, _sub(d, p[0])) for p in pieces]
-        children = []
-        for (e, s, _, _), tail in fit:
-            best = _best(tables, tail, s)
-            if best is None:
+            return 0, 0
+        c, slopes, best_f, best_g, _ = self.tables[rest]
+        i = bisect_left(slopes, bound)
+        if i == 0 or best_f[i - 1] is None:
+            return None
+        return bound * c + best_f[i - 1], best_g[i - 1]
+
+    def min_unstable_codim(self) -> int | None:
+        """The least codimension of an unstable type, by first piece e != d."""
+        d = self.d
+        codims = []
+        for (e, s, row, ee), tail in self.tables[d][4]:
+            best = None if e == d else self._best(tail, s)
+            if best is not None:
+                codims.append(best[1] + ee - _dot(row, d))
+        return min(codims, default=None)
+
+    def search(self, keep) -> tuple[HNType, ...]:
+        """The HN types of d reached through children that `keep`
+        accepts, in lexicographic order.
+
+        Depth-first over the states (rest, bound).  The children of a
+        state are the pieces e <= rest of slope below bound (any slope
+        at the root), the prefix of tables[rest]'s fit list found by
+        bisection, tried in lexicographic order.  A child e is entered
+        iff some type of rest - e has every slope below mu(e) and
+        keep(e, low) holds, low being the least failure sum of the
+        `windows` module docstring over the types that continue this
+        branch.  For both callers every branch entered ends in at least
+        one type.
+        """
+        out = []
+        stack = [(self.d, 0, 0, ())]
+        while stack:
+            rest, bound, partial, prefix = stack.pop()
+            if not any(rest):
+                out.append(HNType._trusted(prefix))
                 continue
-            total = partial + (bound - s) * c
-            if keep(e, total + best[0]):
-                children.append((tail, s, total, prefix + (e,)))
-        stack.extend(reversed(children))
-    return tuple(out)
+            c, slopes, _, _, fit = self.tables[rest]
+            if prefix:
+                fit = fit[: bisect_left(slopes, bound)]
+            else:  # no cut before the first piece
+                c = 0
+            children = []
+            for (e, s, _, _), tail in sorted(fit):
+                best = self._best(tail, s)
+                if best is None:
+                    continue
+                total = partial + (bound - s) * c
+                if keep(e, total + best[0]):
+                    children.append((tail, s, total, prefix + (e,)))
+            stack.extend(reversed(children))
+        return tuple(out)
 
 
 def pairing_table(q: Quiver, t: HNType) -> list[list[int | None]]:

@@ -40,16 +40,15 @@ first piece e != d.  The codimension sum_r -<d^r, rest_r> is the same
 recursion G with edge weight -<e, rest - e>, and its minimum is the
 smallest unstable codimension.  The edge term of F is
 mu (N(rest) - 1) - mu(e) (N(rest) - 1), so one table per remainder,
-prefix minima over its pieces in slope order, answers every bound mu
-by bisection: the cost is O(reachable remainders x pieces), polynomial
-in d.  Slopes are scaled to integers, so all of it is exact.  One
-depth-first search over the pieces in lexicographic order, `hn._search`,
-lists both the failing types and, for `hn.enumerate_hn_types`, all
-types.  For the failing ones it enters a branch only when its partial
-sum plus F of its state is <= 0; each branch entered ends in a failing
-type, so the search costs in proportion to the failures and returns
-them sorted.  `stratum_report` is the per-stratum view `qt strata`
-prints.
+with prefix minima over its pieces in slope order, answers every bound
+mu by bisection: the cost is O(remainders x pieces), polynomial in d.
+Slopes are scaled to integers, so all of it is exact.  `hn._Tables`
+holds those tables (its docstring has their layout) and the one search
+over them that also lists every type for `hn.enumerate_hn_types`.  For
+the failing types it enters a branch only when its partial sum plus F
+of its state is <= 0; each branch entered ends in a failing type, so
+the search costs in proportion to the failures and returns them sorted.
+`stratum_report` is the per-stratum view `qt strata` prints.
 """
 
 from __future__ import annotations
@@ -66,12 +65,7 @@ from .core import (
 from .hn import (
     HNType,
     OneParameterSubgroup,
-    _best,
-    _cut_tables,
-    _dot,
-    _piece_data,
-    _search,
-    _sub,
+    _Tables,
     one_parameter_subgroup,
     pairing_table,
     table_codimension,
@@ -79,8 +73,14 @@ from .hn import (
 from .semistability import is_strongly_amply_stable
 
 
+def _require_weights(pieces: int, k: tuple[int, ...]) -> None:
+    if len(k) != pieces:
+        raise ValueError(f"subgroup has {len(k)} weights for a type with {pieces} pieces")
+
+
 def _window_weights(table: list[list[int | None]], k: tuple[int, ...]) -> tuple[int, int]:
     """(stratum weight, window width) from the pairing table and weights k."""
+    _require_weights(len(table), k)
     stratum = width = 0
     for m, row in enumerate(table):
         for n in range(m + 1, len(k)):
@@ -121,6 +121,7 @@ def hom_bundle_weights(
     if not (1 <= i <= length and 1 <= j <= length):
         raise ValueError(f"vertex pair ({i}, {j}) out of range for {length} vertices")
     k = sub.weights
+    _require_weights(len(t), k)
     out: Counter = Counter()
     for m in range(len(t)):
         for n in range(len(t)):
@@ -196,28 +197,15 @@ def verdict(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> Verdict
     The strata are decided by the min-path DP of the module docstring,
     never by enumerating the HN types.
     """
-    d = DimensionVector(d)
-    theta = StabilityParameter(theta)
-    if theta.dot(d) != 0:
-        raise ValueError("verdict requires theta(d) = 0")
-    if d.is_zero():
-        raise ValueError("verdict requires a nonzero dimension vector")
-    pieces = _piece_data(q, d, theta)
-    if pieces[-1][0] != d:
+    tables = _Tables(q, d, theta, "verdict")
+    d, theta = tables.d, tables.theta
+    if not tables.semistable:
         raise ValueError(
             "no semistable representation of dimension "
             f"({','.join(map(str, d))}) exists"
         )
-
-    tables = _cut_tables(q, d, pieces)
-    # the least codimension over the unstable types, by first piece e != d
-    codims = []
-    for e, s, row, ee in pieces[:-1]:
-        best = _best(tables, _sub(d, e), s)
-        if best is not None:
-            codims.append(best[1] + ee - _dot(row, d))
-    min_codim = min(codims, default=None)
-    failing = _search(d, pieces, tables, lambda e, low: low <= 0 and e != d)
+    min_codim = tables.min_unstable_codim()
+    failing = tables.search(lambda e, low: low <= 0 and e != d)
 
     coprime = is_theta_coprime(theta, d)
     strong, witness = is_strongly_amply_stable(q, d, theta)

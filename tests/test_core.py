@@ -59,6 +59,16 @@ class TestQuiverConstruction:
         with pytest.raises(ValueError):
             Quiver(0, [])
 
+    def test_vertex_count_not_bool(self):
+        with pytest.raises(ValueError, match="vertex_count"):
+            Quiver(True, [])
+
+    def test_arrow_endpoints_integral(self):
+        with pytest.raises(ValueError, match="integer vertices"):
+            Quiver(2, [(1.5, 2)])
+        with pytest.raises(ValueError, match="integer vertices"):
+            Quiver(2, [(1, "2")])
+
     def test_acyclicity(self):
         assert KRONECKER_3.is_acyclic
         assert TRIANGLE_A.is_acyclic
@@ -91,6 +101,25 @@ class TestVectors:
     def test_is_zero(self):
         assert DimensionVector((0, 0)).is_zero()
         assert not DimensionVector((0, 1)).is_zero()
+
+    def test_dimension_vector_rejects_float(self):
+        with pytest.raises(ValueError, match="integers"):
+            DimensionVector([1.7, 2])
+
+    def test_stability_rejects_float(self):
+        with pytest.raises(ValueError, match="integers"):
+            StabilityParameter([0.5, -0.5])
+
+    def test_rejects_fraction_and_string(self):
+        with pytest.raises(ValueError, match="integers"):
+            DimensionVector([Fraction(4, 2), 1])
+        with pytest.raises(ValueError, match="integers"):
+            StabilityParameter(["1", -1])
+
+    def test_ints_and_bools_accepted(self):
+        assert DimensionVector([True, 2]) == (1, 2)
+        assert type(DimensionVector([True, 2])[0]) is int
+        assert StabilityParameter((3, -2)) == (3, -2)
 
     def test_stability_call(self):
         theta = StabilityParameter((3, -2))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import le, sub
+from operator import le
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,10 +20,11 @@ from quivermoduli import (
     has_semistable,
     one_parameter_subgroup,
     slope,
+    subdimension_vectors,
     validate_hn_type,
     window_width,
 )
-from quivermoduli.hn import _cut_tables, _piece_data
+from quivermoduli.hn import _Tables
 
 from cases import (
     CORPUS,
@@ -174,43 +175,44 @@ class TestEnumerateHNTypes:
 
 
 class TestFitLists:
-    """`_cut_tables` reads each fit list off per-coordinate bitmasks; the
-    reference is the plain filter over the pieces in slope order."""
+    """`_Tables` builds one table for every nonzero remainder e <= d and
+    reads each fit list off per-coordinate bitmasks; the reference is
+    the plain filter over the pieces in slope order."""
 
     @staticmethod
-    def reference_fits(d, theta, pieces):
-        by_slope = sorted(pieces, key=lambda p: slope(theta, p[0]))
-        fits = {}
-        todo = [tuple(d - p[0]) for p in pieces if p[0] != d]
-        while todo:
-            rest = todo.pop()
-            if rest in fits or not any(rest):
-                continue
-            fits[rest] = [p for p in by_slope if all(map(le, p[0], rest))]
-            todo.extend(tuple(map(sub, rest, p[0])) for p in fits[rest])
-        return fits
+    def reference_fits(q, d, theta):
+        pieces = [e for e in subdimension_vectors(d)[1:] if has_semistable(q, e, theta)]
+        by_slope = sorted(pieces, key=lambda e: slope(theta, e))
+        return {
+            tuple(rest): [e for e in by_slope if all(map(le, e, rest))]
+            for rest in subdimension_vectors(d)[1:]
+        }
 
     def test_equal_to_filter(self):
         for q, d, theta in CORPUS + random_instances(200, seed=23):
-            pieces = _piece_data(q, d, theta)
-            tables = _cut_tables(q, d, pieces)
-            expected = self.reference_fits(d, theta, pieces)
+            tables = _Tables(q, d, theta, "test").tables
+            expected = self.reference_fits(q, d, theta)
             assert tables.keys() == expected.keys()
             for rest, fit in expected.items():
-                assert [p for p, _ in tables[rest][4]] == fit, (q, d, rest)
+                assert [p[0] for p, _ in tables[rest][4]] == fit, (q, d, rest)
                 assert all(tuple(p[0] + tail) == rest for p, tail in tables[rest][4])
 
     def test_ties_in_lexicographic_order(self):
         ties = 0
         for q, d, theta in CORPUS:
-            pieces = _piece_data(q, d, theta)
-            for *_, fit in _cut_tables(q, d, pieces).values():
+            for *_, fit in _Tables(q, d, theta, "test").tables.values():
                 for (a, _), (b, _) in zip(fit, fit[1:]):
                     assert slope(theta, a[0]) <= slope(theta, b[0])
                     if slope(theta, a[0]) == slope(theta, b[0]):
                         assert tuple(a[0]) < tuple(b[0])
                         ties += 1
         assert ties > 0
+
+    def test_validation_names_the_caller(self):
+        with pytest.raises(ValueError, match="^caller requires a nonzero dimension vector$"):
+            _Tables(K1, (0, 0), (1, -1), "caller")
+        with pytest.raises(ValueError, match=r"^caller requires theta\(d\) = 0$"):
+            _Tables(K1, (1, 1), (1, 0), "caller")
 
 
 class TestCodimension:

@@ -13,6 +13,7 @@ import quivermoduli.windows
 from quivermoduli import (
     DimensionVector,
     HNType,
+    OneParameterSubgroup,
     Quiver,
     StabilityParameter,
     ambient_canonical_weight,
@@ -208,6 +209,28 @@ class TestHomBundleWeights:
             hom_bundle_weights(t, sub, 1, 3)
 
 
+class TestSubgroupLength:
+    """A subgroup must carry one weight per piece of the type."""
+
+    TYPE = HNType(((1, 0), (1, 1), (0, 2)))
+    SHORT = OneParameterSubgroup(2, (6, 1))
+    LONG = OneParameterSubgroup(2, (6, 1, -4, -5))
+
+    @pytest.mark.parametrize(
+        "weight",
+        [ambient_canonical_weight, stratum_canonical_weight, window_width],
+    )
+    def test_window_weights_reject_wrong_length(self, weight):
+        for sub in (self.SHORT, self.LONG):
+            with pytest.raises(ValueError, match="weights for a type with 3 pieces"):
+                weight(KRONECKER_3, self.TYPE, sub)
+
+    def test_hom_bundle_weights_reject_wrong_length(self):
+        for sub in (self.SHORT, self.LONG):
+            with pytest.raises(ValueError, match="weights for a type with 3 pieces"):
+                hom_bundle_weights(self.TYPE, sub, 1, 2)
+
+
 class TestStratumReport:
     def test_golden_rows(self):
         for t, (codim, _slopes, scale, weights, max_bw, eta) in GOLDEN_UNSTABLE_23.items():
@@ -395,6 +418,10 @@ class TestVerdict:
     def test_rejects_zero_d(self):
         with pytest.raises(ValueError, match="nonzero dimension vector"):
             verdict(KRONECKER_3, DimensionVector((0, 0)), THETA_23)
+
+    def test_rejects_non_integral_d(self):
+        with pytest.raises(ValueError, match="integers"):
+            verdict(KRONECKER_3, [2.9, 3], [3, -2])
 
     def test_rejects_empty_semistable_locus(self):
         with pytest.raises(ValueError, match=r"dimension \(2,1\) exists"):
