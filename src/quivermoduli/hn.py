@@ -16,18 +16,21 @@ materialized as a group element.
 The types are listed by one depth-first search over the states
 (remainder, slope bound).  It runs on `_Tables`, the one object built
 per (q, d, theta) that `enumerate_hn_types` and `windows.verdict` both
-read: the pieces, and for every nonzero remainder e <= d the pieces
-that fit in it, in slope order, with their tails and the prefix minima
-of the DPs F and G derived in the `windows` module docstring, which
-tell whether a branch completes to a type.  `enumerate_hn_types`
-enters every branch that completes; `verdict` enters only those that
-can still fail the weight inequality.
+read: the pieces, and for every nonzero remainder rest <= d one entry
+per piece e <= rest that completes to a type, that is whose tail
+rest - e is zero or has a type with every slope below mu(e).  Each
+entry carries the values of the DPs F and G (derived in the `windows`
+module docstring) at its tail, and each table the prefix minima of
+those values in slope order.  Every entry completes, so
+`enumerate_hn_types` enters them all; `verdict` enters only those
+that can still fail the weight inequality.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from math import lcm
 from operator import itemgetter, mul, sub
 
@@ -79,7 +82,8 @@ def validate_hn_type(
 ) -> None:
     """Raise ValueError unless t is a genuine HN type (for d, if given):
     strictly decreasing slopes and every piece admitting a semistable
-    representation."""
+    representation.  t may be any sequence of vectors."""
+    t = HNType(t)
     if d is not None and t.total() != DimensionVector(d):
         raise ValueError(f"HN type sums to {tuple(t.total())}, expected {tuple(d)}")
     slopes = [slope(theta, p) for p in t]
@@ -114,22 +118,28 @@ def _dot(a: tuple, b: tuple) -> int:
 class _Tables:
     """The pieces of (q, d, theta) and the DP tables over their remainders.
 
-    A piece is (e, s, row, <e,e>) for a nonzero e <= d admitting a
-    semistable representation: s is its slope times the lcm of the
-    piece sizes, an integer, and row = <e, ->, so <e, b> = row . b.
+    A piece is a nonzero e <= d admitting a semistable representation;
+    its slope s is scaled by the lcm of the piece sizes to an integer.
     `semistable` says whether d itself is a piece.
 
     tables[rest], for every nonzero rest <= d, is
-    (c, slopes, best_f, best_g, fit): c = N(rest) - 1 with
-    N(rest) = -<d - rest, rest>; `fit` the pairs (piece e <= rest,
-    rest - e) in ascending slope order, ties in lexicographic order;
-    `slopes` theirs; best_f[i], best_g[i] the minima of
-    F(rest - e, s) - s c and -<e, rest - e> + G(rest - e, s) over the
-    first i+1 of them (None while none of them completes to a type).
+    (c, slopes, best_f, best_g, entries): c = N(rest) - 1 with
+    N(rest) = -<d - rest, rest>; `entries` one (e, s, tail, f, g) for
+    each piece e <= rest that completes to a type, in ascending slope
+    order, ties in lexicographic order, with tail = rest - e,
+    f = F(tail, s) and g = G(tail, s) - <e, tail>, the least
+    codimension of a type of rest that starts with e; `slopes` their s;
+    best_f[i], best_g[i] the minima of f - s c and g over the first
+    i+1 entries.  Every nonzero rest has an entry, the first piece of
+    any of its HN types, so no list is empty.
+
     The tables are built in one pass over the remainders in
-    lexicographic order, which puts every tail rest - e before rest.
-    Each fit list is the AND of one bitmask per coordinate over the
-    pieces in slope order, read in bit order.
+    lexicographic order, which puts every tail before rest, so `_best`
+    of a tail state reads a finished table: it is None exactly when
+    the piece does not complete, and the piece is dropped.  The pieces
+    e <= rest are the AND of one bitmask per coordinate over the pieces
+    in slope order, read in bit order; a piece's row <e, -> serves only
+    the build.
     """
 
     def __init__(self, q: Quiver, d: DimensionVector, theta: StabilityParameter, caller: str):
@@ -146,8 +156,7 @@ class _Tables:
         scale = lcm(*{sum(e) for e in pieces})
         by_slope = []
         for e in pieces:
-            row = q.left_form(e)
-            by_slope.append((e, _dot(theta, e) * (scale // sum(e)), row, _dot(row, e)))
+            by_slope.append((e, _dot(theta, e) * (scale // sum(e)), q.left_form(e)))
         by_slope.sort(key=itemgetter(1))
         # below[i][v] has bit k set iff piece k of by_slope has e_i <= v
         below = [[0] * (x + 1) for x in d]
@@ -164,27 +173,23 @@ class _Tables:
             for row, v in zip(below, rest):
                 mask &= row[v]
             c = -q.euler_pairing(_sub(d, rest), rest) - 1
-            fit, slopes, best_f, best_g = [], [], [], []
-            low_f = low_g = None
+            entries, slopes, fs, gs = [], [], [], []
             while mask:
                 bit = mask & -mask
                 mask ^= bit
-                p = by_slope[bit.bit_length() - 1]
-                e, s, row, ee = p
+                e, s, row = by_slope[bit.bit_length() - 1]
                 tail = _sub(rest, e)
                 best = self._best(tail, s)
-                if best is not None:
-                    f = best[0] - s * c
-                    g = best[1] + ee - _dot(row, rest)
-                    if low_f is None:
-                        low_f, low_g = f, g
-                    else:
-                        low_f, low_g = min(low_f, f), min(low_g, g)
-                fit.append((p, tail))
+                if best is None:
+                    continue
+                f, g = best[0], best[1] - _dot(row, tail)
+                entries.append((e, s, tail, f, g))
                 slopes.append(s)
-                best_f.append(low_f)
-                best_g.append(low_g)
-            self.tables[rest] = (c, slopes, best_f, best_g, fit)
+                fs.append(f - s * c)
+                gs.append(g)
+            self.tables[rest] = (
+                c, slopes, list(accumulate(fs, min)), list(accumulate(gs, min)), entries
+            )
 
     def _best(self, rest: tuple, bound: int) -> tuple[int, int] | None:
         """(F, G) at the state (rest, bound), or None if no type of rest
@@ -193,30 +198,24 @@ class _Tables:
             return 0, 0
         c, slopes, best_f, best_g, _ = self.tables[rest]
         i = bisect_left(slopes, bound)
-        if i == 0 or best_f[i - 1] is None:
+        if i == 0:
             return None
         return bound * c + best_f[i - 1], best_g[i - 1]
 
     def min_unstable_codim(self) -> int | None:
         """The least codimension of an unstable type, by first piece e != d."""
-        d = self.d
-        codims = []
-        for (e, s, row, ee), tail in self.tables[d][4]:
-            best = None if e == d else self._best(tail, s)
-            if best is not None:
-                codims.append(best[1] + ee - _dot(row, d))
-        return min(codims, default=None)
+        return min((g for e, *_, g in self.tables[self.d][4] if e != self.d), default=None)
 
     def search(self, keep) -> tuple[HNType, ...]:
         """The HN types of d reached through children that `keep`
         accepts, in lexicographic order.
 
         Depth-first over the states (rest, bound).  The children of a
-        state are the pieces e <= rest of slope below bound (any slope
-        at the root), the prefix of tables[rest]'s fit list found by
-        bisection, tried in lexicographic order.  A child e is entered
-        iff some type of rest - e has every slope below mu(e) and
-        keep(e, low) holds, low being the least failure sum of the
+        state are the entries of tables[rest] of slope below bound (all
+        of them at the root), a prefix found by bisection, tried in
+        lexicographic order of e.  Every entry completes to a type, so
+        a child e is entered iff keep(e, low) holds, low being the
+        partial sum plus the entry's F: the least failure sum of the
         `windows` module docstring over the types that continue this
         branch.  For both callers every branch entered ends in at least
         one type.
@@ -228,18 +227,15 @@ class _Tables:
             if not any(rest):
                 out.append(HNType._trusted(prefix))
                 continue
-            c, slopes, _, _, fit = self.tables[rest]
+            c, slopes, _, _, entries = self.tables[rest]
             if prefix:
-                fit = fit[: bisect_left(slopes, bound)]
+                entries = entries[: bisect_left(slopes, bound)]
             else:  # no cut before the first piece
                 c = 0
             children = []
-            for (e, s, _, _), tail in sorted(fit):
-                best = self._best(tail, s)
-                if best is None:
-                    continue
+            for e, s, tail, f, _ in sorted(entries):
                 total = partial + (bound - s) * c
-                if keep(e, total + best[0]):
+                if keep(e, total + f):
                     children.append((tail, s, total, prefix + (e,)))
             stack.extend(reversed(children))
         return tuple(out)

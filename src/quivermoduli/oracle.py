@@ -19,6 +19,8 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
+from operator import index
 
 from .core import DimensionVector, Quiver, StabilityParameter, slope
 from .hn import HNType
@@ -44,9 +46,15 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-def _require_prime(p: int) -> None:
-    if p < 2 or any(p % k == 0 for k in range(2, int(p**0.5) + 1)):
+def _require_prime(p: int) -> int:
+    """p as an int, once it is a prime integer."""
+    try:
+        n = index(p)
+    except TypeError:
+        n = 0
+    if n < 2 or any(n % k == 0 for k in range(2, isqrt(n) + 1)):
         raise ValueError(f"field size must be prime, got {p}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -64,7 +72,7 @@ class FiniteFieldRep:
     matrices: tuple
 
     def __post_init__(self):
-        _require_prime(self.field)
+        object.__setattr__(self, "field", _require_prime(self.field))
         dim = DimensionVector(self.quiver._vertex_tuple(self.dim, DimensionVector))
         object.__setattr__(self, "dim", dim)
         if len(self.matrices) != self.quiver.arrow_count:
@@ -92,7 +100,7 @@ def _all_matrices(rows: int, cols: int, p: int) -> list[tuple]:
 
 def enumerate_reps(field: int, q: Quiver, d: DimensionVector, budget: int = DEFAULT_BUDGET):
     """Yield every representation of d over F_field, in a fixed order, within the budget."""
-    _require_prime(field)
+    field = _require_prime(field)
     d = q._vertex_tuple(d, DimensionVector)
     needed = rep_count(field, q, d)
     if needed > budget:
@@ -281,7 +289,7 @@ def stratum_census(
     count against the budget.  They are ANDed arrow by arrow, equal
     partial results merged, so each invariant set is met once.
     """
-    _require_prime(field)
+    field = _require_prime(field)
     d = q._vertex_tuple(d, DimensionVector)
     if not any(d):
         raise ValueError("stratum_census requires a nonzero dimension vector")

@@ -40,8 +40,10 @@ first piece e != d.  The codimension sum_r -<d^r, rest_r> is the same
 recursion G with edge weight -<e, rest - e>, and its minimum is the
 smallest unstable codimension.  The edge term of F is
 mu (N(rest) - 1) - mu(e) (N(rest) - 1), so one table per remainder,
-with prefix minima over its pieces in slope order, answers every bound
-mu by bisection: the cost is O(remainders x pieces), polynomial in d.
+keeping only the pieces e that complete to a type, each with F and G
+at its state (rest - e, mu(e)), and with prefix minima over them in
+slope order, answers every bound mu by bisection: the cost is
+O(remainders x pieces), polynomial in d.
 Slopes are scaled to integers, so all of it is exact.  `hn._Tables`
 holds those tables (its docstring has their layout) and the one search
 over them that also lists every type for `hn.enumerate_hn_types`.  For

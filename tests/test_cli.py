@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -198,6 +199,28 @@ class TestStrataCommand:
         rows, dense = strata_rows(spec)
         assert dense
         assert rows == EXPECTED_STRATA_CELLS
+
+
+class TestReadme:
+    """README's examples are run, and its printed table is real output."""
+
+    blocks = re.findall(
+        r"^```(\w*)\n(.*?)^```$",
+        (Path(__file__).resolve().parents[1] / "README.md").read_text(),
+        re.MULTILINE | re.DOTALL,
+    )
+
+    def test_strata_example_output(self, tmp_path, capsys):
+        (problem,) = [json.loads(body) for lang, body in self.blocks if lang == "json"]
+        assert problem == KRONECKER_PROBLEM
+        (table,) = [body for lang, body in self.blocks if body.startswith("hn_type ")]
+        assert main(["strata", write_problem(tmp_path, problem)]) == 0
+        assert capsys.readouterr().out == table
+
+    def test_python_block_runs(self, capsys):
+        (code,) = [body for lang, body in self.blocks if lang == "python"]
+        exec(compile(code, "README.md", "exec"), {})
+        assert capsys.readouterr().out
 
 
 class TestVerdictCommand:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import le
 
 import pytest
@@ -117,6 +118,16 @@ class TestValidateHNType:
         with pytest.raises(ValueError, match="no semistable"):
             validate_hn_type(K1, StabilityParameter((1, -2)), t)
 
+    def test_plain_sequences(self):
+        validate_hn_type(KRONECKER_3, THETA_23, [(1, 0), (1, 3)], (2, 3))
+        validate_hn_type(KRONECKER_3, (3, -2), [[1, 1], [1, 2]])
+        with pytest.raises(ValueError, match="sums to"):
+            validate_hn_type(KRONECKER_3, THETA_23, [(1, 1), (1, 1)], D_23)
+        with pytest.raises(ValueError, match="at least one piece"):
+            validate_hn_type(KRONECKER_3, THETA_23, [])
+        with pytest.raises(ValueError, match="nonzero"):
+            validate_hn_type(KRONECKER_3, THETA_23, [(2, 3), (0, 0)])
+
 
 class TestEnumerateHNTypes:
     def test_kronecker_exact_set(self):
@@ -175,33 +186,80 @@ class TestEnumerateHNTypes:
 
 
 class TestFitLists:
-    """`_Tables` builds one table for every nonzero remainder e <= d and
-    reads each fit list off per-coordinate bitmasks; the reference is
-    the plain filter over the pieces in slope order."""
+    """`_Tables` builds one table for every nonzero remainder rest <= d and
+    keeps in it only the pieces e <= rest that complete to a type: rest - e
+    is zero or has a type with every slope below mu(e).  The reference is
+    the plain filter over the pieces in slope order, with the completions
+    read off `reference_hn_types`."""
 
     @staticmethod
-    def reference_fits(q, d, theta):
+    def reference_entries(q, d, theta):
         pieces = [e for e in subdimension_vectors(d)[1:] if has_semistable(q, e, theta)]
         by_slope = sorted(pieces, key=lambda e: slope(theta, e))
+        tail_types = {}
+
+        def completions(e, rest):
+            """The types of rest - e with every slope below mu(e)."""
+            tail = rest - e
+            if tail.is_zero():
+                return [()]
+            if tail not in tail_types:
+                tail_types[tail] = reference_hn_types(q, tail, theta)
+            return [t for t in tail_types[tail] if slope(theta, t[0]) < slope(theta, e)]
+
         return {
-            tuple(rest): [e for e in by_slope if all(map(le, e, rest))]
+            tuple(rest): [(e, tails) for e in by_slope
+                          if all(map(le, e, rest)) and (tails := completions(e, rest))]
             for rest in subdimension_vectors(d)[1:]
         }
+
+    @staticmethod
+    def failure_sum(q, d, theta, e, rest, t):
+        """sum over the pieces p of t of (mu before p - mu(p)) (N(rest) - 1),
+        rest running down from the tail rest by each p."""
+        total, mu, rest = Fraction(0), slope(theta, e), DimensionVector(rest)
+        for p in t:
+            n = -q.euler_pairing(d - rest, rest)
+            total += (mu - slope(theta, p)) * (n - 1)
+            rest, mu = rest - p, slope(theta, p)
+        return total
 
     def test_equal_to_filter(self):
         for q, d, theta in CORPUS + random_instances(200, seed=23):
             tables = _Tables(q, d, theta, "test").tables
-            expected = self.reference_fits(q, d, theta)
+            expected = self.reference_entries(q, d, theta)
+            scale = lcm(*{sum(e) for e in subdimension_vectors(d)[1:]
+                          if has_semistable(q, e, theta)})
             assert tables.keys() == expected.keys()
-            for rest, fit in expected.items():
-                assert [p[0] for p, _ in tables[rest][4]] == fit, (q, d, rest)
-                assert all(tuple(p[0] + tail) == rest for p, tail in tables[rest][4])
+            for rest, entries in expected.items():
+                stored = tables[rest][4]
+                assert [x[0] for x in stored] == [e for e, _ in entries], (q, d, rest)
+                assert all(tuple(e + tail) == rest for e, _, tail, *_ in stored)
+                # F: the least failure sum from the state (rest - e, mu(e)) on,
+                # in units of 1/scale; g: the least codimension of e, t'
+                for (e, _, tail, f, g), (_, tails) in zip(stored, entries):
+                    assert f == scale * min(self.failure_sum(q, d, theta, e, tail, t)
+                                            for t in tails)
+                    assert g == min(codimension(q, HNType((e,) + t)) for t in tails)
+
+    def test_prefix_minima_never_empty(self):
+        for q, d, theta in CORPUS + random_instances(50, seed=29):
+            for c, slopes, best_f, best_g, entries in _Tables(q, d, theta, "test").tables.values():
+                assert entries and None not in best_f and None not in best_g
+                assert len(slopes) == len(best_f) == len(best_g) == len(entries)
+
+    def test_readers_need_only_the_entries(self):
+        for q, d, theta in CORPUS:
+            tables = _Tables(q, d, theta, "test")
+            tables._best = None  # a call would now raise TypeError
+            assert tables.search(lambda e, low: True) == reference_hn_types(q, d, theta)
+            tables.min_unstable_codim()
 
     def test_ties_in_lexicographic_order(self):
         ties = 0
         for q, d, theta in CORPUS:
-            for *_, fit in _Tables(q, d, theta, "test").tables.values():
-                for (a, _), (b, _) in zip(fit, fit[1:]):
+            for *_, entries in _Tables(q, d, theta, "test").tables.values():
+                for a, b in zip(entries, entries[1:]):
                     assert slope(theta, a[0]) <= slope(theta, b[0])
                     if slope(theta, a[0]) == slope(theta, b[0]):
                         assert tuple(a[0]) < tuple(b[0])

@@ -299,6 +299,25 @@ class TestValidation:
             with pytest.raises(ValueError, match="prime"):
                 FiniteFieldRep(field, K1, D11, (((0,),),))
 
+    def test_non_integral_field_rejected(self):
+        rep = FiniteFieldRep(2, K1, D11, (((1,),),))
+        for field in (2.0, 3.0, "3"):
+            with pytest.raises(ValueError, match=f"^field size must be prime, got {field}$"):
+                FiniteFieldRep(field, K1, D11, (((1,),),))
+            with pytest.raises(ValueError, match="prime"):
+                stratum_census(KRONECKER_3, DimensionVector((1, 2)), (2, -1), field)
+            with pytest.raises(ValueError, match="prime"):
+                list(enumerate_reps(field, K1, D11))
+            with pytest.raises(ValueError, match="prime"):
+                hn_type_of(FiniteFieldRep(field, K1, D11, rep.matrices), THETA11)
+
+        class Three:
+            def __index__(self):
+                return 3
+
+        assert FiniteFieldRep(Three(), K1, D11, rep.matrices).field == 3
+        assert len(list(enumerate_reps(Three(), K1, D11))) == 3
+
     def test_rep_checks_itself(self):
         with pytest.raises(ValueError):  # one vertex short
             FiniteFieldRep(2, K1, DimensionVector((1,)), (((0,),),))
