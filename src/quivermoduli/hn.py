@@ -18,8 +18,11 @@ The types are listed by one depth-first search over the states
 per (q, d, theta) that `enumerate_hn_types` and `windows.verdict` both
 read: the pieces, and for every nonzero remainder rest <= d one entry
 per piece e <= rest that completes to a type, that is whose tail
-rest - e is zero or has a type with every slope below mu(e).  Each
-entry carries the values of the DPs F and G (derived in the `windows`
+rest - e is zero or has a type with every slope below mu(e).  The
+remainders are numbered by their place in `subdimension_vectors(d)`,
+a mixed-radix number linear in the vector, so the tables form a list
+and a tail's number is the difference of two numbers.  Each entry
+carries the values of the DPs F and G (derived in the `windows`
 module docstring) at its tail, and each table the prefix minima of
 those values in slope order.  Every entry completes, so
 `enumerate_hn_types` enters them all; `verdict` enters only those
@@ -32,7 +35,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from math import lcm
-from operator import itemgetter, mul, sub
+from operator import itemgetter, mul
 
 from .core import (
     DimensionVector,
@@ -42,6 +45,11 @@ from .core import (
     subdimension_vectors,
 )
 from .semistability import has_semistable
+
+
+def _require_pieces(t) -> None:
+    if not t:
+        raise ValueError("an HN type must have at least one piece")
 
 
 class HNType(tuple):
@@ -55,8 +63,7 @@ class HNType(tuple):
 
     def __new__(cls, pieces):
         t = super().__new__(cls, (DimensionVector(p) for p in pieces))
-        if not t:
-            raise ValueError("an HN type must have at least one piece")
+        _require_pieces(t)
         length = len(t[0])
         for p in t:
             if len(p) != length:
@@ -107,10 +114,6 @@ def enumerate_hn_types(
     return _Tables(q, d, theta, "enumerate_hn_types").search(lambda e, low: True)
 
 
-def _sub(a: tuple, b: tuple) -> tuple:
-    return tuple(map(sub, a, b))
-
-
 def _dot(a: tuple, b: tuple) -> int:
     return sum(map(mul, a, b))
 
@@ -122,43 +125,51 @@ class _Tables:
     its slope s is scaled by the lcm of the piece sizes to an integer.
     `semistable` says whether d itself is a piece.
 
-    tables[rest], for every nonzero rest <= d, is
+    Each e <= d is numbered by its place in `subdimension_vectors(d)`,
+    zero first and d last.  That list is lexicographic, so the number is
+    the mixed-radix value sum_j e_j prod_{k>j} (d_k + 1), linear in e: if
+    rest is numbered r and a piece e <= rest is numbered i, the tail
+    rest - e is numbered r - i, and d - rest is the (r+1)-th vector from
+    the end.
+
+    tables[r], for the remainder rest numbered r, is
     (c, slopes, best_f, best_g, entries): c = N(rest) - 1 with
-    N(rest) = -<d - rest, rest>; `entries` one (e, s, tail, f, g) for
+    N(rest) = -<d - rest, rest>; `entries` one (e, s, t, f, g) for
     each piece e <= rest that completes to a type, in ascending slope
-    order, ties in lexicographic order, with tail = rest - e,
-    f = F(tail, s) and g = G(tail, s) - <e, tail>, the least
+    order, ties in lexicographic order, with t the number of the tail
+    rest - e, f = F(tail, s) and g = G(tail, s) - <e, tail>, the least
     codimension of a type of rest that starts with e; `slopes` their s;
     best_f[i], best_g[i] the minima of f - s c and g over the first
     i+1 entries.  Every nonzero rest has an entry, the first piece of
-    any of its HN types, so no list is empty.
+    any of its HN types, so no list is empty.  tables[0], the zero
+    remainder, has no entries and holds the DP's base case F = G = 0:
+    c = 0 and one slope below every piece's, so every bound reads it.
 
-    The tables are built in one pass over the remainders in
-    lexicographic order, which puts every tail before rest, so `_best`
-    of a tail state reads a finished table: it is None exactly when
-    the piece does not complete, and the piece is dropped.  The pieces
-    e <= rest are the AND of one bitmask per coordinate over the pieces
-    in slope order, read in bit order; a piece's row <e, -> serves only
-    the build.
+    The tables are built in one pass over the numbers, which puts every
+    tail before rest: F and G at a tail state (t, s) are read off the
+    finished tables[t] by bisection, and a piece with no slope of the
+    tail below s does not complete and is dropped.  The pieces e <= rest
+    are the AND of one bitmask per coordinate over the pieces in slope
+    order, read in bit order; a piece's row <e, -> serves only the build.
     """
 
     def __init__(self, q: Quiver, d: DimensionVector, theta: StabilityParameter, caller: str):
-        d = DimensionVector(d)
-        if d.is_zero():
+        d = q._vertex_tuple(d, DimensionVector)
+        theta = q._vertex_tuple(theta, StabilityParameter)
+        if not any(d):
             raise ValueError(f"{caller} requires a nonzero dimension vector")
-        theta = StabilityParameter(theta)
-        if theta.dot(d) != 0:
+        if _dot(theta, d) != 0:
             raise ValueError(f"{caller} requires theta(d) = 0")
         self.d, self.theta = d, theta
-        remainders = subdimension_vectors(d)[1:]
-        pieces = [e for e in remainders if has_semistable(q, e, theta)]
-        self.semistable = pieces[-1] == d
-        scale = lcm(*{sum(e) for e in pieces})
+        vectors = subdimension_vectors(d)
+        pieces = [(i, e) for i, e in enumerate(vectors) if i and has_semistable(q, e, theta)]
+        self.semistable = pieces[-1][1] == d
+        scale = lcm(*{sum(e) for _, e in pieces})
         by_slope = []
-        for e in pieces:
-            by_slope.append((e, _dot(theta, e) * (scale // sum(e)), q.left_form(e)))
+        for i, e in pieces:
+            by_slope.append((e, _dot(theta, e) * (scale // sum(e)), i, q.left_form(e)))
         by_slope.sort(key=itemgetter(1))
-        # below[i][v] has bit k set iff piece k of by_slope has e_i <= v
+        # below[j][v] has bit k set iff piece k of by_slope has e_j <= v
         below = [[0] * (x + 1) for x in d]
         for k, p in enumerate(by_slope):
             for row, x in zip(below, p[0]):
@@ -167,76 +178,65 @@ class _Tables:
             for v in range(1, len(row)):
                 row[v] |= row[v - 1]
 
-        self.tables = {}
-        for rest in remainders:
+        self.tables = [(0, [by_slope[0][1] - 1], [0], [0], [])]
+        for r, rest in enumerate(vectors[1:], 1):
             mask = -1
             for row, v in zip(below, rest):
                 mask &= row[v]
-            c = -q.euler_pairing(_sub(d, rest), rest) - 1
+            c = -q.euler_pairing(vectors[-1 - r], rest) - 1
             entries, slopes, fs, gs = [], [], [], []
             while mask:
                 bit = mask & -mask
                 mask ^= bit
-                e, s, row = by_slope[bit.bit_length() - 1]
-                tail = _sub(rest, e)
-                best = self._best(tail, s)
-                if best is None:
-                    continue
-                f, g = best[0], best[1] - _dot(row, tail)
-                entries.append((e, s, tail, f, g))
-                slopes.append(s)
-                fs.append(f - s * c)
-                gs.append(g)
-            self.tables[rest] = (
-                c, slopes, list(accumulate(fs, min)), list(accumulate(gs, min)), entries
+                e, s, i, row = by_slope[bit.bit_length() - 1]
+                t = r - i
+                tail_c, tail_slopes, tail_f, tail_g, _ = self.tables[t]
+                j = bisect_left(tail_slopes, s)
+                if j:
+                    f, g = s * tail_c + tail_f[j - 1], tail_g[j - 1] - _dot(row, vectors[t])
+                    entries.append((e, s, t, f, g))
+                    slopes.append(s)
+                    fs.append(f - s * c)
+                    gs.append(g)
+            self.tables.append(
+                (c, slopes, list(accumulate(fs, min)), list(accumulate(gs, min)), entries)
             )
-
-    def _best(self, rest: tuple, bound: int) -> tuple[int, int] | None:
-        """(F, G) at the state (rest, bound), or None if no type of rest
-        has every slope below bound."""
-        if not any(rest):
-            return 0, 0
-        c, slopes, best_f, best_g, _ = self.tables[rest]
-        i = bisect_left(slopes, bound)
-        if i == 0:
-            return None
-        return bound * c + best_f[i - 1], best_g[i - 1]
 
     def min_unstable_codim(self) -> int | None:
         """The least codimension of an unstable type, by first piece e != d."""
-        return min((g for e, *_, g in self.tables[self.d][4] if e != self.d), default=None)
+        return min((g for e, *_, g in self.tables[-1][4] if e != self.d), default=None)
 
     def search(self, keep) -> tuple[HNType, ...]:
         """The HN types of d reached through children that `keep`
         accepts, in lexicographic order.
 
-        Depth-first over the states (rest, bound).  The children of a
-        state are the entries of tables[rest] of slope below bound (all
-        of them at the root), a prefix found by bisection, tried in
-        lexicographic order of e.  Every entry completes to a type, so
-        a child e is entered iff keep(e, low) holds, low being the
-        partial sum plus the entry's F: the least failure sum of the
-        `windows` module docstring over the types that continue this
-        branch.  For both callers every branch entered ends in at least
-        one type.
+        Depth-first over the states (r, bound), r the number of the
+        remainder.  The children of a state are the entries of tables[r]
+        of slope below bound (all of them at the root), a prefix found by
+        bisection, tried in lexicographic order of e.  Every entry
+        completes to a type, so a child e is entered iff keep(e, low)
+        holds, low being the partial sum plus the entry's F: the least
+        failure sum of the `windows` module docstring over the types that
+        continue this branch.  For both callers every branch entered ends
+        in at least one type.
         """
         out = []
-        stack = [(self.d, 0, 0, ())]
+        stack = [(len(self.tables) - 1, 0, 0, ())]
         while stack:
-            rest, bound, partial, prefix = stack.pop()
-            if not any(rest):
+            r, bound, partial, prefix = stack.pop()
+            if not r:
                 out.append(HNType._trusted(prefix))
                 continue
-            c, slopes, _, _, entries = self.tables[rest]
+            c, slopes, _, _, entries = self.tables[r]
             if prefix:
                 entries = entries[: bisect_left(slopes, bound)]
             else:  # no cut before the first piece
                 c = 0
             children = []
-            for e, s, tail, f, _ in sorted(entries):
+            for e, s, t, f, _ in sorted(entries):
                 total = partial + (bound - s) * c
                 if keep(e, total + f):
-                    children.append((tail, s, total, prefix + (e,)))
+                    children.append((t, s, total, prefix + (e,)))
             stack.extend(reversed(children))
         return tuple(out)
 
@@ -247,6 +247,7 @@ def pairing_table(q: Quiver, t: HNType) -> list[list[int | None]]:
     The diagonal is None: no stratum quantity reads it.  Codimension,
     the cuts and every window weight are sums over this one table.
     """
+    _require_pieces(t)
     pair = q.euler_pairing
     return [
         [None if m == n else pair(a, b) for n, b in enumerate(t)]
@@ -295,6 +296,7 @@ def one_parameter_subgroup(theta: StabilityParameter, t: HNType) -> OneParameter
 
     Requires the slopes of t to be strictly decreasing.
     """
+    _require_pieces(t)
     slopes = [slope(theta, p) for p in t]
     if any(a <= b for a, b in zip(slopes, slopes[1:])):
         raise ValueError("one_parameter_subgroup requires strictly decreasing slopes")

@@ -46,13 +46,23 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-def _require_prime(p: int) -> int:
-    """p as an int, once it is a prime integer."""
+def _field_size(p: int) -> int:
+    """p as an int, once it is an integer of at least 2: enough to count
+    points and subspaces, so the budget can be checked before
+    `_require_prime` trial-divides up to sqrt(p)."""
     try:
         n = index(p)
     except TypeError:
         n = 0
-    if n < 2 or any(n % k == 0 for k in range(2, isqrt(n) + 1)):
+    if n < 2:
+        raise ValueError(f"field size must be prime, got {p}")
+    return n
+
+
+def _require_prime(p: int) -> int:
+    """p as an int, once it is a prime integer."""
+    n = _field_size(p)
+    if any(n % k == 0 for k in range(2, isqrt(n) + 1)):
         raise ValueError(f"field size must be prime, got {p}")
     return n
 
@@ -100,11 +110,12 @@ def _all_matrices(rows: int, cols: int, p: int) -> list[tuple]:
 
 def enumerate_reps(field: int, q: Quiver, d: DimensionVector, budget: int = DEFAULT_BUDGET):
     """Yield every representation of d over F_field, in a fixed order, within the budget."""
-    field = _require_prime(field)
+    field = _field_size(field)
     d = q._vertex_tuple(d, DimensionVector)
     needed = rep_count(field, q, d)
     if needed > budget:
         raise BudgetExceededError(needed, budget)
+    _require_prime(field)
     per_arrow = [_all_matrices(d[t - 1], d[s - 1], field) for s, t in q.arrows]
     for combo in itertools.product(*per_arrow):
         yield FiniteFieldRep(field, q, d, combo)
@@ -184,9 +195,9 @@ _lattice = lru_cache(maxsize=8)(_Lattice)
 
 
 def _checked_lattice(p: int, d: tuple, budget: int, reps: int = 0, masks: int = 0) -> _Lattice:
-    """The lattice of F_p^d, once p is prime and none of `reps`, its tuples
-    and the words of its integers with `masks` more exceeds the budget."""
-    _require_prime(p)
+    """The lattice of F_p^d, once none of `reps`, its tuples and the words
+    of its integers with `masks` more exceeds the budget and then p, an
+    int of at least 2, is prime."""
     counts = [subspace_count(n, p) for n in d]
     size = 1
     for c in counts:
@@ -199,6 +210,7 @@ def _checked_lattice(p: int, d: tuple, budget: int, reps: int = 0, masks: int = 
     ):
         if needed > budget:
             raise BudgetExceededError(needed, budget, what)
+    _require_prime(p)
     return _lattice(p, tuple(d), size)
 
 
@@ -289,7 +301,7 @@ def stratum_census(
     count against the budget.  They are ANDed arrow by arrow, equal
     partial results merged, so each invariant set is met once.
     """
-    field = _require_prime(field)
+    field = _field_size(field)
     d = q._vertex_tuple(d, DimensionVector)
     if not any(d):
         raise ValueError("stratum_census requires a nonzero dimension vector")

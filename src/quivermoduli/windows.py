@@ -119,6 +119,7 @@ def hom_bundle_weights(
     maps weight -> multiplicity and totals d_i * d_j.  Vertices are
     1-based.
     """
+    t = HNType(t)
     length = len(t[0])
     if not (1 <= i <= length and 1 <= j <= length):
         raise ValueError(f"vertex pair ({i}, {j}) out of range for {length} vertices")

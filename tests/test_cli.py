@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -422,6 +423,23 @@ class TestOracleCensusCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("qt: error:") and "prime" in captured.err
+
+    def test_huge_prime_refused_on_the_budget(self, tmp_path, capsys, monkeypatch):
+        # --field 2^61 - 1 used to trial-divide up to sqrt(p), past 15 s
+        def no_trial_division(p):
+            raise AssertionError("primality tested before the budget")
+
+        monkeypatch.setattr(quivermoduli.oracle, "_require_prime", no_trial_division)
+        monkeypatch.delenv("QT_BUDGET", raising=False)
+        path = write_problem(tmp_path, KRONECKER_PROBLEM)
+        start = time.perf_counter()
+        assert main(["oracle-census", path, "--field", str(2**61 - 1)]) == EXIT_INPUT
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("qt: error: enumeration needs ")
+        assert captured.err.endswith(" points, budget is 10000000 "
+                                     "(raise the budget to force the computation)\n")
 
     def test_table_budget(self, tmp_path, capsys, monkeypatch):
         # the per-matrix masks of K1 (4,4)/F_2 need about 4.6 M words

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import quivermoduli.hn
 from quivermoduli import (
     DimensionVector,
     HNType,
@@ -23,6 +24,7 @@ from quivermoduli import (
     slope,
     subdimension_vectors,
     validate_hn_type,
+    verdict,
     window_width,
 )
 from quivermoduli.hn import _Tables
@@ -186,9 +188,10 @@ class TestEnumerateHNTypes:
 
 
 class TestFitLists:
-    """`_Tables` builds one table for every nonzero remainder rest <= d and
-    keeps in it only the pieces e <= rest that complete to a type: rest - e
-    is zero or has a type with every slope below mu(e).  The reference is
+    """`_Tables` builds one table for every nonzero remainder rest <= d, at
+    its place r in `subdimension_vectors(d)`, and keeps in it only the
+    pieces e <= rest that complete to a type: rest - e is zero or has a
+    type with every slope below mu(e), and its place is stored.  The reference is
     the plain filter over the pieces in slope order, with the completions
     read off `reference_hn_types`."""
 
@@ -226,45 +229,61 @@ class TestFitLists:
 
     def test_equal_to_filter(self):
         for q, d, theta in CORPUS + random_instances(200, seed=23):
+            vectors = subdimension_vectors(d)
             tables = _Tables(q, d, theta, "test").tables
             expected = self.reference_entries(q, d, theta)
-            scale = lcm(*{sum(e) for e in subdimension_vectors(d)[1:]
-                          if has_semistable(q, e, theta)})
-            assert tables.keys() == expected.keys()
-            for rest, entries in expected.items():
-                stored = tables[rest][4]
+            scale = lcm(*{sum(e) for e in vectors[1:] if has_semistable(q, e, theta)})
+            # tables[r] belongs to the remainder vectors[r], index 0 to zero
+            assert len(tables) == len(vectors) and vectors[0].is_zero()
+            for r, rest in enumerate(vectors[1:], 1):
+                entries, stored = expected[tuple(rest)], tables[r][4]
                 assert [x[0] for x in stored] == [e for e, _ in entries], (q, d, rest)
-                assert all(tuple(e + tail) == rest for e, _, tail, *_ in stored)
+                assert all(vectors[tail] == rest - e for e, _, tail, *_ in stored)
                 # F: the least failure sum from the state (rest - e, mu(e)) on,
                 # in units of 1/scale; g: the least codimension of e, t'
                 for (e, _, tail, f, g), (_, tails) in zip(stored, entries):
-                    assert f == scale * min(self.failure_sum(q, d, theta, e, tail, t)
+                    assert f == scale * min(self.failure_sum(q, d, theta, e, vectors[tail], t)
                                             for t in tails)
                     assert g == min(codimension(q, HNType((e,) + t)) for t in tails)
 
     def test_prefix_minima_never_empty(self):
         for q, d, theta in CORPUS + random_instances(50, seed=29):
-            for c, slopes, best_f, best_g, entries in _Tables(q, d, theta, "test").tables.values():
+            zero, *tables = _Tables(q, d, theta, "test").tables
+            assert zero[4] == []
+            for c, slopes, best_f, best_g, entries in tables:
                 assert entries and None not in best_f and None not in best_g
                 assert len(slopes) == len(best_f) == len(best_g) == len(entries)
 
     def test_readers_need_only_the_entries(self):
         for q, d, theta in CORPUS:
             tables = _Tables(q, d, theta, "test")
-            tables._best = None  # a call would now raise TypeError
+            # the prefix minima serve only the build: a reader of them would now fail
+            tables.tables = [(c, s, None, None, entries) for c, s, _, _, entries in tables.tables]
             assert tables.search(lambda e, low: True) == reference_hn_types(q, d, theta)
             tables.min_unstable_codim()
 
     def test_ties_in_lexicographic_order(self):
         ties = 0
         for q, d, theta in CORPUS:
-            for *_, entries in _Tables(q, d, theta, "test").tables.values():
+            for *_, entries in _Tables(q, d, theta, "test").tables:
                 for a, b in zip(entries, entries[1:]):
                     assert slope(theta, a[0]) <= slope(theta, b[0])
                     if slope(theta, a[0]) == slope(theta, b[0]):
                         assert tuple(a[0]) < tuple(b[0])
                         ties += 1
         assert ties > 0
+
+    def test_length_checked_before_listing_vectors(self, monkeypatch):
+        # (60,60,60) on a 2-vertex quiver used to list 226,981 vectors first
+        def never(d):
+            raise AssertionError("subdimension vectors listed before the length check")
+
+        monkeypatch.setattr(quivermoduli.hn, "subdimension_vectors", never)
+        for call in (verdict, enumerate_hn_types):
+            with pytest.raises(ValueError, match="^vector of length 3 on a quiver with 2 vertices$"):
+                call(KRONECKER_3, (60, 60, 60), (1, 1, -2))
+            with pytest.raises(ValueError, match="^vector of length 3 on a quiver with 2 vertices$"):
+                call(KRONECKER_3, (2, 3), (1, 1, -2))
 
     def test_validation_names_the_caller(self):
         with pytest.raises(ValueError, match="^caller requires a nonzero dimension vector$"):

@@ -299,6 +299,29 @@ class TestValidation:
             with pytest.raises(ValueError, match="prime"):
                 FiniteFieldRep(field, K1, D11, (((0,),),))
 
+    def test_budget_before_trial_division(self, monkeypatch):
+        # 2^61 - 1 is prime: trial division up to its square root used to run first
+        def no_trial_division(p):
+            raise AssertionError("primality tested before the budget")
+
+        monkeypatch.setattr(oracle, "_require_prime", no_trial_division)
+        with pytest.raises(BudgetExceededError, match="^enumeration needs "):
+            stratum_census(KRONECKER_3, D_23, THETA_23, field=2**61 - 1)
+        with pytest.raises(BudgetExceededError, match="^enumeration needs "):
+            list(enumerate_reps(2**61 - 1, KRONECKER_3, D_23))
+
+    def test_primality_tested_once(self, monkeypatch):
+        calls = []
+        require_prime = oracle._require_prime
+
+        def spy(p):
+            calls.append(p)
+            return require_prime(p)
+
+        monkeypatch.setattr(oracle, "_require_prime", spy)
+        stratum_census(K1, D11, THETA11, field=3)
+        assert calls == [3]
+
     def test_non_integral_field_rejected(self):
         rep = FiniteFieldRep(2, K1, D11, (((1,),),))
         for field in (2.0, 3.0, "3"):

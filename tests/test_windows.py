@@ -231,6 +231,45 @@ class TestSubgroupLength:
                 hom_bundle_weights(self.TYPE, sub, 1, 2)
 
 
+class TestEmptyType:
+    """Every per-type function refuses [] with HNType's own error; some
+    used to return (), 0 or a weightless subgroup, others IndexError."""
+
+    NONE = OneParameterSubgroup(1, ())
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda t: HNType(t),
+            lambda t: quivermoduli.hn.validate_hn_type(KRONECKER_3, THETA_23, t),
+            lambda t: quivermoduli.hn.pairing_table(KRONECKER_3, t),
+            lambda t: codimension(KRONECKER_3, t),
+            lambda t: codimension_cuts(KRONECKER_3, t),
+            lambda t: one_parameter_subgroup(THETA_23, t),
+            lambda t: ambient_canonical_weight(KRONECKER_3, t, TestEmptyType.NONE),
+            lambda t: stratum_canonical_weight(KRONECKER_3, t, TestEmptyType.NONE),
+            lambda t: window_width(KRONECKER_3, t, TestEmptyType.NONE),
+            lambda t: hom_bundle_weights(t, TestEmptyType.NONE, 1, 1),
+            lambda t: stratum_report(KRONECKER_3, THETA_23, t),
+        ],
+        ids=[
+            "HNType", "validate_hn_type", "pairing_table", "codimension",
+            "codimension_cuts", "one_parameter_subgroup", "ambient_canonical_weight",
+            "stratum_canonical_weight", "window_width", "hom_bundle_weights",
+            "stratum_report",
+        ],
+    )
+    def test_refused(self, call):
+        for t in ([], ()):
+            with pytest.raises(ValueError, match="^an HN type must have at least one piece$"):
+                call(t)
+
+    def test_hom_bundle_weights_checks_piece_lengths(self):
+        sub = OneParameterSubgroup(2, (1, -1))
+        with pytest.raises(ValueError, match="^HN type pieces must have equal length$"):
+            hom_bundle_weights([(1, 0), (1, 1, 1)], sub, 1, 2)
+
+
 class TestStratumReport:
     def test_golden_rows(self):
         for t, (codim, _slopes, scale, weights, max_bw, eta) in GOLDEN_UNSTABLE_23.items():
