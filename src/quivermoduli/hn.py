@@ -16,11 +16,12 @@ materialized as a group element.
 The types are listed by one depth-first search over the states
 (remainder, slope bound).  It runs on `_Tables`, the one object built
 per (q, d, theta) that `enumerate_hn_types` and `windows.verdict` both
-read: the pieces, and for every nonzero remainder rest <= d one entry
-per piece e <= rest that completes to a type, that is whose tail
-rest - e is zero or has a type with every slope below mu(e).  The
-remainders are numbered by their place in `subdimension_vectors(d)`,
-a mixed-radix number linear in the vector, so the tables form a list
+read: the pieces, and for every remainder an HN type of d can leave
+(d itself and each rest <= d with theta(rest) < 0) one entry per
+piece e <= rest that completes to a type, that is whose tail rest - e
+is zero or has a type with every slope below mu(e).  The remainders
+are numbered by their place in `subdimension_vectors(d)`, a
+mixed-radix number linear in the vector, so the tables form a list
 and a tail's number is the difference of two numbers.  Each entry
 carries the values of the DPs F and G (derived in the `windows`
 module docstring) at its tail, and each table the prefix minima of
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, product
 from math import lcm
 from operator import itemgetter, mul
 
@@ -42,9 +43,8 @@ from .core import (
     Quiver,
     StabilityParameter,
     slope,
-    subdimension_vectors,
 )
-from .semistability import has_semistable
+from .semistability import _semistable, has_semistable
 
 
 def _require_pieces(t) -> None:
@@ -119,18 +119,34 @@ def _dot(a: tuple, b: tuple) -> int:
 
 
 class _Tables:
-    """The pieces of (q, d, theta) and the DP tables over their remainders.
+    """The pieces of (q, d, theta), the DP tables over their remainders,
+    and the two verdict flags the same pass yields.
 
     A piece is a nonzero e <= d admitting a semistable representation;
     its slope s is scaled by the lcm of the piece sizes to an integer.
     `semistable` says whether d itself is a piece.
 
-    Each e <= d is numbered by its place in `subdimension_vectors(d)`,
-    zero first and d last.  That list is lexicographic, so the number is
-    the mixed-radix value sum_j e_j prod_{k>j} (d_k + 1), linear in e: if
+    Each e <= d is numbered by its place in the lexicographic list of
+    the vectors 0 <= e <= d, zero first and d last.  The number is the
+    mixed-radix value sum_j e_j prod_{k>j} (d_k + 1), linear in e: if
     rest is numbered r and a piece e <= rest is numbered i, the tail
     rest - e is numbered r - i, and d - rest is the (r+1)-th vector from
     the end.
+
+    Only the remainders an HN type of d can leave get a table.  Lemma:
+    if (d^1, ..., d^l) is an HN type of some v and 0 < r < l, the
+    remainder rest = d^{r+1} + ... + d^l has mu(rest) < mu(v).  Proof:
+    the prefix v - rest has a slope that is a weighted mean of
+    mu(d^1), ..., mu(d^r), all >= mu(d^r), and mu(rest) is a weighted
+    mean of mu(d^{r+1}), ..., mu(d^l), all <= mu(d^{r+1}) < mu(d^r);
+    so mu(rest) < mu(v - rest), and mu(v) lies between the two.  With
+    theta(d) = 0 every remainder of a type of d has theta(rest) < 0.
+    So tables[r] is built for rest = d, for rest = 0 and for every rest
+    with theta(rest) < 0; every other number holds one shared empty
+    table.  Bisection on it finds no slope, so an entry whose tail lands
+    there is dropped.  By the lemma, applied to rest, no such entry
+    completes to a type of rest, so each built table is the one the
+    unrestricted DP would build.
 
     tables[r], for the remainder rest numbered r, is
     (c, slopes, best_f, best_g, entries): c = N(rest) - 1 with
@@ -140,10 +156,11 @@ class _Tables:
     rest - e, f = F(tail, s) and g = G(tail, s) - <e, tail>, the least
     codimension of a type of rest that starts with e; `slopes` their s;
     best_f[i], best_g[i] the minima of f - s c and g over the first
-    i+1 entries.  Every nonzero rest has an entry, the first piece of
-    any of its HN types, so no list is empty.  tables[0], the zero
-    remainder, has no entries and holds the DP's base case F = G = 0:
-    c = 0 and one slope below every piece's, so every bound reads it.
+    i+1 entries.  Every built nonzero rest has an entry, the first piece
+    of any of its HN types, so only the shared table is empty.
+    tables[0], the zero remainder, has no entries and holds the DP's
+    base case F = G = 0: c = 0 and one slope below every piece's, so
+    every bound reads it.
 
     The tables are built in one pass over the numbers, which puts every
     tail before rest: F and G at a tail state (t, s) are read off the
@@ -151,6 +168,15 @@ class _Tables:
     tail below s does not complete and is dropped.  The pieces e <= rest
     are the AND of one bitmask per coordinate over the pieces in slope
     order, read in bit order; a piece's row <e, -> serves only the build.
+    The pass runs on plain int tuples with theta(e) computed once per e;
+    only the pieces are wrapped as `DimensionVector`s.
+
+    The flags: `coprime` says that no 0 < e < d has theta(e) = 0, as
+    `is_theta_coprime` does.  `strong_failure_witness` is the first e in
+    numbering order with theta(e) > 0 and <e, d - e> > -2, that is with
+    c < 1 at the remainder d - e, or None; it is what
+    `is_strongly_amply_stable` returns.  That remainder has
+    theta = -theta(e) < 0, so its table, and its c, is always built.
     """
 
     def __init__(self, q: Quiver, d: DimensionVector, theta: StabilityParameter, caller: str):
@@ -160,14 +186,17 @@ class _Tables:
             raise ValueError(f"{caller} requires a nonzero dimension vector")
         if _dot(theta, d) != 0:
             raise ValueError(f"{caller} requires theta(d) = 0")
-        self.d, self.theta = d, theta
-        vectors = subdimension_vectors(d)
-        pieces = [(i, e) for i, e in enumerate(vectors) if i and has_semistable(q, e, theta)]
-        self.semistable = pieces[-1][1] == d
-        scale = lcm(*{sum(e) for _, e in pieces})
+        self.d = d
+        vectors = list(product(*(range(x + 1) for x in d)))
+        weights = [_dot(theta, e) for e in vectors]
+        last = len(vectors) - 1
+        pieces = [i for i in range(1, last + 1) if _semistable(q, vectors[i], theta, weights[i])]
+        self.semistable = pieces[-1] == last
+        scale = lcm(*{sum(vectors[i]) for i in pieces})
         by_slope = []
-        for i, e in pieces:
-            by_slope.append((e, _dot(theta, e) * (scale // sum(e)), i, q.left_form(e)))
+        for i in pieces:
+            e = vectors[i]
+            by_slope.append((DimensionVector(e), weights[i] * (scale // sum(e)), i, q.left_form(e)))
         by_slope.sort(key=itemgetter(1))
         # below[j][v] has bit k set iff piece k of by_slope has e_j <= v
         below = [[0] * (x + 1) for x in d]
@@ -178,12 +207,18 @@ class _Tables:
             for v in range(1, len(row)):
                 row[v] |= row[v - 1]
 
+        left = q.left_form(d)
+        empty = (0, [], [], [], [])
         self.tables = [(0, [by_slope[0][1] - 1], [0], [0], [])]
-        for r, rest in enumerate(vectors[1:], 1):
+        for r in range(1, last + 1):
+            if weights[r] >= 0 and r != last:
+                self.tables.append(empty)
+                continue
+            rest = vectors[r]
             mask = -1
             for row, v in zip(below, rest):
                 mask &= row[v]
-            c = -q.euler_pairing(vectors[-1 - r], rest) - 1
+            c = _dot(q.left_form(rest), rest) - _dot(left, rest) - 1
             entries, slopes, fs, gs = [], [], [], []
             while mask:
                 bit = mask & -mask
@@ -201,6 +236,13 @@ class _Tables:
             self.tables.append(
                 (c, slopes, list(accumulate(fs, min)), list(accumulate(gs, min)), entries)
             )
+
+        self.coprime = 0 not in weights[1:-1]
+        self.strong_failure_witness = next(
+            (DimensionVector(vectors[i]) for i in range(1, last)
+             if weights[i] > 0 and self.tables[last - i][0] < 1),
+            None,
+        )
 
     def min_unstable_codim(self) -> int | None:
         """The least codimension of an unstable type, by first piece e != d."""

@@ -121,15 +121,17 @@ def enumerate_reps(field: int, q: Quiver, d: DimensionVector, budget: int = DEFA
         yield FiniteFieldRep(field, q, d, combo)
 
 
+def _gaussian(n: int, r: int, p: int) -> int:
+    """Number of r-dimensional subspaces of F_p^n (a Gaussian binomial)."""
+    g = 1
+    for i in range(r):
+        g = g * (p ** (n - i) - 1) // (p ** (i + 1) - 1)
+    return g
+
+
 def subspace_count(n: int, p: int) -> int:
     """Total number of subspaces of F_p^n (Gaussian binomial sums)."""
-    total = 0
-    for r in range(n + 1):
-        g = 1
-        for i in range(r):
-            g = g * (p ** (n - i) - 1) // (p ** (i + 1) - 1)
-        total += g
-    return total
+    return sum(_gaussian(n, r, p) for r in range(n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -195,18 +197,24 @@ _lattice = lru_cache(maxsize=8)(_Lattice)
 
 
 def _checked_lattice(p: int, d: tuple, budget: int, reps: int = 0, masks: int = 0) -> _Lattice:
-    """The lattice of F_p^d, once none of `reps`, its tuples and the words
-    of its integers with `masks` more exceeds the budget and then p, an
-    int of at least 2, is prime."""
-    counts = [subspace_count(n, p) for n in d]
+    """The lattice of F_p^d, once none of `reps`, its tuples, the words
+    of its integers with `masks` more and the vectors its build lists
+    exceeds the budget and then p, an int of at least 2, is prime.
+
+    The build lists, per vertex v, the p^{d_v} entries of `holders` and
+    the p^r vectors spanned by each r-dimensional subspace."""
+    by_rank = [[_gaussian(n, r, p) for r in range(n + 1)] for n in d]
+    counts = [sum(row) for row in by_rank]
     size = 1
     for c in counts:
         size *= c
     words = (2 * sum(counts) + sum(d) + len(d) + masks) * -(-size // 64)
+    vectors = sum(p**n + sum(g * p**r for r, g in enumerate(row)) for n, row in zip(d, by_rank))
     for needed, what in (
         (reps, "enumeration needs {} points"),
         (size, "subspace lattice needs {} tuples"),
         (words, "subspace tables need {} 64-bit words"),
+        (vectors, "subspace spans need {} vectors"),
     ):
         if needed > budget:
             raise BudgetExceededError(needed, budget, what)

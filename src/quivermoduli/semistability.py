@@ -129,7 +129,12 @@ def has_semistable(q: Quiver, e: DimensionVector, theta: StabilityParameter) -> 
     theta = q._vertex_tuple(theta, StabilityParameter)
     if not any(e):
         raise ValueError("has_semistable requires a nonzero dimension vector")
-    size, weight = sum(e), sum(map(mul, theta, e))
+    return _semistable(q, e, theta, sum(map(mul, theta, e)))
+
+
+def _semistable(q: Quiver, e: tuple, theta: tuple, weight: int) -> bool:
+    """`has_semistable` on a valid nonzero e, with weight = theta(e), unchecked."""
+    size = sum(e)
     return all(sum(map(mul, theta, f)) * size <= weight * sum(f) for f, _ in _rays(q, e))
 
 

@@ -38,15 +38,29 @@ piece, so the least such sum over all types is a minimum-path value
 with F(0, .) = 0; some stratum fails iff F(d - e, mu(e)) <= 0 for a
 first piece e != d.  The codimension sum_r -<d^r, rest_r> is the same
 recursion G with edge weight -<e, rest - e>, and its minimum is the
-smallest unstable codimension.  The edge term of F is
-mu (N(rest) - 1) - mu(e) (N(rest) - 1), so one table per remainder,
-keeping only the pieces e that complete to a type, each with F and G
+smallest unstable codimension.  Only remainders with theta(rest) < 0
+occur: the prefix d - rest_r of a type with more than r pieces has a
+slope that is a weighted mean of mu_1, ..., mu_r, all >= mu_r, and
+mu(rest_r) is a weighted mean of mu_{r+1}, ..., mu_l, all < mu_r, so
+mu(rest_r) < mu(d - rest_r); as theta(d - rest_r) = -theta(rest_r),
+theta(rest_r) >= 0 would give mu(d - rest_r) <= 0 <= mu(rest_r).  So
+F and G are needed only at states whose remainder is 0 or has
+theta < 0.  The edge term of F is
+mu (N(rest) - 1) - mu(e) (N(rest) - 1), so one table per such
+remainder, keeping only the pieces e that complete to a type, each with F and G
 at its state (rest - e, mu(e)), and with prefix minima over them in
 slope order, answers every bound mu by bisection: the cost is
 O(remainders x pieces), polynomial in d.
 Slopes are scaled to integers, so all of it is exact.  `hn._Tables`
 holds those tables (its docstring has their layout) and the one search
-over them that also lists every type for `hn.enumerate_hn_types`.  For
+over them that also lists every type for `hn.enumerate_hn_types`.  Its
+pass over the e <= d also yields the instance flags: coprime when no
+0 < e < d has theta(e) = 0, and strongly amply stable when
+N(d - e) - 1 >= 1, i.e. <e, d - e> <= -2, for every e with
+theta(e) > 0; the remainder d - e then has theta < 0, so its table is
+built.  `core.is_theta_coprime` and
+`semistability.is_strongly_amply_stable` compute the same flags on
+their own.  For
 the failing types it enters a branch only when its partial sum plus F
 of its state is <= 0; each branch entered ends in a failing type, so
 the search costs in proportion to the failures and returns them sorted.
@@ -58,12 +72,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import (
-    DimensionVector,
-    Quiver,
-    StabilityParameter,
-    is_theta_coprime,
-)
+from .core import DimensionVector, Quiver, StabilityParameter
 from .hn import (
     HNType,
     OneParameterSubgroup,
@@ -72,7 +81,6 @@ from .hn import (
     pairing_table,
     table_codimension,
 )
-from .semistability import is_strongly_amply_stable
 
 
 def _require_weights(pieces: int, k: tuple[int, ...]) -> None:
@@ -201,7 +209,7 @@ def verdict(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> Verdict
     never by enumerating the HN types.
     """
     tables = _Tables(q, d, theta, "verdict")
-    d, theta = tables.d, tables.theta
+    d = tables.d
     if not tables.semistable:
         raise ValueError(
             "no semistable representation of dimension "
@@ -210,14 +218,12 @@ def verdict(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> Verdict
     min_codim = tables.min_unstable_codim()
     failing = tables.search(lambda e, low: low <= 0 and e != d)
 
-    coprime = is_theta_coprime(theta, d)
-    strong, witness = is_strongly_amply_stable(q, d, theta)
-    vanishing = coprime and not failing
+    vanishing = tables.coprime and not failing
     return Verdict(
-        coprime=coprime,
+        coprime=tables.coprime,
         acyclic=q.is_acyclic,
-        strongly_amply_stable=strong,
-        strong_failure_witness=witness,
+        strongly_amply_stable=tables.strong_failure_witness is None,
+        strong_failure_witness=tables.strong_failure_witness,
         amply_stable=min_codim is None or min_codim >= 2,
         all_strata_inequality=not failing,
         vanishing_certified=vanishing,

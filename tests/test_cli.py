@@ -57,6 +57,8 @@ JORDAN_PROBLEM = {
 
 from cases import GOLDEN_STRATA_CELLS_23 as EXPECTED_STRATA_CELLS
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 
 def write_problem(tmp_path, data, name="problem.json"):
     path = tmp_path / name
@@ -278,6 +280,15 @@ class TestVerdictCommand:
         err = capsys.readouterr().err
         assert "no semistable representation" in err
 
+    @pytest.mark.parametrize("name", ["K3-20-21", "A3-8-8-8"])
+    def test_golden_output(self, name, capsys):
+        # tests/golden holds each problem with the stdout and exit code of an
+        # earlier release, at sizes random_instances never reaches
+        stem = GOLDEN / name
+        code = main(["verdict", str(stem.with_suffix(".json"))])
+        assert capsys.readouterr().out == stem.with_suffix(".out").read_text()
+        assert code == int(stem.with_suffix(".exit").read_text())
+
 
 class TestInputErrors:
     def test_missing_file(self, tmp_path, capsys):
@@ -440,6 +451,24 @@ class TestOracleCensusCommand:
         assert captured.err.startswith("qt: error: enumeration needs ")
         assert captured.err.endswith(" points, budget is 10000000 "
                                      "(raise the budget to force the computation)\n")
+
+    @pytest.mark.parametrize("field", [10000019, 2**61 - 1])
+    def test_spans_refused_on_the_budget(self, tmp_path, capsys, monkeypatch, field):
+        # one representation, yet the lattice build listed p vectors twice:
+        # 27 s and 933 MB at 10000019, trial division for ever at 2^61 - 1
+        def no_trial_division(p):
+            raise AssertionError("primality tested before the budget")
+
+        monkeypatch.setattr(quivermoduli.oracle, "_require_prime", no_trial_division)
+        monkeypatch.delenv("QT_BUDGET", raising=False)
+        path = write_problem(tmp_path, {"vertices": 1, "arrows": [], "d": [1], "theta": [0]})
+        start = time.perf_counter()
+        assert main(["oracle-census", path, "--field", str(field)]) == EXIT_INPUT
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"qt: error: subspace spans need {2 * field + 1} vectors, "
+                                "budget is 10000000 (raise the budget to force the computation)\n")
 
     def test_table_budget(self, tmp_path, capsys, monkeypatch):
         # the per-matrix masks of K1 (4,4)/F_2 need about 4.6 M words

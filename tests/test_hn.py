@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 from operator import le
@@ -20,6 +21,8 @@ from quivermoduli import (
     codimension_cuts,
     enumerate_hn_types,
     has_semistable,
+    is_strongly_amply_stable,
+    is_theta_coprime,
     one_parameter_subgroup,
     slope,
     subdimension_vectors,
@@ -188,12 +191,19 @@ class TestEnumerateHNTypes:
 
 
 class TestFitLists:
-    """`_Tables` builds one table for every nonzero remainder rest <= d, at
-    its place r in `subdimension_vectors(d)`, and keeps in it only the
-    pieces e <= rest that complete to a type: rest - e is zero or has a
-    type with every slope below mu(e), and its place is stored.  The reference is
-    the plain filter over the pieces in slope order, with the completions
-    read off `reference_hn_types`."""
+    """`_Tables` builds a table at the place r of each remainder in the
+    lexicographic list of the vectors 0 <= rest <= d, but only where an HN
+    type of d can leave that remainder: rest = d, rest = 0 and theta(rest)
+    < 0.  Every other place holds an empty table.  A built table keeps
+    only the pieces e <= rest that complete to a type: rest - e is zero
+    or has a type with every slope below mu(e), and its place is stored.
+    The reference is the plain filter over the pieces in slope order,
+    with the completions read off `reference_hn_types`, restricted to
+    tails that are zero or have theta < 0."""
+
+    @staticmethod
+    def built(d, theta, rest):
+        return rest == d or theta.dot(rest) < 0
 
     @staticmethod
     def reference_entries(q, d, theta):
@@ -202,10 +212,13 @@ class TestFitLists:
         tail_types = {}
 
         def completions(e, rest):
-            """The types of rest - e with every slope below mu(e)."""
+            """The types of rest - e with every slope below mu(e), if
+            rest - e is zero or has theta < 0."""
             tail = rest - e
             if tail.is_zero():
                 return [()]
+            if theta.dot(tail) >= 0:
+                return []
             if tail not in tail_types:
                 tail_types[tail] = reference_hn_types(q, tail, theta)
             return [t for t in tail_types[tail] if slope(theta, t[0]) < slope(theta, e)]
@@ -214,6 +227,7 @@ class TestFitLists:
             tuple(rest): [(e, tails) for e in by_slope
                           if all(map(le, e, rest)) and (tails := completions(e, rest))]
             for rest in subdimension_vectors(d)[1:]
+            if TestFitLists.built(d, theta, rest)
         }
 
     @staticmethod
@@ -235,7 +249,13 @@ class TestFitLists:
             scale = lcm(*{sum(e) for e in vectors[1:] if has_semistable(q, e, theta)})
             # tables[r] belongs to the remainder vectors[r], index 0 to zero
             assert len(tables) == len(vectors) and vectors[0].is_zero()
+            # the empty tables are exactly the remainders 0 < rest < d with theta >= 0
+            assert [r for r in range(1, len(vectors)) if not tables[r][4]] == [
+                r for r in range(1, len(vectors) - 1) if theta.dot(vectors[r]) >= 0
+            ]
             for r, rest in enumerate(vectors[1:], 1):
+                if not self.built(d, theta, rest):
+                    continue
                 entries, stored = expected[tuple(rest)], tables[r][4]
                 assert [x[0] for x in stored] == [e for e, _ in entries], (q, d, rest)
                 assert all(vectors[tail] == rest - e for e, _, tail, *_ in stored)
@@ -250,9 +270,23 @@ class TestFitLists:
         for q, d, theta in CORPUS + random_instances(50, seed=29):
             zero, *tables = _Tables(q, d, theta, "test").tables
             assert zero[4] == []
-            for c, slopes, best_f, best_g, entries in tables:
-                assert entries and None not in best_f and None not in best_g
-                assert len(slopes) == len(best_f) == len(best_g) == len(entries)
+            for rest, table in zip(subdimension_vectors(d)[1:], tables):
+                c, slopes, best_f, best_g, entries = table
+                if self.built(d, theta, rest):
+                    assert entries and None not in best_f and None not in best_g
+                    assert len(slopes) == len(best_f) == len(best_g) == len(entries)
+
+    def test_every_remainder_of_a_type_has_negative_theta(self):
+        # the lemma that lets `_Tables` build no table where theta(rest) >= 0
+        remainders = 0
+        for q, d, theta in CORPUS + random_instances(200, seed=31):
+            for t in reference_hn_types(q, d, theta):
+                rest = d
+                for piece in t[:-1]:
+                    rest = rest - piece
+                    assert theta.dot(rest) < 0, (q, d, t)
+                    remainders += 1
+        assert remainders > 100
 
     def test_readers_need_only_the_entries(self):
         for q, d, theta in CORPUS:
@@ -275,10 +309,10 @@ class TestFitLists:
 
     def test_length_checked_before_listing_vectors(self, monkeypatch):
         # (60,60,60) on a 2-vertex quiver used to list 226,981 vectors first
-        def never(d):
+        def never(*ranges):
             raise AssertionError("subdimension vectors listed before the length check")
 
-        monkeypatch.setattr(quivermoduli.hn, "subdimension_vectors", never)
+        monkeypatch.setattr(quivermoduli.hn, "product", never)
         for call in (verdict, enumerate_hn_types):
             with pytest.raises(ValueError, match="^vector of length 3 on a quiver with 2 vertices$"):
                 call(KRONECKER_3, (60, 60, 60), (1, 1, -2))
@@ -290,6 +324,24 @@ class TestFitLists:
             _Tables(K1, (0, 0), (1, -1), "caller")
         with pytest.raises(ValueError, match=r"^caller requires theta\(d\) = 0$"):
             _Tables(K1, (1, 1), (1, 0), "caller")
+
+
+class TestVerdictFlags:
+    """The coprime flag and the strong ample witness come out of the table
+    pass; `is_theta_coprime` and `is_strongly_amply_stable` are the
+    references."""
+
+    def test_equal_to_reference(self):
+        seen = Counter()
+        for q, d, theta in CORPUS + random_instances(300, seed=37):
+            tables = _Tables(q, d, theta, "test")
+            strong, witness = is_strongly_amply_stable(q, d, theta)
+            assert tables.coprime == is_theta_coprime(theta, d), (q, d, theta)
+            assert tables.strong_failure_witness == witness, (q, d, theta)
+            assert type(tables.strong_failure_witness) is type(witness)
+            seen[tables.coprime, strong] += 1
+        # every combination of the two flags occurs, witnesses included
+        assert len(seen) == 4 and min(seen.values()) >= 10, seen
 
 
 class TestCodimension:
