@@ -34,9 +34,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, product
 from math import lcm
-from operator import itemgetter, mul
+from operator import and_, itemgetter, mul, or_
 
 from .core import (
     DimensionVector,
@@ -44,7 +45,7 @@ from .core import (
     StabilityParameter,
     slope,
 )
-from .semistability import _semistable, has_semistable
+from .semistability import _below_masks, _rays, _semistable, has_semistable
 
 
 def _require_pieces(t) -> None:
@@ -118,6 +119,32 @@ def _dot(a: tuple, b: tuple) -> int:
     return sum(map(mul, a, b))
 
 
+def _fit_masks(vectors: list[tuple], weights: list[int], pieces: list[int]) -> list[int | None]:
+    """For each remainder rest = vectors[r] that gets a table (d, and every
+    rest with theta(rest) < 0; see `_Tables`), the pieces e <= rest whose
+    tail rest - e has a table too, that is theta(e) > theta(rest) or
+    e = rest, as a bitmask with bit k for the piece numbered pieces[k];
+    None for every other r.  weights[i] = theta(vectors[i]).
+
+    One bitmask per coordinate value selects e <= rest, and one suffix OR
+    over the pieces in (theta, number) order those past rest's place: a
+    piece e <= rest has a number i <= r, equal only for e = rest, so it
+    comes after (theta(rest), r) iff theta(e) > theta(rest) or e = rest."""
+    bits = [1 << k for k in range(len(pieces))]
+    # below[j][v] has bit k set iff piece k has e_j <= v
+    below = _below_masks(vectors[-1], zip(map(vectors.__getitem__, pieces), bits))
+    size = len(vectors)
+    by_theta = sorted(zip((weights[i] * size + i for i in pieces), bits))
+    keys = [key for key, _ in by_theta]
+    # after[j]: the pieces at places >= j in (theta, number) order
+    after = list(accumulate((b for _, b in reversed(by_theta)), or_, initial=0))[::-1]
+    return [
+        reduce(and_, map(list.__getitem__, below, rest), after[bisect_left(keys, w * size + r)])
+        if w < 0 or r == size - 1 else None
+        for r, (rest, w) in enumerate(zip(vectors, weights))
+    ]
+
+
 class _Tables:
     """The pieces of (q, d, theta), the DP tables over their remainders,
     and the two verdict flags the same pass yields.
@@ -143,10 +170,10 @@ class _Tables:
     theta(d) = 0 every remainder of a type of d has theta(rest) < 0.
     So tables[r] is built for rest = d, for rest = 0 and for every rest
     with theta(rest) < 0; every other number holds one shared empty
-    table.  Bisection on it finds no slope, so an entry whose tail lands
-    there is dropped.  By the lemma, applied to rest, no such entry
-    completes to a type of rest, so each built table is the one the
-    unrestricted DP would build.
+    table.  A piece e <= rest leaves a tail with a table iff
+    theta(e) > theta(rest) or e = rest; no other piece is tried.  By the
+    lemma, applied to rest, no other piece completes to a type of rest,
+    so each built table is the one the unrestricted DP would build.
 
     tables[r], for the remainder rest numbered r, is
     (c, slopes, best_f, best_g, entries): c = N(rest) - 1 with
@@ -165,9 +192,10 @@ class _Tables:
     The tables are built in one pass over the numbers, which puts every
     tail before rest: F and G at a tail state (t, s) are read off the
     finished tables[t] by bisection, and a piece with no slope of the
-    tail below s does not complete and is dropped.  The pieces e <= rest
-    are the AND of one bitmask per coordinate over the pieces in slope
-    order, read in bit order; a piece's row <e, -> serves only the build.
+    tail below s does not complete and is dropped.  The pieces tried at
+    rest are a bitmask over the pieces in slope order (`_fit_masks`),
+    read in bit order; a piece's row <e, -> serves only the build.  The
+    generic ray tables of every e <= d are filled first, in one pass.
     The pass runs on plain int tuples with theta(e) computed once per e;
     only the pieces are wrapped as `DimensionVector`s.
 
@@ -187,6 +215,7 @@ class _Tables:
         if _dot(theta, d) != 0:
             raise ValueError(f"{caller} requires theta(d) = 0")
         self.d = d
+        _rays(q, d)  # fills a cold box of ray tables in one pass, before the pieces
         vectors = list(product(*(range(x + 1) for x in d)))
         weights = [_dot(theta, e) for e in vectors]
         last = len(vectors) - 1
@@ -198,26 +227,17 @@ class _Tables:
             e = vectors[i]
             by_slope.append((DimensionVector(e), weights[i] * (scale // sum(e)), i, q.left_form(e)))
         by_slope.sort(key=itemgetter(1))
-        # below[j][v] has bit k set iff piece k of by_slope has e_j <= v
-        below = [[0] * (x + 1) for x in d]
-        for k, p in enumerate(by_slope):
-            for row, x in zip(below, p[0]):
-                row[x] |= 1 << k
-        for row in below:
-            for v in range(1, len(row)):
-                row[v] |= row[v - 1]
+        masks = _fit_masks(vectors, weights, [p[2] for p in by_slope])
 
         left = q.left_form(d)
         empty = (0, [], [], [], [])
         self.tables = [(0, [by_slope[0][1] - 1], [0], [0], [])]
         for r in range(1, last + 1):
-            if weights[r] >= 0 and r != last:
+            mask = masks[r]
+            if mask is None:
                 self.tables.append(empty)
                 continue
             rest = vectors[r]
-            mask = -1
-            for row, v in zip(below, rest):
-                mask &= row[v]
             c = _dot(q.left_form(rest), rest) - _dot(left, rest) - 1
             entries, slopes, fs, gs = [], [], [], []
             while mask:

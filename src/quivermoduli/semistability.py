@@ -25,11 +25,46 @@ repeated rays (g, 2g) drop out.  With one vertex any member spans the
 ray.  From four vertices on every nonzero member is kept: correct, just
 not pruned.  `generic_subdimension_vectors` still returns the whole set
 by running the filter for e once against the ray tables below it.
+
+The memo `_memo` maps (q, e) to e's rays, and holds with each e every
+f <= e.  A miss at d whose predecessors d - u_j are all in it runs the
+filter for d alone, as an ascending sweep does.  Any other miss, on at
+most three vertices, fills the whole box 0 <= e <= d in one
+bit-parallel pass (`_fill_box`):
+
+- Layout.  The nonzero vectors f <= d are numbered by their
+  projected point f / |f|, scaled to integers by the lcm of the sizes,
+  ties in lexicographic order; number k owns bits [wk, wk + w) of every
+  packed integer, its field.  Ray slot s holds, for each f with more
+  than s rays, its s-th ray g: columns G_i = sum_k g_i 2^(wk) and
+  Q = sum_k (BIAS - <g, f>) 2^(wk).  The field of an f with fewer rays
+  is 0 in every G_i and BIAS in Q.
+- The test.  For e, V = sum_i right_form(e)_i G_i + Q equals
+  sum_k (BIAS + <g, e - f>) 2^(wk), by linearity and exact integers,
+  with <g, e - f> read as 0 in an empty field.  Since 0 <= g <= d and
+  -d <= e - f <= d, |<g, e - f>| <= B = sum_ij d_i |M_ij| d_j for the
+  Euler matrix M.  With w = bitlength(B) + 1 and BIAS = 2^(w-1) > B,
+  every field's value lies in [0, 2^w), so V is exactly the fields side
+  by side: none borrows from or carries into the next.  The top bit of a
+  field, its sign bit, is set iff <g, e - f> >= 0.  V's sign bits,
+  ANDed over the slots and with one mask of the f with f_j <= e_j per
+  coordinate, are e's nonzero generic subdimension vectors; f = e
+  pairs to 0 and is one of them.
+- The hull.  Bit order is projected order.  With n <= 2 vertices the
+  rays are the lowest and highest members, one if they are parallel;
+  with n = 3, one monotone chain over the members in bit order, which
+  `_extreme_rays` shares.  e's rays are then packed into e's field.
+  The vectors are visited in lexicographic order, so every f < e is
+  packed before e is tested; the fields still empty are those of e and
+  of vectors not <= e.
+
+From four vertices on the one-vector filter always runs: every member
+is a ray there, so the slots would be as many as the largest generic
+set.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 from math import lcm
 from operator import mul, sub
@@ -69,14 +104,19 @@ def _extreme_rays(points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         return [lo] if lo[0] * hi[1] == lo[1] * hi[0] else [lo, hi]
     if n > 3:
         return list(points)
-    # monotone chain over g / |g|, sorted by exact integer coordinates;
-    # the orientation of three projected points is the sign of det(a, b, c)
+    # one point per projected point, sorted by exact integer coordinates
     scale = lcm(*{sum(g) for g in points})
     by_point = {}
     for g in points:
         s = scale // sum(g)
         by_point.setdefault((g[0] * s, g[1] * s), g)
-    ordered = [by_point[k] for k in sorted(by_point)]
+    return _chain([by_point[k] for k in sorted(by_point)])
+
+
+def _chain(ordered: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """One member on each extreme ray, for nonzero 3-vectors whose projected
+    points g / |g| are distinct and in sorted order: the monotone chain.
+    The orientation of three projected points is the sign of det(a, b, c)."""
     if len(ordered) <= 2:
         return ordered
     lower, upper = [], []
@@ -88,15 +128,29 @@ def _extreme_rays(points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return lower[:-1] + upper[:-1]
 
 
+def _below_masks(d: tuple[int, ...], pairs) -> list[list[int]]:
+    """masks[j][v]: the OR of the bits of those (vector, bit) `pairs`
+    whose j-th entry is at most v, for 0 <= v <= d_j."""
+    masks = [[0] * (x + 1) for x in d]
+    for f, bit in pairs:
+        for row, x in zip(masks, f):
+            row[x] |= bit
+    for row in masks:
+        for v in range(1, len(row)):
+            row[v] |= row[v - 1]
+    return masks
+
+
 def _members(q: Quiver, e: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The generic subdimension vectors of e, in lexicographic order.
 
     Recurses only on vectors of smaller total, so it terminates."""
     form = q.right_form(e)
+    memo = _memo
     out = []
     for f in product(*(range(x + 1) for x in e)):
         # f = 0 has no rays, and f = e is always generic
-        for g, gf in _rays(q, f) if f != e else ():
+        for g, gf in memo[q, f] if f != e else ():
             if sum(map(mul, g, form)) < gf:
                 break
         else:
@@ -104,17 +158,94 @@ def _members(q: Quiver, e: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-@lru_cache(maxsize=None)
+class _RayMemo(dict):
+    """(q, e) -> `_rays(q, e)`.  A miss fills the table as the module
+    docstring describes, so it holds with each e every f <= e."""
+
+    def __missing__(self, key):
+        q, e = key
+        if len(e) <= 3:
+            for j, x in enumerate(e):
+                if x and (q, e[:j] + (x - 1,) + e[j + 1 :]) not in self:
+                    _fill_box(q, e)
+                    return self[key]
+        form = q.right_form(e)
+        gens = _extreme_rays(_members(q, e)[1:])
+        self[key] = tuple((g, sum(map(mul, g, form))) for g in gens)
+        return self[key]
+
+
+_memo = _RayMemo()
+
+
 def _rays(q: Quiver, e: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(g, <g, e>) for one generic g of e on each extreme ray of the cone
     the generic subdimension vectors of e span; empty for e = 0."""
-    form = q.right_form(e)
-    return tuple((g, sum(map(mul, g, form))) for g in _extreme_rays(_members(q, e)[1:]))
+    return _memo[q, e]
+
+
+def _fill_box(q: Quiver, d: tuple[int, ...]) -> None:
+    """Put the rays of every e <= d in the memo, on at most three vertices,
+    in one pass over packed integers; the module docstring has the layout
+    and the bound on w."""
+    n = len(d)
+    box = list(product(*(range(x + 1) for x in d)))
+    _memo[q, box[0]] = ()
+    box = box[1:]
+    scale = lcm(*range(1, sum(d) + 1))
+    points = [tuple(x * (scale // sum(f)) for x in f) for f in box]
+    order = sorted(range(len(box)), key=points.__getitem__)  # stable: ties stay lexicographic
+    vectors = [box[t] for t in order]
+    ids: dict = {}
+    point = [ids.setdefault(points[t], len(ids)) for t in order]
+    field = [0] * len(box)
+    for k, t in enumerate(order):
+        field[t] = k
+
+    bound = sum(x * abs(m) * y for x, row in zip(d, q.euler_matrix) for m, y in zip(row, d))
+    w = bound.bit_length() + 1
+    # BIAS = 2^(w-1) in every field, which is also every field's sign bit
+    signs = ((1 << w * len(box)) - 1) // ((1 << w) - 1) << (w - 1)
+    below = _below_masks(d, ((f, 1 << w * field[t] + w - 1) for t, f in enumerate(box)))
+    slots = []  # [G_0, ..., G_{n-1}, Q] per ray slot
+    for t, e in enumerate(box):
+        if (q, e) not in _memo:
+            form = q.right_form(e)
+            m = signs
+            for row, x in zip(below, e):
+                m &= row[x]
+            for slot in slots:
+                m &= sum(map(mul, form, slot), slot[n])
+            if n <= 2:
+                lo = (m & -m).bit_length() // w - 1
+                hi = m.bit_length() // w - 1
+                gens = [vectors[lo]] if point[lo] == point[hi] else [vectors[lo], vectors[hi]]
+            else:
+                ordered, last = [], -1
+                while m:
+                    low = m & -m
+                    m ^= low
+                    k = low.bit_length() // w - 1
+                    if point[k] != last:
+                        ordered.append(vectors[k])
+                        last = point[k]
+                gens = _chain(ordered)
+            _memo[q, e] = tuple((g, sum(map(mul, g, form))) for g in gens)
+        shift = w * field[t]
+        for s, (g, ge) in enumerate(_memo[q, e]):
+            if s == len(slots):
+                slots.append([0] * n + [signs])
+            slot = slots[s]
+            for i, x in enumerate(g):
+                slot[i] += x << shift
+            slot[n] -= ge << shift
 
 
 def generic_subdimension_vectors(q: Quiver, e: DimensionVector) -> frozenset[DimensionVector]:
     """The set of generic subdimension vectors of e; always contains 0 and e."""
-    return frozenset(map(DimensionVector, _members(q, q._vertex_tuple(e, DimensionVector))))
+    e = q._vertex_tuple(e, DimensionVector)
+    _rays(q, e)  # a cold box is filled in one pass, not one vector at a time
+    return frozenset(map(DimensionVector, _members(q, e)))
 
 
 def has_semistable(q: Quiver, e: DimensionVector, theta: StabilityParameter) -> bool:
@@ -135,7 +266,10 @@ def has_semistable(q: Quiver, e: DimensionVector, theta: StabilityParameter) -> 
 def _semistable(q: Quiver, e: tuple, theta: tuple, weight: int) -> bool:
     """`has_semistable` on a valid nonzero e, with weight = theta(e), unchecked."""
     size = sum(e)
-    return all(sum(map(mul, theta, f)) * size <= weight * sum(f) for f, _ in _rays(q, e))
+    for f, _ in _memo[q, e]:
+        if sum(map(mul, theta, f)) * size > weight * sum(f):
+            return False
+    return True
 
 
 def is_strongly_amply_stable(
@@ -161,4 +295,4 @@ def is_strongly_amply_stable(
 
 def clear_caches() -> None:
     """Drop the memo table of generic ray generators (for cold starts)."""
-    _rays.cache_clear()
+    _memo.clear()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from fractions import Fraction
 from math import lcm
@@ -30,7 +31,7 @@ from quivermoduli import (
     verdict,
     window_width,
 )
-from quivermoduli.hn import _Tables
+from quivermoduli.hn import _fit_masks, _Tables
 
 from cases import (
     CORPUS,
@@ -324,6 +325,32 @@ class TestFitLists:
             _Tables(K1, (0, 0), (1, -1), "caller")
         with pytest.raises(ValueError, match=r"^caller requires theta\(d\) = 0$"):
             _Tables(K1, (1, 1), (1, 0), "caller")
+
+
+class TestFitMasks:
+    """The pieces `_Tables` tries at a remainder: before any bisection, a
+    piece e <= rest is dropped unless its tail rest - e has a table."""
+
+    def test_equal_to_filter(self):
+        dropped = 0
+        for q, d, theta in CORPUS + random_instances(200, seed=37):
+            vectors = [tuple(v) for v in subdimension_vectors(d)]
+            weights = [theta.dot(v) for v in vectors]
+            pieces = [i for i in range(1, len(vectors)) if has_semistable(q, vectors[i], theta)]
+            random.Random(len(pieces)).shuffle(pieces)  # any bit order
+            masks = _fit_masks(vectors, weights, pieces)
+            assert len(masks) == len(vectors)
+            for r, rest in enumerate(vectors):
+                mask = masks[r]
+                if not (weights[r] < 0 or rest == vectors[-1]):
+                    assert mask is None
+                    continue
+                assert mask >> len(pieces) == 0
+                below = {i for i in pieces if all(map(le, vectors[i], rest))}
+                expected = {i for i in below if weights[i] > weights[r] or i == r}
+                assert {i for k, i in enumerate(pieces) if mask >> k & 1} == expected, (q, d, rest)
+                dropped += len(below - expected)
+        assert dropped > 0
 
 
 class TestVerdictFlags:

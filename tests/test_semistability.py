@@ -403,6 +403,96 @@ def thetas(e, seed):
         yield StabilityParameter(sum(e) * a - u_dot_e for a in u)
 
 
+# dense quivers on which some field of the box pass holds a pairing
+# |<g, e - f>| >= 2^(w-2): a field one bit narrower than w overflows there
+# and changes a ray
+NEAR_THE_BOUND = [
+    (Quiver.kronecker(5), (1, 2)),
+    (Quiver(2, [(1, 1), (1, 2), (2, 2)]), (1, 3)),
+    (Quiver(2, [(2, 1), (2, 1), (2, 2), (2, 1), (1, 1)]), (2, 1)),
+    (Quiver(3, [(3, 3), (2, 2), (2, 2), (1, 1), (3, 3)]), (1, 1, 0)),
+    (Quiver(3, [(2, 3), (1, 2), (1, 2), (2, 2), (3, 3)]), (0, 1, 3)),
+]
+
+
+def memo_instances():
+    """(q, d, theta): CORPUS, random instances (loops, one vertex, zero
+    entries), dense quivers near the field bound, and a 4-vertex quiver,
+    where the one-vector filter runs."""
+    out = CORPUS + random_instances(60, seed=43)
+    for q, d in NEAR_THE_BOUND + [(FOUR_VERTEX, (2, 1, 2, 1))]:
+        d = DimensionVector(d)
+        out.append((q, d, next(thetas(d, seed=3))))
+    return out
+
+
+def visit(d, order):
+    """The e <= d in the order a memo test asks for them: d first, so its
+    cold box is filled in one pass; ascending, one vector at a time; or
+    shuffled, a mix of the two."""
+    vectors = [tuple(e) for e in subdimension_vectors(d)]
+    if order == "cold":
+        return [vectors[-1]] + vectors[:-1]
+    if order == "shuffled":
+        random.Random(len(vectors)).shuffle(vectors)
+    return vectors
+
+
+@pytest.mark.parametrize("order", ["cold", "ascending", "shuffled"])
+class TestMemoPaths:
+    """Every reader of the ray memo against the references, whichever way
+    the memo was filled: by the bit-parallel box pass or the one-vector
+    filter."""
+
+    def test_paths_taken(self, order, monkeypatch):
+        passes = []
+        fill_box = semistability._fill_box
+        monkeypatch.setattr(
+            semistability, "_fill_box", lambda q, d: passes.append(d) or fill_box(q, d)
+        )
+        for q, d, _ in memo_instances():
+            quivermoduli.clear_caches()
+            for e in visit(d, order):
+                _rays(q, e)
+        if order == "ascending":
+            assert passes == []
+        else:
+            assert len(passes) > 50 and all(len(d) <= 3 for d in passes)
+
+    def test_rays(self, order):
+        for q, d, _ in memo_instances():
+            quivermoduli.clear_caches()
+            for e in visit(d, order):
+                full = [tuple(f) for f in reference_generic_subdimension_vectors(q, e) if any(f)]
+                rays = _rays(q, e)
+                assert all(pairing == q.euler_pairing(g, e) for g, pairing in rays)
+                kept = [g for g, _ in rays]
+                if not full:
+                    assert kept == []
+                    continue
+                assert all(g in full for g in kept), (q, e)
+                if len(e) > 3:
+                    assert sorted(kept) == sorted(full)
+                    continue
+                assert not any(parallel(a, b) for i, a in enumerate(kept) for b in kept[:i])
+                for u in probe_functionals(kept, seed=len(full)):
+                    assert least_sign(kept, u) == least_sign(full, u), (q, e, u)
+
+    def test_generic_sets(self, order):
+        for q, d, _ in memo_instances():
+            quivermoduli.clear_caches()
+            for e in visit(d, order):
+                assert generic_subdimension_vectors(q, e) == reference_generic_subdimension_vectors(q, e)
+
+    def test_has_semistable(self, order):
+        for q, d, theta in memo_instances():
+            quivermoduli.clear_caches()
+            for e in visit(d, order):
+                if any(e):
+                    for t in (theta, *thetas(e, seed=sum(e))):
+                        assert has_semistable(q, e, t) == reference_has_semistable(q, e, t), (q, e, t)
+
+
 class TestRayTables:
     """The memoized ray generators against the reference generic sets."""
 
@@ -435,22 +525,20 @@ class TestRayTables:
         assert_matches_reference(FOUR_VERTEX, d, next(thetas(d, seed=1)))
 
     def test_dropping_a_ray_is_caught(self, monkeypatch):
-        # a mutant table that loses one ray wherever it has two or more
-        full = semistability._rays
+        # a mutant table that loses one ray wherever it has two or more, on
+        # every read: the box pass packing the rays of each f, the
+        # one-vector filter and the semistability test
+        class OneShort(type(semistability._memo)):
+            def __getitem__(self, key):
+                rays = super().__getitem__(key)
+                return rays[:-1] if len(rays) > 1 else rays
 
-        def one_short(q, e):
-            rays = full(q, e)
-            return rays[:-1] if len(rays) > 1 else rays
-
-        monkeypatch.setattr(semistability, "_rays", one_short)
+        monkeypatch.setattr(semistability, "_memo", OneShort())
         caught = 0
-        try:
-            for q, d, theta in CORPUS + random_instances(200, seed=5):
-                if generic_subdimension_vectors(q, d) != reference_generic_subdimension_vectors(q, d):
-                    caught += 1
-                elif any(has_semistable(q, e, theta) != reference_has_semistable(q, e, theta)
-                         for e in subdimension_vectors(d)[1:]):
-                    caught += 1
-        finally:
-            full.cache_clear()  # the mutant filled the memo
+        for q, d, theta in CORPUS + random_instances(200, seed=5):
+            if generic_subdimension_vectors(q, d) != reference_generic_subdimension_vectors(q, d):
+                caught += 1
+            elif any(has_semistable(q, e, theta) != reference_has_semistable(q, e, theta)
+                     for e in subdimension_vectors(d)[1:]):
+                caught += 1
         assert caught > 0
