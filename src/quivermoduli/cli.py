@@ -386,10 +386,7 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
-    except oracle.BudgetExceededError as exc:
-        print(f"qt: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (oracle.BudgetExceededError, ValueError) as exc:
         print(f"qt: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -21,10 +21,12 @@ filtered with one linear form per e.  The rays are found exactly, in
 integers: for two vertices the two extreme vectors by cross products;
 for three, the convex hull of the points projected to |g| = 1, with
 orientations read off 3 x 3 determinants, so collinear points and
-repeated rays (g, 2g) drop out.  With one vertex any member spans the
-ray.  From four vertices on every nonzero member is kept: correct, just
-not pruned.  `generic_subdimension_vectors` still returns the whole set
-by running the filter for e once against the ray tables below it.
+repeated rays (g, 2g) drop out.  On any other number of vertices one
+member per projected point is kept, so repeated rays drop out too: with
+one vertex that leaves one member, and from four vertices on the points
+inside the hull stay, correct but not pruned.
+`generic_subdimension_vectors` still returns the whole set by running
+the filter for e once against the ray tables below it.
 
 The memo `_memo` maps (q, e) to e's rays, and holds with each e every
 f <= e.  A miss at d whose predecessors d - u_j are all in it runs the
@@ -58,9 +60,9 @@ bit-parallel pass (`_fill_box`):
   packed before e is tested; the fields still empty are those of e and
   of vectors not <= e.
 
-From four vertices on the one-vector filter always runs: every member
-is a ray there, so the slots would be as many as the largest generic
-set.
+From four vertices on the one-vector filter always runs: every
+projected point of a member is kept there, so the slots would be as
+many as the largest generic set has directions.
 """
 
 from __future__ import annotations
@@ -81,18 +83,16 @@ def _det3(a: tuple, b: tuple, c: tuple) -> int:
 
 
 def _extreme_rays(points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """One member on each extreme ray of the cone spanned by `points`.
+    """Members of `points` that span the same cone, no two parallel.
 
     The points are nonzero, nonnegative and of one length n.  For n <= 3
-    the output is a subset of them with one point per extreme ray; for
-    n >= 4 it is all of them.  A linear functional has the same least
+    the output has one point per extreme ray, for n >= 4 one point per
+    projected point g / |g|.  A linear functional has the same least
     sign over the output as over the input.
     """
     if len(points) <= 1:
         return list(points)
     n = len(points[0])
-    if n == 1:
-        return points[:1]
     if n == 2:
         # in the quadrant the vectors are totally ordered by angle
         lo = hi = points[0]
@@ -102,15 +102,15 @@ def _extreme_rays(points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
             if hi[0] * g[1] > hi[1] * g[0]:
                 hi = g
         return [lo] if lo[0] * hi[1] == lo[1] * hi[0] else [lo, hi]
-    if n > 3:
-        return list(points)
-    # one point per projected point, sorted by exact integer coordinates
+    # one point per projected point, sorted by exact integer coordinates;
+    # the first n - 1 of them fix the last, as all n sum to the scale
     scale = lcm(*{sum(g) for g in points})
     by_point = {}
     for g in points:
         s = scale // sum(g)
-        by_point.setdefault((g[0] * s, g[1] * s), g)
-    return _chain([by_point[k] for k in sorted(by_point)])
+        by_point.setdefault(tuple(x * s for x in g[:-1]), g)
+    ordered = [by_point[k] for k in sorted(by_point)]
+    return _chain(ordered) if n == 3 else ordered
 
 
 def _chain(ordered: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:

@@ -38,12 +38,8 @@ piece, so the least such sum over all types is a minimum-path value
 with F(0, .) = 0; some stratum fails iff F(d - e, mu(e)) <= 0 for a
 first piece e != d.  The codimension sum_r -<d^r, rest_r> is the same
 recursion G with edge weight -<e, rest - e>, and its minimum is the
-smallest unstable codimension.  Only remainders with theta(rest) < 0
-occur: the prefix d - rest_r of a type with more than r pieces has a
-slope that is a weighted mean of mu_1, ..., mu_r, all >= mu_r, and
-mu(rest_r) is a weighted mean of mu_{r+1}, ..., mu_l, all < mu_r, so
-mu(rest_r) < mu(d - rest_r); as theta(d - rest_r) = -theta(rest_r),
-theta(rest_r) >= 0 would give mu(d - rest_r) <= 0 <= mu(rest_r).  So
+smallest unstable codimension.  Every remainder rest_r with 0 < r < l
+has theta(rest_r) < 0, by the lemma in the `hn._Tables` docstring, so
 F and G are needed only at states whose remainder is 0 or has
 theta < 0.  The edge term of F is
 mu (N(rest) - 1) - mu(e) (N(rest) - 1), so one table per such

@@ -107,3 +107,25 @@ def random_instances(count: int, seed: int):
             theta = StabilityParameter(total * ui - u_dot_d for ui in u)
         out.append((q, d, theta))
     return out
+
+
+def wide_instances(count: int, seed: int):
+    """Seeded random (quiver, d) pairs on 4 or 5 vertices, which
+    `random_instances` never reaches.
+
+    Up to 6 arrows, loops included; entries of d at most 2, and |d| at
+    most 7.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(4, 5)
+        arrows = [
+            (rng.randint(1, n), rng.randint(1, n))
+            for _ in range(rng.randint(0, 6))
+        ]
+        d = DimensionVector(rng.randint(0, 2) for _ in range(n))
+        if d.is_zero() or sum(d) > 7:
+            continue
+        out.append((Quiver(n, arrows), d))
+    return out

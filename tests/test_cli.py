@@ -280,7 +280,7 @@ class TestVerdictCommand:
         err = capsys.readouterr().err
         assert "no semistable representation" in err
 
-    @pytest.mark.parametrize("name", ["K3-20-21", "A3-8-8-8", "K3-50-51", "star-4-4-4-5"])
+    @pytest.mark.parametrize("name", ["K3-20-21", "A3-8-8-8", "K3-50-51", "star-4-4-4-5", "A4x2-5-5-5-5"])
     def test_golden_output(self, name, capsys):
         # tests/golden holds each problem with the stdout and exit code of an
         # earlier release, at sizes random_instances never reaches
@@ -324,6 +324,16 @@ class TestSweepCommand:
             ["(1,0)", "yes", "yes", "yes", "yes"],
             ["(1,1)", "yes", "no", "no", "no"],
         ]
+
+    def test_cells_without_semistable_point_skipped(self, tmp_path, capsys):
+        # for one arrow 1 -> 2, the generic (1,1) in (1,2) and (1,0) in
+        # (2,1) have a larger canonical slope, so neither has a semistable
+        # point and the sweep lists only the other six cells
+        problem = {"vertices": 2, "arrows": [[1, 2]], "d": [1, 1], "theta": [1, -1]}
+        path = write_problem(tmp_path, problem)
+        assert main(["sweep", path, "--dmax", "2,2"]) == 0
+        parsed = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert [row[0] for row in parsed[1:]] == ["(0,1)", "(0,2)", "(1,0)", "(1,1)", "(2,0)", "(2,2)"]
 
     def test_three_kronecker_contains_golden_row(self, tmp_path, capsys):
         path = write_problem(tmp_path, KRONECKER_PROBLEM)
