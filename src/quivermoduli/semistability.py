@@ -18,12 +18,12 @@ each extreme ray of that cone.  So the memo table keeps, per e, only
 those ray generators g, each with its pairing <g, e>.  Since
 <g, e - f> = g . right_form(e) - <g, f>, the candidates f <= e are
 filtered with one linear form per e.  The rays are found exactly, in
-integers: for two vertices the two extreme vectors by cross products;
-for three, the convex hull of the points projected to |g| = 1, with
+integers.  The endpoint scan covers one and two vertices: it keeps the
+members of least and greatest g_0 / |g|, one if they are parallel.  For
+three, the convex hull of the points projected to |g| = 1, with
 orientations read off 3 x 3 determinants, so collinear points and
-repeated rays (g, 2g) drop out.  On any other number of vertices one
-member per projected point is kept, so repeated rays drop out too: with
-one vertex that leaves one member, and from four vertices on the points
+repeated rays (g, 2g) drop out.  From four vertices on one member per
+projected point is kept, so repeated rays drop out too, but the points
 inside the hull stay, correct but not pruned.
 `generic_subdimension_vectors` still returns the whole set by running
 the filter for e once against the ray tables below it.
@@ -93,15 +93,17 @@ def _extreme_rays(points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     if len(points) <= 1:
         return list(points)
     n = len(points[0])
-    if n == 2:
-        # in the quadrant the vectors are totally ordered by angle
+    if n <= 2:
+        # by g_0 / |g|: the angle on two vertices, a tie on one
         lo = hi = points[0]
+        lo_size = hi_size = sum(lo)
         for g in points:
-            if g[0] * lo[1] > g[1] * lo[0]:
-                lo = g
-            if hi[0] * g[1] > hi[1] * g[0]:
-                hi = g
-        return [lo] if lo[0] * hi[1] == lo[1] * hi[0] else [lo, hi]
+            size = sum(g)
+            if g[0] * lo_size > lo[0] * size:
+                lo, lo_size = g, size
+            if hi[0] * size > g[0] * hi_size:
+                hi, hi_size = g, size
+        return [lo] if lo[0] * hi_size == hi[0] * lo_size else [lo, hi]
     # one point per projected point, sorted by exact integer coordinates;
     # the first n - 1 of them fix the last, as all n sum to the scale
     scale = lcm(*{sum(g) for g in points})
@@ -193,22 +195,17 @@ def _fill_box(q: Quiver, d: tuple[int, ...]) -> None:
     _memo[q, box[0]] = ()
     box = box[1:]
     scale = lcm(*range(1, sum(d) + 1))
-    points = [tuple(x * (scale // sum(f)) for x in f) for f in box]
-    order = sorted(range(len(box)), key=points.__getitem__)  # stable: ties stay lexicographic
-    vectors = [box[t] for t in order]
-    ids: dict = {}
-    point = [ids.setdefault(points[t], len(ids)) for t in order]
-    field = [0] * len(box)
-    for k, t in enumerate(order):
-        field[t] = k
+    # numbered by projected point, ties in lexicographic order
+    points, vectors = zip(*sorted((tuple(x * (scale // sum(f)) for x in f), f) for f in box))
+    field = {f: k for k, f in enumerate(vectors)}
 
     bound = sum(x * abs(m) * y for x, row in zip(d, q.euler_matrix) for m, y in zip(row, d))
     w = bound.bit_length() + 1
     # BIAS = 2^(w-1) in every field, which is also every field's sign bit
     signs = ((1 << w * len(box)) - 1) // ((1 << w) - 1) << (w - 1)
-    below = _below_masks(d, ((f, 1 << w * field[t] + w - 1) for t, f in enumerate(box)))
+    below = _below_masks(d, ((f, 1 << w * k + w - 1) for k, f in enumerate(vectors)))
     slots = []  # [G_0, ..., G_{n-1}, Q] per ray slot
-    for t, e in enumerate(box):
+    for e in box:
         if (q, e) not in _memo:
             form = q.right_form(e)
             m = signs
@@ -219,19 +216,19 @@ def _fill_box(q: Quiver, d: tuple[int, ...]) -> None:
             if n <= 2:
                 lo = (m & -m).bit_length() // w - 1
                 hi = m.bit_length() // w - 1
-                gens = [vectors[lo]] if point[lo] == point[hi] else [vectors[lo], vectors[hi]]
+                gens = [vectors[lo]] if points[lo] == points[hi] else [vectors[lo], vectors[hi]]
             else:
-                ordered, last = [], -1
+                ordered, last = [], None
                 while m:
                     low = m & -m
                     m ^= low
                     k = low.bit_length() // w - 1
-                    if point[k] != last:
+                    if points[k] != last:
                         ordered.append(vectors[k])
-                        last = point[k]
+                        last = points[k]
                 gens = _chain(ordered)
             _memo[q, e] = tuple((g, sum(map(mul, g, form))) for g in gens)
-        shift = w * field[t]
+        shift = w * field[e]
         for s, (g, ge) in enumerate(_memo[q, e]):
             if s == len(slots):
                 slots.append([0] * n + [signs])

@@ -280,7 +280,7 @@ class TestVerdictCommand:
         err = capsys.readouterr().err
         assert "no semistable representation" in err
 
-    @pytest.mark.parametrize("name", ["K3-20-21", "A3-8-8-8", "K3-50-51", "star-4-4-4-5", "A4x2-5-5-5-5"])
+    @pytest.mark.parametrize("name", sorted(path.stem for path in GOLDEN.glob("*.json")))
     def test_golden_output(self, name, capsys):
         # tests/golden holds each problem with the stdout and exit code of an
         # earlier release, at sizes random_instances never reaches

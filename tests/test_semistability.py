@@ -433,10 +433,12 @@ NEAR_THE_BOUND = [
 
 def memo_instances():
     """(q, d, theta): CORPUS, random instances (loops, one vertex, zero
-    entries), dense quivers near the field bound, and quivers on four and
-    five vertices, where the one-vector filter runs."""
+    entries), dense quivers near the field bound, the arrowless and the
+    Jordan quiver at d = (30), and quivers on four and five vertices,
+    where the one-vector filter runs."""
     out = CORPUS + random_instances(60, seed=43)
-    for q, d in NEAR_THE_BOUND + [(FOUR_VERTEX, (2, 1, 2, 1))] + wide_instances(100, seed=13):
+    one_vertex = [(Quiver(1, []), (30,)), (Quiver(1, [(1, 1)]), (30,))]
+    for q, d in NEAR_THE_BOUND + one_vertex + [(FOUR_VERTEX, (2, 1, 2, 1))] + wide_instances(100, seed=13):
         d = DimensionVector(d)
         out.append((q, d, next(thetas(d, seed=3))))
     return out
