@@ -11,22 +11,23 @@ A problem file is an object with exactly the keys "vertices", "arrows"
 (1-based [source, target] pairs), "d", and "theta" (an integer vector,
 or "canonical").  Exit codes: 0 rigidity certified, 10 vanishing but not
 rigidity, 20 no certificate, 2 bad input.
+
+`csv` and `quivermoduli.oracle` are imported by the subcommands that use
+them, so a `qt verdict` process never loads them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
-from . import oracle
 from .core import (
+    BudgetExceededError,
     DimensionVector,
     Quiver,
     StabilityParameter,
@@ -50,8 +51,7 @@ class ProblemSpecError(ValueError):
     """Bad problem file: reported on stderr with exit code 2."""
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(NamedTuple):
     quiver: Quiver
     d: DimensionVector
     theta: StabilityParameter
@@ -147,6 +147,9 @@ def fmt_bool(b: bool) -> str:
 
 def render_table(columns, rows, fmt: str) -> str:
     if fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
@@ -257,6 +260,8 @@ def cmd_verdict(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import csv
+
     spec = load_problem(args.problem)
     q = spec.quiver
     try:
@@ -273,7 +278,7 @@ def cmd_sweep(args) -> int:
     for x in d_max:
         cells *= x + 1
     if cells > SWEEP_CELL_BUDGET:
-        raise oracle.BudgetExceededError(
+        raise BudgetExceededError(
             cells, SWEEP_CELL_BUDGET, "sweep needs {} cells", "lower --dmax"
         )
 
@@ -306,6 +311,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle_census(args) -> int:
+    from . import oracle
+
     spec = load_problem(args.problem)
     budget = _env_int("QT_BUDGET", oracle.DEFAULT_BUDGET)
     census = oracle.stratum_census(
@@ -386,7 +393,7 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
-    except (oracle.BudgetExceededError, ValueError) as exc:
+    except (BudgetExceededError, ValueError) as exc:
         print(f"qt: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -21,6 +21,24 @@ from operator import index, mul, sub
 from typing import Iterable
 
 
+class BudgetExceededError(RuntimeError):
+    """Raised instead of starting a computation that is too large.
+
+    `what` names the counted quantity, a format string whose `{}` takes
+    `needed`; `remedy` says how to get past the refusal."""
+
+    def __init__(
+        self,
+        needed: int,
+        budget: int,
+        what: str = "enumeration needs {} points",
+        remedy: str = "raise the budget to force the computation",
+    ):
+        super().__init__(f"{what.format(needed)}, budget is {budget} ({remedy})")
+        self.needed = needed
+        self.budget = budget
+
+
 class IntVector(tuple):
     """Immutable integer vector with componentwise arithmetic.
 

@@ -33,11 +33,11 @@ that can still fail the weight inequality.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, product
 from math import lcm
 from operator import and_, itemgetter, mul, or_
+from typing import NamedTuple
 
 from .core import (
     DimensionVector,
@@ -340,8 +340,7 @@ def codimension_cuts(q: Quiver, t: HNType) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True)
-class OneParameterSubgroup:
+class OneParameterSubgroup(NamedTuple):
     """Blockwise-scaling subgroup attached to a stratum.
 
     `weights[m] = scale * mu(d^m)`, with `scale` the least positive

@@ -22,28 +22,10 @@ from functools import lru_cache
 from math import isqrt
 from operator import index
 
-from .core import DimensionVector, Quiver, StabilityParameter, slope
+from .core import BudgetExceededError, DimensionVector, Quiver, StabilityParameter, slope
 from .hn import HNType
 
 DEFAULT_BUDGET = 10_000_000
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised instead of starting a computation that is too large.
-
-    `what` names the counted quantity, a format string whose `{}` takes
-    `needed`; `remedy` says how to get past the refusal."""
-
-    def __init__(
-        self,
-        needed: int,
-        budget: int,
-        what: str = "enumeration needs {} points",
-        remedy: str = "raise the budget to force the computation",
-    ):
-        super().__init__(f"{what.format(needed)}, budget is {budget} ({remedy})")
-        self.needed = needed
-        self.budget = budget
 
 
 def _field_size(p: int) -> int:

@@ -66,7 +66,7 @@ the search costs in proportion to the failures and returns them sorted.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import DimensionVector, Quiver, StabilityParameter
 from .hn import (
@@ -138,8 +138,7 @@ def hom_bundle_weights(
     return out
 
 
-@dataclass(frozen=True)
-class StratumReport:
+class StratumReport(NamedTuple):
     """Weight data deciding the inequality on a single stratum."""
 
     hn_type: HNType
@@ -174,8 +173,7 @@ def stratum_report(q: Quiver, theta: StabilityParameter, t: HNType) -> StratumRe
     )
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Certificate summary for one (quiver, d, theta) instance.
 
     `strong_failure_witness` is the lexicographically smallest e that

@@ -16,6 +16,9 @@ from pathlib import Path
 import pytest
 
 import quivermoduli
+import quivermoduli.core
+import quivermoduli.oracle
+from quivermoduli import HNType, stratum_report, verdict
 from quivermoduli.cli import (
     EXIT_INPUT,
     EXIT_NONE,
@@ -64,6 +67,15 @@ def write_problem(tmp_path, data, name="problem.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def child_env():
+    """os.environ with PYTHONPATH led by the src/ of the package under test,
+    so a child interpreter imports the same quivermoduli as this test."""
+    src = str(Path(quivermoduli.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
 
 
 class TestParseProblem:
@@ -388,12 +400,7 @@ class TestSweepCommand:
             f"sweep {shlex.quote(path)} --dmax 5,5 | head -c 80 > /dev/null; "
             'exit "${PIPESTATUS[0]}"'
         )
-        # the child imports the same package as this test, wherever it lives
-        src = str(Path(quivermoduli.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])
-        )}
-        proc = subprocess.run(["bash", "-c", pipeline], capture_output=True, env=env)
+        proc = subprocess.run(["bash", "-c", pipeline], capture_output=True, env=child_env())
         assert proc.returncode == 0
         assert proc.stderr == b""
 
@@ -497,3 +504,102 @@ class TestOracleCensusCommand:
         assert capsys.readouterr().err.startswith(
             "qt: error: subspace tables need 4672794 64-bit words, budget is 100000 "
         )
+
+
+class TestFreshProcess:
+    """`qt` in its own interpreter: what it imports, and the subcommands
+    whose modules it imports only when they run."""
+
+    # never needed by `qt verdict`; dataclasses alone pulls in inspect,
+    # ast, dis and tokenize
+    UNUSED_BY_VERDICT = {"dataclasses", "inspect", "csv", "quivermoduli.oracle"}
+
+    def test_verdict_imports_nothing_it_never_runs(self):
+        # added modules are counted against the child's own starting set,
+        # so a site hook that preloads some of them cannot fail the test
+        problem = str(GOLDEN / "K3-20-21.json")
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import quivermoduli.cli\n"
+            "imported = set(sys.modules) - before\n"
+            f"code = quivermoduli.cli.main(['verdict', {problem!r}])\n"
+            "ran = set(sys.modules) - before - imported\n"
+            "import json\n"
+            "sys.stderr.write(json.dumps([code, sorted(imported), sorted(ran)]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        code, imported, ran = json.loads(proc.stderr)
+        assert "quivermoduli.cli" in imported
+        assert self.UNUSED_BY_VERDICT.isdisjoint(imported)
+        assert self.UNUSED_BY_VERDICT.isdisjoint(ran)
+        assert proc.stdout == (GOLDEN / "K3-20-21.out").read_text()
+        assert code == int((GOLDEN / "K3-20-21.exit").read_text())
+
+    @pytest.mark.parametrize("problem, args, expected", [
+        (KRONECKER_PROBLEM, ["strata", "--format", "csv"], 0),
+        (KRONECKER_PROBLEM, ["sweep", "--dmax", "1,1"], 0),
+        (KRONECKER_PROBLEM, ["sweep", "--dmax", "1000,1000"], EXIT_INPUT),
+        (TestOracleCensusCommand.PROBLEM, ["oracle-census", "--field", "2"], 0),
+    ], ids=["strata-csv", "sweep", "sweep-budget", "oracle-census"])
+    def test_child_matches_in_process(self, tmp_path, capsys, monkeypatch, problem, args, expected):
+        monkeypatch.delenv("QT_BUDGET", raising=False)
+        argv = [args[0], write_problem(tmp_path, problem), *args[1:]]
+        assert main(argv) == expected
+        captured = capsys.readouterr()
+        assert captured.out if expected == 0 else captured.err.startswith("qt: error: sweep needs ")
+        proc = subprocess.run([sys.executable, "-m", "quivermoduli.cli", *argv],
+                              capture_output=True, text=True, env=child_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == (expected, captured.out, captured.err)
+
+    def test_one_budget_error_class(self):
+        assert quivermoduli.oracle.BudgetExceededError is quivermoduli.core.BudgetExceededError
+
+
+RECORD_FIELDS = {
+    "ProblemSpec": ("quiver", "d", "theta"),
+    "OneParameterSubgroup": ("scale", "weights"),
+    "StratumReport": (
+        "hn_type", "subgroup", "codim", "ambient_canonical_weight",
+        "stratum_canonical_weight", "window_width", "max_bundle_weight",
+        "inequality_holds",
+    ),
+    "Verdict": (
+        "coprime", "acyclic", "strongly_amply_stable", "strong_failure_witness",
+        "amply_stable", "all_strata_inequality", "vanishing_certified",
+        "rigidity_certified", "failing_strata", "min_unstable_codim",
+    ),
+}
+
+
+def example_records():
+    spec = parse_problem(json.dumps(KRONECKER_PROBLEM))
+    report = stratum_report(spec.quiver, spec.theta, HNType([(1, 0), (1, 1), (0, 2)]))
+    return {
+        "ProblemSpec": spec,
+        "OneParameterSubgroup": report.subgroup,
+        "StratumReport": report,
+        "Verdict": verdict(spec.quiver, spec.d, spec.theta),
+    }
+
+
+class TestRecords:
+    """The result records are immutable named tuples, with the fields in
+    the order they had as frozen dataclasses."""
+
+    @pytest.mark.parametrize("name", RECORD_FIELDS)
+    def test_contract(self, name):
+        record = example_records()[name]
+        cls, fields = type(record), RECORD_FIELDS[name]
+        assert cls.__name__ == name
+        assert cls._fields == fields
+        values = [getattr(record, f) for f in fields]
+        by_keyword = cls(**dict(zip(fields, values)))
+        by_position = cls(*values)
+        assert by_keyword == by_position == record
+        assert hash(by_keyword) == hash(by_position) == hash(record)
+        for f in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, f, None)
