@@ -23,7 +23,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 from typing import NamedTuple
 
 from .core import (
@@ -124,7 +123,8 @@ def _is_int(x) -> bool:
 
 def load_problem(path: str) -> ProblemSpec:
     try:
-        text = Path(path).read_text()
+        with open(path) as handle:
+            text = handle.read()
     except OSError as exc:
         raise ProblemSpecError(f"cannot read {path}: {exc}") from exc
     return parse_problem(text)

@@ -23,20 +23,24 @@ is zero or has a type with every slope below mu(e).  The remainders
 are numbered by their place in `subdimension_vectors(d)`, a
 mixed-radix number linear in the vector, so the tables form a list
 and a tail's number is the difference of two numbers.  Each entry
-carries the values of the DPs F and G (derived in the `windows`
-module docstring) at its tail, and each table the prefix minima of
-those values in slope order.  Every entry completes, so
+carries the value of the DP F (derived in the `windows` module
+docstring) at its tail, and each table the prefix minima of those
+values in slope order.  Every entry completes, so
 `enumerate_hn_types` enters them all; `verdict` enters only those
-that can still fail the weight inequality.
+that can still fail the weight inequality.  The tables are built on
+first use: a strongly amply stable verdict needs none of them.  The
+least codimension of an unstable type needs no table either: a
+best-first search from d finds it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import reduce
+from functools import cached_property, reduce
+from heapq import heappop, heappush
 from itertools import accumulate, product
 from math import lcm
-from operator import and_, itemgetter, mul, or_
+from operator import and_, itemgetter, le, mul, or_
 from typing import NamedTuple
 
 from .core import (
@@ -146,8 +150,12 @@ def _fit_masks(vectors: list[tuple], weights: list[int], pieces: list[int]) -> l
 
 
 class _Tables:
-    """The pieces of (q, d, theta), the DP tables over their remainders,
-    and the two verdict flags the same pass yields.
+    """The pieces of (q, d, theta), the two verdict flags, and the DP
+    tables over the remainders, in two stages.  The constructor is the
+    lean pass every verdict runs: the vectors e <= d, their theta
+    weights, the pieces, `coprime` and `strong_failure_witness`.  The
+    full DP, `_fit_masks` and the table loop, runs on the first read of
+    `tables`, which `search` makes; `least_codim` reads no table.
 
     A piece is a nonzero e <= d admitting a semistable representation;
     its slope s is scaled by the lcm of the piece sizes to an integer.
@@ -176,35 +184,54 @@ class _Tables:
     so each built table is the one the unrestricted DP would build.
 
     tables[r], for the remainder rest numbered r, is
-    (c, slopes, best_f, best_g, entries): c = N(rest) - 1 with
-    N(rest) = -<d - rest, rest>; `entries` one (e, s, t, f, g) for
-    each piece e <= rest that completes to a type, in ascending slope
-    order, ties in lexicographic order, with t the number of the tail
-    rest - e, f = F(tail, s) and g = G(tail, s) - <e, tail>, the least
-    codimension of a type of rest that starts with e; `slopes` their s;
-    best_f[i], best_g[i] the minima of f - s c and g over the first
-    i+1 entries.  Every built nonzero rest has an entry, the first piece
-    of any of its HN types, so only the shared table is empty.
-    tables[0], the zero remainder, has no entries and holds the DP's
-    base case F = G = 0: c = 0 and one slope below every piece's, so
-    every bound reads it.
+    (c, slopes, best_f, entries): c = N(rest) - 1 with
+    N(rest) = -<d - rest, rest>; `entries` one (e, s, t, f) for each
+    piece e <= rest that completes to a type, in ascending slope order,
+    ties in lexicographic order, with t the number of the tail rest - e
+    and f = F(tail, s); `slopes` their s; best_f[i] the minimum of
+    f - s c over the first i+1 entries.  Every built nonzero rest has an
+    entry, the first piece of any of its HN types, so only the shared
+    table is empty.  tables[0], the zero remainder, has no entries and
+    holds the DP's base case F = 0: c = 0 and one slope below every
+    piece's, so every bound reads it.
 
     The tables are built in one pass over the numbers, which puts every
-    tail before rest: F and G at a tail state (t, s) are read off the
+    tail before rest: F at a tail state (t, s) is read off the
     finished tables[t] by bisection, and a piece with no slope of the
     tail below s does not complete and is dropped.  The pieces tried at
     rest are a bitmask over the pieces in slope order (`_fit_masks`),
-    read in bit order; a piece's row <e, -> serves only the build.  The
-    generic ray tables of every e <= d are filled first, in one pass.
+    read in bit order; a piece's row <e, -> serves only `least_codim`.
+    The generic ray tables of every e <= d are filled first, in one
+    pass.
     The pass runs on plain int tuples with theta(e) computed once per e;
-    only the pieces are wrapped as `DimensionVector`s.
+    only the pieces are wrapped as `DimensionVector`s, for the entries.
 
     The flags: `coprime` says that no 0 < e < d has theta(e) = 0, as
     `is_theta_coprime` does.  `strong_failure_witness` is the first e in
     numbering order with theta(e) > 0 and <e, d - e> > -2, that is with
     c < 1 at the remainder d - e, or None; it is what
     `is_strongly_amply_stable` returns.  That remainder has
-    theta = -theta(e) < 0, so its table, and its c, is always built.
+    theta = -theta(e) < 0, so it is one an HN type can leave.  The lean
+    pass keeps c for each such remainder in `cuts`, and the table loop
+    reads it there.
+
+    Two lemmas (the `windows` module docstring has them in full) let
+    `verdict` find the least codimension without a table, and build no
+    table at all without a witness:
+    (a) No stratum fails.  A cut term of the failure sum is
+    (mu_r - mu_{r+1}) c at a remainder rest_r of a type, where
+    mu_r > mu_{r+1} and theta(rest_r) < 0 (the lemma above), so
+    rest_r = d - e with theta(e) > 0, and with no witness c >= 1 there.
+    Every term is positive.
+    (b) With or without a witness, an edge of the search from d into a
+    state (rest - e, mu(e)) that completes, by pieces d^n of slope below
+    mu(e), has weight -<e, rest - e> = sum_n -<e, d^n> >= 0: Hom
+    vanishes from a semistable of larger slope to one of smaller slope
+    (King 1994), so <e, d^n> = -dim Ext <= 0.  A path to the zero
+    remainder is a genuine HN type, and every state on it completes; an
+    edge into a state that does not complete may be negative, but no
+    path through it reaches the zero remainder.  So Dijkstra's search
+    (1959), `least_codim`, pops the least codimension first.
     """
 
     def __init__(self, q: Quiver, d: DimensionVector, theta: StabilityParameter, caller: str):
@@ -216,8 +243,8 @@ class _Tables:
             raise ValueError(f"{caller} requires theta(d) = 0")
         self.d = d
         _rays(q, d)  # fills a cold box of ray tables in one pass, before the pieces
-        vectors = list(product(*(range(x + 1) for x in d)))
-        weights = [_dot(theta, e) for e in vectors]
+        self.vectors = vectors = list(product(*(range(x + 1) for x in d)))
+        self.weights = weights = [_dot(theta, e) for e in vectors]
         last = len(vectors) - 1
         pieces = [i for i in range(1, last + 1) if _semistable(q, vectors[i], theta, weights[i])]
         self.semistable = pieces[-1] == last
@@ -225,48 +252,79 @@ class _Tables:
         by_slope = []
         for i in pieces:
             e = vectors[i]
-            by_slope.append((DimensionVector(e), weights[i] * (scale // sum(e)), i, q.left_form(e)))
+            by_slope.append((e, weights[i] * (scale // sum(e)), i, q.left_form(e)))
         by_slope.sort(key=itemgetter(1))
-        masks = _fit_masks(vectors, weights, [p[2] for p in by_slope])
+        self.by_slope = by_slope
 
-        left = q.left_form(d)
-        empty = (0, [], [], [], [])
-        self.tables = [(0, [by_slope[0][1] - 1], [0], [0], [])]
-        for r in range(1, last + 1):
-            mask = masks[r]
-            if mask is None:
-                self.tables.append(empty)
-                continue
-            rest = vectors[r]
-            c = _dot(q.left_form(rest), rest) - _dot(left, rest) - 1
-            entries, slopes, fs, gs = [], [], [], []
-            while mask:
-                bit = mask & -mask
-                mask ^= bit
-                e, s, i, row = by_slope[bit.bit_length() - 1]
-                t = r - i
-                tail_c, tail_slopes, tail_f, tail_g, _ = self.tables[t]
-                j = bisect_left(tail_slopes, s)
-                if j:
-                    f, g = s * tail_c + tail_f[j - 1], tail_g[j - 1] - _dot(row, vectors[t])
-                    entries.append((e, s, t, f, g))
-                    slopes.append(s)
-                    fs.append(f - s * c)
-                    gs.append(g)
-            self.tables.append(
-                (c, slopes, list(accumulate(fs, min)), list(accumulate(gs, min)), entries)
-            )
-
+        # c = N(rest) - 1 = -<d - rest, rest> - 1 at each rest with theta < 0,
+        # d - rest being the (r+1)-th vector from the end
+        self.cuts = cuts = {
+            r: -_dot(vectors[last - r], q.right_form(rest)) - 1
+            for r, rest in enumerate(vectors) if weights[r] < 0
+        }
         self.coprime = 0 not in weights[1:-1]
         self.strong_failure_witness = next(
             (DimensionVector(vectors[i]) for i in range(1, last)
-             if weights[i] > 0 and self.tables[last - i][0] < 1),
+             if weights[i] > 0 and cuts[last - i] < 1),
             None,
         )
 
-    def min_unstable_codim(self) -> int | None:
-        """The least codimension of an unstable type, by first piece e != d."""
-        return min((g for e, *_, g in self.tables[-1][4] if e != self.d), default=None)
+    @cached_property
+    def tables(self) -> list[tuple]:
+        """The DP tables, built on first use; see the class docstring."""
+        by_slope = [(DimensionVector(e), s, i) for e, s, i, _ in self.by_slope]
+        masks = _fit_masks(self.vectors, self.weights, [p[2] for p in by_slope])
+        cuts = self.cuts
+        empty = (0, [], [], [])
+        tables = [(0, [by_slope[0][1] - 1], [0], [])]
+        for r in range(1, len(masks)):
+            mask = masks[r]
+            if mask is None:
+                tables.append(empty)
+                continue
+            c = cuts.get(r, -1)  # at d, N(d) = -<0, d> = 0
+            entries, slopes, fs = [], [], []
+            while mask:
+                bit = mask & -mask
+                mask ^= bit
+                e, s, i = by_slope[bit.bit_length() - 1]
+                t = r - i
+                tail_c, tail_slopes, tail_f, _ = tables[t]
+                j = bisect_left(tail_slopes, s)
+                if j:
+                    f = s * tail_c + tail_f[j - 1]
+                    entries.append((e, s, t, f))
+                    slopes.append(s)
+                    fs.append(f - s * c)
+            tables.append((c, slopes, list(accumulate(fs, min)), entries))
+        return tables
+
+    def least_codim(self) -> int | None:
+        """The least codimension of an unstable type, by first piece e != d,
+        without the tables: Dijkstra from d over the states (r, bound), r
+        the number of the remainder, de-duplicated on the pair.  The edges
+        are the pieces e <= rest of slope below bound, e != d, whose tail
+        is 0 or has theta < 0, each of weight -<e, tail>.  By lemma (b)
+        the first zero remainder popped has the least codimension.
+        """
+        vectors, weights, by_slope = self.vectors, self.weights, self.by_slope
+        slopes = [s for _, s, _, _ in by_slope]
+        last = len(vectors) - 1
+        heap = [(0, last, slopes[-1] + 1)]
+        seen = set()
+        while heap:
+            g, r, bound = heappop(heap)
+            if not r:
+                return g
+            if (r, bound) in seen:
+                continue
+            seen.add((r, bound))
+            rest = vectors[r]
+            for e, s, i, row in by_slope[: bisect_left(slopes, bound)]:
+                t = r - i
+                if t >= 0 and (weights[t] < 0 if t else r != last) and all(map(le, e, rest)):
+                    heappush(heap, (g - _dot(row, vectors[t]), t, s))
+        return None
 
     def search(self, keep) -> tuple[HNType, ...]:
         """The HN types of d reached through children that `keep`
@@ -289,13 +347,13 @@ class _Tables:
             if not r:
                 out.append(HNType._trusted(prefix))
                 continue
-            c, slopes, _, _, entries = self.tables[r]
+            c, slopes, _, entries = self.tables[r]
             if prefix:
                 entries = entries[: bisect_left(slopes, bound)]
             else:  # no cut before the first piece
                 c = 0
             children = []
-            for e, s, t, f, _ in sorted(entries):
+            for e, s, t, f in sorted(entries):
                 total = partial + (bound - s) * c
                 if keep(e, total + f):
                     children.append((t, s, total, prefix + (e,)))

@@ -43,23 +43,52 @@ has theta(rest_r) < 0, by the lemma in the `hn._Tables` docstring, so
 F and G are needed only at states whose remainder is 0 or has
 theta < 0.  The edge term of F is
 mu (N(rest) - 1) - mu(e) (N(rest) - 1), so one table per such
-remainder, keeping only the pieces e that complete to a type, each with F and G
+remainder, keeping only the pieces e that complete to a type, each with F
 at its state (rest - e, mu(e)), and with prefix minima over them in
 slope order, answers every bound mu by bisection: the cost is
 O(remainders x pieces), polynomial in d.
 Slopes are scaled to integers, so all of it is exact.  `hn._Tables`
 holds those tables (its docstring has their layout) and the one search
 over them that also lists every type for `hn.enumerate_hn_types`.  Its
-pass over the e <= d also yields the instance flags: coprime when no
-0 < e < d has theta(e) = 0, and strongly amply stable when
-N(d - e) - 1 >= 1, i.e. <e, d - e> <= -2, for every e with
-theta(e) > 0; the remainder d - e then has theta < 0, so its table is
-built.  `core.is_theta_coprime` and
+lean pass over the e <= d, which runs before any table, also yields
+the instance flags: coprime when no 0 < e < d has theta(e) = 0, and
+strongly amply stable when N(d - e) - 1 >= 1, i.e. <e, d - e> <= -2,
+for every e with theta(e) > 0.  `core.is_theta_coprime` and
 `semistability.is_strongly_amply_stable` compute the same flags on
-their own.  For
-the failing types it enters a branch only when its partial sum plus F
-of its state is <= 0; each branch entered ends in a failing type, so
-the search costs in proportion to the failures and returns them sorted.
+their own.
+
+The tables are built only when the instance has a strong failure
+witness, and G never needs one.  Two lemmas:
+
+(a) A strongly amply stable instance has no failing stratum.  Proof:
+each cut term is (mu_r - mu_{r+1}) (N_r - 1) with mu_r > mu_{r+1}.  Its
+remainder rest_r has theta < 0, so rest_r = d - e with
+theta(e) = -theta(rest_r) > 0, and N_r = -<e, d - e> >= 2 by strong
+ample stability.  Every term is positive, so the sum is.
+
+(b) The least unstable codimension is a shortest path that Dijkstra's
+search (1959) finds from d, over the states (rest, mu), with the edges
+of G: a piece e <= rest of slope below mu (e != d at the root) whose
+tail rest - e is 0 or has theta < 0, of weight -<e, rest - e>.  Proof:
+a path from d to the zero remainder is a list of pieces of strictly
+decreasing slope summing to d, so it is a genuine HN type and its
+length is that type's codimension; every type is such a path.  If a
+state (rest - e, mu(e)) completes, by pieces d^n of slope below mu(e),
+the edge into it is sum_n -<e, d^n>.  For semistable M, N with
+mu(M) > mu(N), Hom(M, N) = 0 (King 1994), so <e, d^n> = -dim Ext <= 0
+and the edge is >= 0.  Every state on a path to the zero remainder
+completes, so the shortest path to any such state uses only edges
+>= 0; an edge into a state that does not complete may be negative, but
+no path through it reaches the zero remainder.  Dijkstra's argument
+then holds for the states that complete: each is popped at its least
+distance, and the first zero remainder popped is the least
+codimension.  The proof does not use strong ample stability, so every
+verdict takes the least codimension from this search, and no table.
+
+For the failing types, when there is a witness, the search over the
+tables enters a branch only when its partial sum plus F of its state is
+<= 0; each branch entered ends in a failing type, so the search costs
+in proportion to the failures and returns them sorted.
 `stratum_report` is the per-stratum view `qt strata` prints.
 """
 
@@ -199,8 +228,10 @@ def verdict(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> Verdict
     weight inequality; rigidity_certified additionally needs an acyclic
     quiver.  amply_stable means every unstable stratum has codimension
     at least 2.  Requires theta(d) = 0 and a nonempty semistable locus.
-    The strata are decided by the min-path DP of the module docstring,
-    never by enumerating the HN types.
+    The strata are decided as the module docstring says, never by
+    enumerating the HN types: the least codimension by the best-first
+    search of lemma (b), the failing strata by lemma (a) without a
+    strong failure witness and by the min-path DP with one.
     """
     tables = _Tables(q, d, theta, "verdict")
     d = tables.d
@@ -209,8 +240,11 @@ def verdict(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> Verdict
             "no semistable representation of dimension "
             f"({','.join(map(str, d))}) exists"
         )
-    min_codim = tables.min_unstable_codim()
-    failing = tables.search(lambda e, low: low <= 0 and e != d)
+    min_codim = tables.least_codim()
+    if tables.strong_failure_witness is None:
+        failing = ()  # lemma (a)
+    else:
+        failing = tables.search(lambda e, low: low <= 0 and e != d)
 
     vanishing = tables.coprime and not failing
     return Verdict(

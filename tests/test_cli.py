@@ -512,7 +512,7 @@ class TestFreshProcess:
 
     # never needed by `qt verdict`; dataclasses alone pulls in inspect,
     # ast, dis and tokenize
-    UNUSED_BY_VERDICT = {"dataclasses", "inspect", "csv", "quivermoduli.oracle"}
+    UNUSED_BY_VERDICT = {"dataclasses", "inspect", "csv", "pathlib", "quivermoduli.oracle"}
 
     def test_verdict_imports_nothing_it_never_runs(self):
         # added modules are counted against the child's own starting set,

@@ -6,7 +6,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import lcm
-from operator import le
+from operator import le, mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -251,31 +251,30 @@ class TestFitLists:
             # tables[r] belongs to the remainder vectors[r], index 0 to zero
             assert len(tables) == len(vectors) and vectors[0].is_zero()
             # the empty tables are exactly the remainders 0 < rest < d with theta >= 0
-            assert [r for r in range(1, len(vectors)) if not tables[r][4]] == [
+            assert [r for r in range(1, len(vectors)) if not tables[r][3]] == [
                 r for r in range(1, len(vectors) - 1) if theta.dot(vectors[r]) >= 0
             ]
             for r, rest in enumerate(vectors[1:], 1):
                 if not self.built(d, theta, rest):
                     continue
-                entries, stored = expected[tuple(rest)], tables[r][4]
+                entries, stored = expected[tuple(rest)], tables[r][3]
                 assert [x[0] for x in stored] == [e for e, _ in entries], (q, d, rest)
                 assert all(vectors[tail] == rest - e for e, _, tail, *_ in stored)
                 # F: the least failure sum from the state (rest - e, mu(e)) on,
-                # in units of 1/scale; g: the least codimension of e, t'
-                for (e, _, tail, f, g), (_, tails) in zip(stored, entries):
+                # in units of 1/scale
+                for (e, _, tail, f), (_, tails) in zip(stored, entries):
                     assert f == scale * min(self.failure_sum(q, d, theta, e, vectors[tail], t)
                                             for t in tails)
-                    assert g == min(codimension(q, HNType((e,) + t)) for t in tails)
 
     def test_prefix_minima_never_empty(self):
         for q, d, theta in CORPUS + random_instances(50, seed=29):
             zero, *tables = _Tables(q, d, theta, "test").tables
-            assert zero[4] == []
+            assert zero[3] == []
             for rest, table in zip(subdimension_vectors(d)[1:], tables):
-                c, slopes, best_f, best_g, entries = table
+                c, slopes, best_f, entries = table
                 if self.built(d, theta, rest):
-                    assert entries and None not in best_f and None not in best_g
-                    assert len(slopes) == len(best_f) == len(best_g) == len(entries)
+                    assert entries and None not in best_f
+                    assert len(slopes) == len(best_f) == len(entries)
 
     def test_every_remainder_of_a_type_has_negative_theta(self):
         # the lemma that lets `_Tables` build no table where theta(rest) >= 0
@@ -293,9 +292,8 @@ class TestFitLists:
         for q, d, theta in CORPUS:
             tables = _Tables(q, d, theta, "test")
             # the prefix minima serve only the build: a reader of them would now fail
-            tables.tables = [(c, s, None, None, entries) for c, s, _, _, entries in tables.tables]
+            tables.tables = [(c, s, None, entries) for c, s, _, entries in tables.tables]
             assert tables.search(lambda e, low: True) == reference_hn_types(q, d, theta)
-            tables.min_unstable_codim()
 
     def test_ties_in_lexicographic_order(self):
         ties = 0
@@ -351,6 +349,63 @@ class TestFitMasks:
                 assert {i for k, i in enumerate(pieces) if mask >> k & 1} == expected, (q, d, rest)
                 dropped += len(below - expected)
         assert dropped > 0
+
+
+class TestLeastCodim:
+    """`_Tables.least_codim`, the best-first search from d, against the
+    least codimension over the reference HN types, and, on made-up
+    pieces, against the plain min-path recursion over the same edges."""
+
+    def test_equal_to_reference(self):
+        unstrong = 0
+        for q, d, theta in CORPUS + random_instances(300, seed=43):
+            tables = _Tables(q, d, theta, "test")
+            codims = [codimension(q, t) for t in reference_hn_types(q, d, theta) if t != (d,)]
+            # lemma (b) needs no strong ample stability, and no table
+            assert tables.least_codim() == min(codims, default=None), (q, d, theta)
+            assert "tables" not in vars(tables)
+            unstrong += tables.strong_failure_witness is not None
+        assert unstrong >= 50
+
+    def test_exact_on_any_edges_at_least_zero(self):
+        # Dijkstra is exact when every edge is >= 0, whatever the slopes;
+        # two states that share a remainder but not a bound stay apart
+        rng = random.Random(53)
+        for _ in range(300):
+            d = tuple(rng.randint(1, 3) for _ in range(rng.randint(2, 3)))
+            vectors = [tuple(v) for v in subdimension_vectors(DimensionVector(d))]
+            u = [rng.randint(-3, 3) for _ in d]
+            weights = [sum(d) * sum(map(mul, u, v)) - sum(v) * sum(map(mul, u, d))
+                       for v in vectors]
+            last = len(vectors) - 1
+            pieces = [i for i in range(1, last + 1) if i == last or rng.random() < 0.6]
+            # a row <= 0 makes every edge -row . tail >= 0
+            tables = object.__new__(_Tables)
+            tables.vectors, tables.weights = vectors, weights
+            tables.by_slope = sorted(
+                ((vectors[i], rng.randint(-4, 4), i, tuple(-rng.randint(0, 3) for _ in d))
+                 for i in pieces),
+                key=lambda p: p[1],
+            )
+            memo = {}
+
+            def least(r, bound):
+                """The least path length from (r, bound) to 0, or None."""
+                if not r:
+                    return 0
+                if (r, bound) not in memo:
+                    lengths = []
+                    for e, s, i, row in tables.by_slope:
+                        t = r - i
+                        if (s < bound and all(map(le, e, vectors[r]))
+                                and (weights[t] < 0 if t else r != last)
+                                and (rest := least(t, s)) is not None):
+                            lengths.append(rest - sum(map(mul, row, vectors[t])))
+                    memo[r, bound] = min(lengths, default=None)
+                return memo[r, bound]
+
+            # the root's bound, 5, is above every slope
+            assert tables.least_codim() == least(last, 5), (d, tables.by_slope)
 
 
 class TestVerdictFlags:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,6 +31,7 @@ from quivermoduli import (
     verdict,
     window_width,
 )
+from quivermoduli.cli import load_problem
 
 from cases import (
     CORPUS,
@@ -44,6 +47,7 @@ from cases import (
     TRIANGLE_A,
     TRIANGLE_B,
     random_instances,
+    wide_instances,
 )
 from weight_oracles import (
     ambient_weight_by_blocks,
@@ -53,6 +57,7 @@ from weight_oracles import (
 )
 
 JORDAN = Quiver(1, [(1, 1)])
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _total(pieces):
@@ -405,20 +410,37 @@ class TestVerdict:
                 assert v.min_unstable_codim is None
                 assert v.amply_stable
 
-    def test_matches_reference(self):
+    def test_matches_reference(self, monkeypatch):
         batch = CORPUS + [
             (q, d, theta)
-            for seed in (7, 11, 23)
-            for q, d, theta in random_instances(150, seed)
+            for count, seeds in ((150, (7, 11, 23)), (300, (3, 17, 41, 101)))
+            for seed in seeds
+            for q, d, theta in random_instances(count, seed)
             if has_semistable(q, d, theta)
         ]
-        failing = 0
+        for q, d in wide_instances(200, 5):
+            theta = q.canonical_stability(d)
+            if has_semistable(q, d, theta):
+                batch.append((q, d, theta))
+        builds = []
+        fit_masks = quivermoduli.hn._fit_masks
+        monkeypatch.setattr(
+            quivermoduli.hn, "_fit_masks", lambda *args: builds.append(args) or fit_masks(*args)
+        )
+        failing, branches = 0, Counter()
         for q, d, theta in batch:
+            before = len(builds)
             v = verdict(q, d, theta)
+            tables = len(builds) > before
+            # the tables are built exactly when strong ample stability fails
+            assert tables != v.strongly_amply_stable
+            branches[tables] += 1
             assert v == reference_verdict(q, d, theta)
             failing += bool(v.failing_strata)
-        # the batch exercises the failing-strata search, not just the flags
+        # the batch exercises the failing-strata search, not just the flags,
+        # and both the best-first branch and the tables
         assert failing >= 10
+        assert branches[False] >= 100 and branches[True] >= 100
 
     def test_failing_strata_in_lexicographic_order(self):
         # two failing types share a first piece, so the search has to
@@ -449,6 +471,29 @@ class TestVerdict:
         assert verdict(KRONECKER_3, D_23, THETA_23).min_unstable_codim == 3
         assert verdict(TRIANGLE_A, D_A, THETA_A).min_unstable_codim == 2
         assert verdict(TRIANGLE_B, D_B, THETA_B).failing_strata == (FAILING_B,)
+
+    def test_strongly_amply_stable_builds_no_table(self, monkeypatch):
+        fit_masks = quivermoduli.hn._fit_masks
+
+        def refuse(*args):
+            raise AssertionError("a strongly amply stable verdict must not build the DP tables")
+
+        monkeypatch.setattr(quivermoduli.hn, "_fit_masks", refuse)
+        theta = KRONECKER_3.canonical_stability(D_23)
+        golden_23 = min(codim for codim, *_ in GOLDEN_UNSTABLE_23.values())
+        assert verdict(KRONECKER_3, D_23, theta).min_unstable_codim == golden_23
+        spec = load_problem(str(GOLDEN / "K3-20-21.json"))
+        out = (GOLDEN / "K3-20-21.out").read_text()
+        golden = int(re.search(r"smallest unstable stratum codimension (\d+)", out)[1])
+        assert verdict(spec.quiver, spec.d, spec.theta).min_unstable_codim == golden
+
+        # with a strong failure witness the verdict falls back to the tables
+        builds = []
+        monkeypatch.setattr(
+            quivermoduli.hn, "_fit_masks", lambda *args: builds.append(args) or fit_masks(*args)
+        )
+        assert verdict(TRIANGLE_B, D_B, THETA_B).failing_strata == (FAILING_B,)
+        assert len(builds) == 1
 
     def test_rejects_nonzero_theta_d(self):
         with pytest.raises(ValueError):
