@@ -22,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import NamedTuple
 
 from .core import (
@@ -174,6 +173,8 @@ def render_table(columns, rows, fmt: str) -> str:
 
 def strata_rows(spec: ProblemSpec) -> tuple[list[list[str]], bool]:
     """Formatted table rows for the unstable strata, plus a dense-stratum flag."""
+    from fractions import Fraction
+
     types = enumerate_hn_types(spec.quiver, spec.d, spec.theta)
     rows = []
     dense_present = False

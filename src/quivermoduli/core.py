@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import cached_property
 from operator import index, mul, sub
 from typing import Iterable
@@ -225,17 +224,19 @@ class Quiver:
         return StabilityParameter(raw)
 
 
-def slope(theta: StabilityParameter, e: tuple) -> Fraction:
+def slope(theta: StabilityParameter, e: tuple) -> fractions.Fraction:
     """Slope mu(e) = theta(e) / |e| as an exact Fraction.
 
     Undefined (raises) for the zero vector.
     """
+    import fractions
+
     if len(theta) != len(e):
         raise ValueError(f"vector length mismatch: {len(theta)} vs {len(e)}")
     total = sum(e)
     if total == 0:
         raise ValueError("slope is undefined for the zero dimension vector")
-    return Fraction(sum(map(mul, theta, e)), total)
+    return fractions.Fraction(sum(map(mul, theta, e)), total)
 
 
 def subdimension_vectors(d: DimensionVector) -> list[DimensionVector]:

@@ -30,16 +30,17 @@ values in slope order.  Every entry completes, so
 that can still fail the weight inequality.  The tables are built on
 first use: a strongly amply stable verdict needs none of them.  The
 least codimension of an unstable type needs no table either: a
-best-first search from d finds it.
+best-first search from d finds it, and tests for semistability only
+the pieces of the edges it pops.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property, reduce
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import accumulate, product
-from math import lcm
+from math import gcd, lcm
 from operator import and_, itemgetter, le, mul, or_
 from typing import NamedTuple
 
@@ -150,16 +151,19 @@ def _fit_masks(vectors: list[tuple], weights: list[int], pieces: list[int]) -> l
 
 
 class _Tables:
-    """The pieces of (q, d, theta), the two verdict flags, and the DP
-    tables over the remainders, in two stages.  The constructor is the
-    lean pass every verdict runs: the vectors e <= d, their theta
-    weights, the pieces, `coprime` and `strong_failure_witness`.  The
-    full DP, `_fit_masks` and the table loop, runs on the first read of
-    `tables`, which `search` makes; `least_codim` reads no table.
+    """The two verdict flags of (q, d, theta), and the DP tables over the
+    remainders, in two stages.  The constructor is the lean pass every
+    verdict runs: the vectors e <= d, their theta weights, c at each
+    remainder (`cuts`), `coprime`, `strong_failure_witness` and
+    `semistable`, which says whether d itself is a piece; it tests no
+    other e for semistability.  The table stage runs on the first read
+    of `tables`, which `search` makes: it tests every e <= d, then runs
+    `_fit_masks` and the table loop.  `least_codim` reads no table, and
+    tests only the pieces of the edges it pops.
 
     A piece is a nonzero e <= d admitting a semistable representation;
-    its slope s is scaled by the lcm of the piece sizes to an integer.
-    `semistable` says whether d itself is a piece.
+    in the tables its slope s is scaled by the lcm of the piece sizes to
+    an integer.
 
     Each e <= d is numbered by its place in the lexicographic list of
     the vectors 0 <= e <= d, zero first and d last.  The number is the
@@ -200,9 +204,8 @@ class _Tables:
     finished tables[t] by bisection, and a piece with no slope of the
     tail below s does not complete and is dropped.  The pieces tried at
     rest are a bitmask over the pieces in slope order (`_fit_masks`),
-    read in bit order; a piece's row <e, -> serves only `least_codim`.
-    The generic ray tables of every e <= d are filled first, in one
-    pass.
+    read in bit order.  The lean pass has filled the generic ray tables
+    of every e <= d before, in one pass.
     The pass runs on plain int tuples with theta(e) computed once per e;
     only the pieces are wrapped as `DimensionVector`s, for the entries.
 
@@ -213,7 +216,7 @@ class _Tables:
     `is_strongly_amply_stable` returns.  That remainder has
     theta = -theta(e) < 0, so it is one an HN type can leave.  The lean
     pass keeps c for each such remainder in `cuts`, and the table loop
-    reads it there.
+    and the root edges of `least_codim`, of weight c + 1, read it there.
 
     Two lemmas (the `windows` module docstring has them in full) let
     `verdict` find the least codimension without a table, and build no
@@ -231,7 +234,9 @@ class _Tables:
     remainder is a genuine HN type, and every state on it completes; an
     edge into a state that does not complete may be negative, but no
     path through it reaches the zero remainder.  So Dijkstra's search
-    (1959), `least_codim`, pops the least codimension first.
+    (1959), `least_codim`, pops the least codimension first.  An edge's
+    validity depends only on e, so testing it at pop runs Dijkstra on
+    the same graph as testing it at push.
     """
 
     def __init__(self, q: Quiver, d: DimensionVector, theta: StabilityParameter, caller: str):
@@ -241,20 +246,12 @@ class _Tables:
             raise ValueError(f"{caller} requires a nonzero dimension vector")
         if _dot(theta, d) != 0:
             raise ValueError(f"{caller} requires theta(d) = 0")
-        self.d = d
-        _rays(q, d)  # fills a cold box of ray tables in one pass, before the pieces
+        self.q, self.d, self.theta = q, d, theta
+        _rays(q, d)  # fills a cold box of ray tables in one pass, before any piece test
         self.vectors = vectors = list(product(*(range(x + 1) for x in d)))
         self.weights = weights = [_dot(theta, e) for e in vectors]
         last = len(vectors) - 1
-        pieces = [i for i in range(1, last + 1) if _semistable(q, vectors[i], theta, weights[i])]
-        self.semistable = pieces[-1] == last
-        scale = lcm(*{sum(vectors[i]) for i in pieces})
-        by_slope = []
-        for i in pieces:
-            e = vectors[i]
-            by_slope.append((e, weights[i] * (scale // sum(e)), i, q.left_form(e)))
-        by_slope.sort(key=itemgetter(1))
-        self.by_slope = by_slope
+        self.semistable = _semistable(q, d, theta, 0)
 
         # c = N(rest) - 1 = -<d - rest, rest> - 1 at each rest with theta < 0,
         # d - rest being the (r+1)-th vector from the end
@@ -272,8 +269,14 @@ class _Tables:
     @cached_property
     def tables(self) -> list[tuple]:
         """The DP tables, built on first use; see the class docstring."""
-        by_slope = [(DimensionVector(e), s, i) for e, s, i, _ in self.by_slope]
-        masks = _fit_masks(self.vectors, self.weights, [p[2] for p in by_slope])
+        q, theta, vectors, weights = self.q, self.theta, self.vectors, self.weights
+        pieces = [
+            (DimensionVector(e), w, i) for i, (e, w) in enumerate(zip(vectors, weights))
+            if i and _semistable(q, e, theta, w)
+        ]
+        scale = lcm(*{sum(e) for e, _, _ in pieces})
+        by_slope = sorted(((e, w * (scale // sum(e)), i) for e, w, i in pieces), key=itemgetter(1))
+        masks = _fit_masks(vectors, weights, [p[2] for p in by_slope])
         cuts = self.cuts
         empty = (0, [], [], [])
         tables = [(0, [by_slope[0][1] - 1], [0], [])]
@@ -301,29 +304,44 @@ class _Tables:
 
     def least_codim(self) -> int | None:
         """The least codimension of an unstable type, by first piece e != d,
-        without the tables: Dijkstra from d over the states (r, bound), r
-        the number of the remainder, de-duplicated on the pair.  The edges
-        are the pieces e <= rest of slope below bound, e != d, whose tail
-        is 0 or has theta < 0, each of weight -<e, tail>.  By lemma (b)
-        the first zero remainder popped has the least codimension.
+        without the tables: Dijkstra from d over the edges of lemma (b),
+        each heap entry (g, r, i) an edge by the vector e numbered i into
+        the remainder numbered r, g the length of the path through it.
+        The root's edges are every e with theta(e) > 0, of weight c + 1
+        at d - e.  A popped entry's e is tested for semistability then,
+        once per number, and the entry dropped if e is no piece; otherwise
+        a zero remainder returns g, and a state (r, mu(e)) seen before is
+        skipped.  A state's edges are the e <= rest of slope below mu,
+        slopes compared by cross multiplication, whose tail is 0 or has
+        theta < 0, each of weight -<e, tail>.  By lemma (b) the first
+        zero remainder popped has the least codimension.
         """
-        vectors, weights, by_slope = self.vectors, self.weights, self.by_slope
-        slopes = [s for _, s, _, _ in by_slope]
+        q, theta, vectors, weights = self.q, self.theta, self.vectors, self.weights
         last = len(vectors) - 1
-        heap = [(0, last, slopes[-1] + 1)]
+        heap = [(c + 1, r, last - r) for r, c in self.cuts.items()]
+        heapify(heap)
+        piece = {}
         seen = set()
         while heap:
-            g, r, bound = heappop(heap)
+            g, r, i = heappop(heap)
+            if i not in piece:
+                piece[i] = _semistable(q, vectors[i], theta, weights[i])
+            if not piece[i]:
+                continue
             if not r:
                 return g
-            if (r, bound) in seen:
+            w, size = weights[i], sum(vectors[i])
+            k = gcd(w, size)
+            state = (r, w // k, size // k)
+            if state in seen:
                 continue
-            seen.add((r, bound))
-            rest = vectors[r]
-            for e, s, i, row in by_slope[: bisect_left(slopes, bound)]:
-                t = r - i
-                if t >= 0 and (weights[t] < 0 if t else r != last) and all(map(le, e, rest)):
-                    heappush(heap, (g - _dot(row, vectors[t]), t, s))
+            seen.add(state)
+            rest, floor = vectors[r], weights[r]
+            for j in range(1, r + 1):
+                e = vectors[j]
+                if ((weights[j] > floor or j == r) and weights[j] * size < w * sum(e)
+                        and all(map(le, e, rest))):
+                    heappush(heap, (g - _dot(q.left_form(e), vectors[r - j]), r - j, j))
         return None
 
     def search(self, keep) -> tuple[HNType, ...]:

@@ -50,10 +50,11 @@ O(remainders x pieces), polynomial in d.
 Slopes are scaled to integers, so all of it is exact.  `hn._Tables`
 holds those tables (its docstring has their layout) and the one search
 over them that also lists every type for `hn.enumerate_hn_types`.  Its
-lean pass over the e <= d, which runs before any table, also yields
-the instance flags: coprime when no 0 < e < d has theta(e) = 0, and
-strongly amply stable when N(d - e) - 1 >= 1, i.e. <e, d - e> <= -2,
-for every e with theta(e) > 0.  `core.is_theta_coprime` and
+lean pass over the e <= d, which runs before any table and tests
+only d for semistability, also yields the instance flags: coprime
+when no 0 < e < d has theta(e) = 0, and strongly amply stable when
+N(d - e) - 1 >= 1, i.e. <e, d - e> <= -2, for every e with
+theta(e) > 0.  `core.is_theta_coprime` and
 `semistability.is_strongly_amply_stable` compute the same flags on
 their own.
 
@@ -84,6 +85,12 @@ then holds for the states that complete: each is popped at its least
 distance, and the first zero remainder popped is the least
 codimension.  The proof does not use strong ample stability, so every
 verdict takes the least codimension from this search, and no table.
+The search tests whether e is a piece only when it pops the edge, and
+drops the edge if not.  An edge's validity depends only on e, so
+testing it at pop runs Dijkstra on the same graph as testing it at
+push.  A strongly amply stable verdict thus tests d and the vectors of
+the edges it pops: 3 tests in all on every such golden instance in
+`tests/golden`, which have up to 2,651 nonzero e <= d.
 
 For the failing types, when there is a witness, the search over the
 tables enters a branch only when its partial sum plus F of its state is
@@ -231,7 +238,9 @@ def verdict(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> Verdict
     The strata are decided as the module docstring says, never by
     enumerating the HN types: the least codimension by the best-first
     search of lemma (b), the failing strata by lemma (a) without a
-    strong failure witness and by the min-path DP with one.
+    strong failure witness and by the min-path DP with one.  Without a
+    witness, d and the vectors of the edges the search pops are the only
+    e <= d tested for semistability.
     """
     tables = _Tables(q, d, theta, "verdict")
     d = tables.d

@@ -512,7 +512,10 @@ class TestFreshProcess:
 
     # never needed by `qt verdict`; dataclasses alone pulls in inspect,
     # ast, dis and tokenize
-    UNUSED_BY_VERDICT = {"dataclasses", "inspect", "csv", "pathlib", "quivermoduli.oracle"}
+    UNUSED_BY_VERDICT = {
+        "dataclasses", "inspect", "csv", "pathlib", "fractions", "decimal", "numbers",
+        "quivermoduli.oracle",
+    }
 
     def test_verdict_imports_nothing_it_never_runs(self):
         # added modules are counted against the child's own starting set,

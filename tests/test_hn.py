@@ -6,7 +6,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import lcm
-from operator import le, mul
+from operator import le, mul, sub
 
 import pytest
 from hypothesis import assume, given, settings
@@ -48,6 +48,7 @@ from cases import (
     TRIANGLE_A,
     TRIANGLE_B,
     random_instances,
+    wide_instances,
 )
 from weight_oracles import reference_hn_types
 
@@ -353,12 +354,13 @@ class TestFitMasks:
 
 class TestLeastCodim:
     """`_Tables.least_codim`, the best-first search from d, against the
-    least codimension over the reference HN types, and, on made-up
+    least codimension over the reference HN types, and, with made-up
     pieces, against the plain min-path recursion over the same edges."""
 
     def test_equal_to_reference(self):
         unstrong = 0
-        for q, d, theta in CORPUS + random_instances(300, seed=43):
+        wide = [(q, d, q.canonical_stability(d)) for q, d in wide_instances(200, seed=5)]
+        for q, d, theta in CORPUS + random_instances(300, seed=43) + wide:
             tables = _Tables(q, d, theta, "test")
             codims = [codimension(q, t) for t in reference_hn_types(q, d, theta) if t != (d,)]
             # lemma (b) needs no strong ample stability, and no table
@@ -367,46 +369,60 @@ class TestLeastCodim:
             unstrong += tables.strong_failure_witness is not None
         assert unstrong >= 50
 
-    def test_exact_on_any_edges_at_least_zero(self):
-        # Dijkstra is exact when every edge is >= 0, whatever the slopes;
-        # two states that share a remainder but not a bound stay apart
+    def test_exact_on_any_edges_at_least_zero(self, monkeypatch):
+        # Dijkstra is exact when every edge is >= 0, whatever the pieces.
+        # Loops at every vertex and no negative arrow count make every
+        # entry of the Euler matrix <= 0, so every edge -<e, tail> is >= 0
+        # on any set of pieces, which `_semistable` is made to return.
+        # The root edges of least weight are no pieces, so the search pops
+        # a non-piece first; the last edge of a type weighs -<e, 0> = 0, so
+        # a non-piece there holds its parent's key; and two states that
+        # share a remainder but not a slope stay apart
         rng = random.Random(53)
+        nonpieces = set()
+        tested = []
+
+        def made_up(q, e, theta, weight):
+            tested.append(e)
+            return e not in nonpieces
+
+        monkeypatch.setattr(quivermoduli.hn, "_semistable", made_up)
         for _ in range(300):
-            d = tuple(rng.randint(1, 3) for _ in range(rng.randint(2, 3)))
-            vectors = [tuple(v) for v in subdimension_vectors(DimensionVector(d))]
+            n = rng.randint(2, 3)
+            d = tuple(rng.randint(1, 3) for _ in range(n))
+            q = Quiver(n, [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+                           for _ in range(rng.randint(i == j, 2))])
             u = [rng.randint(-3, 3) for _ in d]
-            weights = [sum(d) * sum(map(mul, u, v)) - sum(v) * sum(map(mul, u, d))
-                       for v in vectors]
-            last = len(vectors) - 1
-            pieces = [i for i in range(1, last + 1) if i == last or rng.random() < 0.6]
-            # a row <= 0 makes every edge -row . tail >= 0
-            tables = object.__new__(_Tables)
-            tables.vectors, tables.weights = vectors, weights
-            tables.by_slope = sorted(
-                ((vectors[i], rng.randint(-4, 4), i, tuple(-rng.randint(0, 3) for _ in d))
-                 for i in pieces),
-                key=lambda p: p[1],
-            )
+            theta = tuple(sum(d) * x - sum(map(mul, u, d)) for x in u)
+            vectors = [tuple(v) for v in subdimension_vectors(DimensionVector(d))]
+            mu = {v: Fraction(sum(map(mul, theta, v)), sum(v)) for v in vectors[1:]}
+            roots = {e: -q.euler_pairing(e, tuple(map(sub, d, e))) for e in mu if mu[e] > 0}
+            nonpieces.clear()
+            nonpieces.update(e for e in vectors[1:-1] if rng.random() < 0.4)
+            nonpieces.update(e for e in roots if roots[e] == min(roots.values()))
             memo = {}
 
-            def least(r, bound):
-                """The least path length from (r, bound) to 0, or None."""
-                if not r:
+            def least(rest, bound):
+                """The least path length from (rest, bound) to 0, or None."""
+                if not any(rest):
                     return 0
-                if (r, bound) not in memo:
+                if (rest, bound) not in memo:
                     lengths = []
-                    for e, s, i, row in tables.by_slope:
-                        t = r - i
-                        if (s < bound and all(map(le, e, vectors[r]))
-                                and (weights[t] < 0 if t else r != last)
-                                and (rest := least(t, s)) is not None):
-                            lengths.append(rest - sum(map(mul, row, vectors[t])))
-                    memo[r, bound] = min(lengths, default=None)
-                return memo[r, bound]
+                    for e in mu:
+                        tail = tuple(map(sub, rest, e))
+                        if (e not in nonpieces and e != d and (bound is None or mu[e] < bound)
+                                and all(map(le, e, rest))
+                                and (not any(tail) or mu[tail] < 0)
+                                and (length := least(tail, mu[e])) is not None):
+                            lengths.append(length - q.euler_pairing(e, tail))
+                    memo[rest, bound] = min(lengths, default=None)
+                return memo[rest, bound]
 
-            # the root's bound, 5, is above every slope
-            assert tables.least_codim() == least(last, 5), (d, tables.by_slope)
-
+            tables = _Tables(q, d, theta, "test")
+            tested.clear()
+            assert tables.least_codim() == least(d, None), (q, d, theta, sorted(nonpieces))
+            if roots:
+                assert tested[0] in nonpieces
 
 class TestVerdictFlags:
     """The coprime flag and the strong ample witness come out of the table

@@ -495,6 +495,25 @@ class TestVerdict:
         assert verdict(TRIANGLE_B, D_B, THETA_B).failing_strata == (FAILING_B,)
         assert len(builds) == 1
 
+    def test_strongly_amply_stable_tests_few_pieces(self, monkeypatch):
+        # the lean pass tests d alone, and the search only the pieces of
+        # the edges it pops: 3 tests in all on every golden below, against
+        # one per nonzero e <= d (461 at K3 (20,21)) when every piece was
+        # tested up front
+        semistable = quivermoduli.hn._semistable
+        tested = []
+        monkeypatch.setattr(
+            quivermoduli.hn, "_semistable", lambda *args: tested.append(args) or semistable(*args)
+        )
+        strong = 0
+        for path in sorted(GOLDEN.glob("*.json")):
+            spec = load_problem(str(path))
+            tested.clear()
+            if verdict(spec.quiver, spec.d, spec.theta).strongly_amply_stable:
+                strong += 1
+                assert 1 <= len(tested) <= 5, (path.name, len(tested))
+        assert strong >= 7
+
     def test_rejects_nonzero_theta_d(self):
         with pytest.raises(ValueError):
             verdict(KRONECKER_3, D_23, StabilityParameter((1, 1)))
