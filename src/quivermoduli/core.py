@@ -182,8 +182,11 @@ class Quiver:
         return seen == n
 
     def _vertex_tuple(self, v, kind: type) -> tuple[int, ...]:
-        """v as a plain tuple, once it is a valid `kind` with one entry per vertex."""
-        v = kind(v)
+        """v as a plain tuple, once it is a valid `kind` with one entry per vertex.
+
+        A value of type `kind` was checked when it was made."""
+        if type(v) is not kind:
+            v = kind(v)
         if len(v) != self.vertex_count:
             raise ValueError(
                 f"vector of length {len(v)} on a quiver with {self.vertex_count} vertices"
@@ -224,19 +227,25 @@ class Quiver:
         return StabilityParameter(raw)
 
 
+_Fraction = None  # fractions.Fraction, bound by the first `slope` call
+
+
 def slope(theta: StabilityParameter, e: tuple) -> fractions.Fraction:
     """Slope mu(e) = theta(e) / |e| as an exact Fraction.
 
-    Undefined (raises) for the zero vector.
+    Undefined (raises) for the zero vector.  `fractions` is imported on
+    the first call, so a process that never takes a slope never loads it.
     """
-    import fractions
+    global _Fraction
+    if _Fraction is None:
+        from fractions import Fraction as _Fraction
 
     if len(theta) != len(e):
         raise ValueError(f"vector length mismatch: {len(theta)} vs {len(e)}")
     total = sum(e)
     if total == 0:
         raise ValueError("slope is undefined for the zero dimension vector")
-    return fractions.Fraction(sum(map(mul, theta, e)), total)
+    return _Fraction(sum(map(mul, theta, e)), total)
 
 
 def subdimension_vectors(d: DimensionVector) -> list[DimensionVector]:

@@ -50,7 +50,7 @@ from .core import (
     StabilityParameter,
     slope,
 )
-from .semistability import _below_masks, _rays, _semistable, has_semistable
+from .semistability import _below_masks, _forms, _rays, _semistable, has_semistable
 
 
 def _require_pieces(t) -> None:
@@ -124,6 +124,19 @@ def _dot(a: tuple, b: tuple) -> int:
     return sum(map(mul, a, b))
 
 
+def _box_weights(theta: tuple, d: tuple) -> list[int]:
+    """theta(e) for every 0 <= e <= d, in lexicographic order of e.
+
+    theta is linear, so the list is built by outer sums, one pass per
+    coordinate: each weight of the vectors over the first j coordinates
+    is followed by its sums with theta_j * x for x = 0, ..., d_j."""
+    out = [0]
+    for a, x in zip(theta, d):
+        steps = [a * k for k in range(x + 1)]
+        out = [v + s for v in out for s in steps]
+    return out
+
+
 def _fit_masks(vectors: list[tuple], weights: list[int], pieces: list[int]) -> list[int | None]:
     """For each remainder rest = vectors[r] that gets a table (d, and every
     rest with theta(rest) < 0; see `_Tables`), the pieces e <= rest whose
@@ -159,7 +172,9 @@ class _Tables:
     other e for semistability.  The table stage runs on the first read
     of `tables`, which `search` makes: it tests every e <= d, then runs
     `_fit_masks` and the table loop.  `least_codim` reads no table, and
-    tests only the pieces of the edges it pops.
+    tests only the pieces of the edges it pops.  Both stages test
+    through `is_piece`, which keeps each answer by number, so no vector
+    is tested twice.
 
     A piece is a nonzero e <= d admitting a semistable representation;
     in the tables its slope s is scaled by the lcm of the piece sizes to
@@ -206,8 +221,10 @@ class _Tables:
     rest are a bitmask over the pieces in slope order (`_fit_masks`),
     read in bit order.  The lean pass has filled the generic ray tables
     of every e <= d before, in one pass.
-    The pass runs on plain int tuples with theta(e) computed once per e;
-    only the pieces are wrapped as `DimensionVector`s, for the entries.
+    The pass runs on plain int tuples with theta(e) computed once per e,
+    by outer sums (`_box_weights`); the cuts read the right forms that
+    the quiver's ray table keeps.  Only the pieces are wrapped as
+    `DimensionVector`s, for the entries.
 
     The flags: `coprime` says that no 0 < e < d has theta(e) = 0, as
     `is_theta_coprime` does.  `strong_failure_witness` is the first e in
@@ -249,14 +266,17 @@ class _Tables:
         self.q, self.d, self.theta = q, d, theta
         _rays(q, d)  # fills a cold box of ray tables in one pass, before any piece test
         self.vectors = vectors = list(product(*(range(x + 1) for x in d)))
-        self.weights = weights = [_dot(theta, e) for e in vectors]
+        self.weights = weights = _box_weights(theta, d)
         last = len(vectors) - 1
-        self.semistable = _semistable(q, d, theta, 0)
+        # number -> is that vector a piece, tested at most once per number
+        self.piece = {last: _semistable(q, d, theta, 0)}
+        self.semistable = self.piece[last]
 
         # c = N(rest) - 1 = -<d - rest, rest> - 1 at each rest with theta < 0,
         # d - rest being the (r+1)-th vector from the end
+        forms = _forms(q)
         self.cuts = cuts = {
-            r: -_dot(vectors[last - r], q.right_form(rest)) - 1
+            r: -_dot(vectors[last - r], forms[rest]) - 1
             for r, rest in enumerate(vectors) if weights[r] < 0
         }
         self.coprime = 0 not in weights[1:-1]
@@ -269,10 +289,10 @@ class _Tables:
     @cached_property
     def tables(self) -> list[tuple]:
         """The DP tables, built on first use; see the class docstring."""
-        q, theta, vectors, weights = self.q, self.theta, self.vectors, self.weights
+        vectors, weights = self.vectors, self.weights
         pieces = [
-            (DimensionVector(e), w, i) for i, (e, w) in enumerate(zip(vectors, weights))
-            if i and _semistable(q, e, theta, w)
+            (DimensionVector(vectors[i]), weights[i], i)
+            for i in range(1, len(vectors)) if self.is_piece(i)
         ]
         scale = lcm(*{sum(e) for e, _, _ in pieces})
         by_slope = sorted(((e, w * (scale // sum(e)), i) for e, w, i in pieces), key=itemgetter(1))
@@ -316,17 +336,14 @@ class _Tables:
         theta < 0, each of weight -<e, tail>.  By lemma (b) the first
         zero remainder popped has the least codimension.
         """
-        q, theta, vectors, weights = self.q, self.theta, self.vectors, self.weights
+        q, vectors, weights = self.q, self.vectors, self.weights
         last = len(vectors) - 1
         heap = [(c + 1, r, last - r) for r, c in self.cuts.items()]
         heapify(heap)
-        piece = {}
         seen = set()
         while heap:
             g, r, i = heappop(heap)
-            if i not in piece:
-                piece[i] = _semistable(q, vectors[i], theta, weights[i])
-            if not piece[i]:
+            if not self.is_piece(i):
                 continue
             if not r:
                 return g
@@ -343,6 +360,14 @@ class _Tables:
                         and all(map(le, e, rest))):
                     heappush(heap, (g - _dot(q.left_form(e), vectors[r - j]), r - j, j))
         return None
+
+    def is_piece(self, i: int) -> bool:
+        """Whether the vector numbered i admits a semistable
+        representation, tested once per number for both stages."""
+        piece = self.piece
+        if i not in piece:
+            piece[i] = _semistable(self.q, self.vectors[i], self.theta, self.weights[i])
+        return piece[i]
 
     def search(self, keep) -> tuple[HNType, ...]:
         """The HN types of d reached through children that `keep`

@@ -28,11 +28,17 @@ inside the hull stay, correct but not pruned.
 `generic_subdimension_vectors` still returns the whole set by running
 the filter for e once against the ray tables below it.
 
-The memo `_memo` maps (q, e) to e's rays, and holds with each e every
-f <= e.  A miss at d whose predecessors d - u_j are all in it runs the
-filter for d alone, as an ascending sweep does.  Any other miss, on at
-most three vertices, fills the whole box 0 <= e <= d in one
-bit-parallel pass (`_fill_box`):
+The memo `_memo` has one table per quiver q, `_memo[q]`, keyed by
+plain int tuples: e maps to e's rays, and the table holds with each e
+every f <= e.  The table keeps q's right forms in `forms`, e mapping to
+right_form(e), each computed once: the filter, the box pass and the
+cuts of `hn._Tables` read them there.  A hot loop looks its quiver's
+table up once and then reads vectors only.  `clear_caches` empties
+`_memo`, rays and forms of every quiver.  A miss at d whose
+predecessors d - u_j are all in the table runs the filter for d alone,
+as an ascending sweep does.  Any other miss, on at most three
+vertices, fills the whole box 0 <= e <= d in one bit-parallel pass
+(`_fill_box`):
 
 - Layout.  The nonzero vectors f <= d are numbered by their
   projected point f / |f|, scaled to integers by the lcm of the sizes,
@@ -143,16 +149,16 @@ def _below_masks(d: tuple[int, ...], pairs) -> list[list[int]]:
     return masks
 
 
-def _members(q: Quiver, e: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The generic subdimension vectors of e, in lexicographic order.
+def _members(table: _QuiverRays, e: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The generic subdimension vectors of e, in lexicographic order, read
+    off the quiver's `table`.
 
     Recurses only on vectors of smaller total, so it terminates."""
-    form = q.right_form(e)
-    memo = _memo
+    form = table.forms[e]
     out = []
     for f in product(*(range(x + 1) for x in e)):
         # f = 0 has no rays, and f = e is always generic
-        for g, gf in memo[q, f] if f != e else ():
+        for g, gf in table[f] if f != e else ():
             if sum(map(mul, g, form)) < gf:
                 break
         else:
@@ -160,21 +166,46 @@ def _members(q: Quiver, e: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-class _RayMemo(dict):
-    """(q, e) -> `_rays(q, e)`.  A miss fills the table as the module
-    docstring describes, so it holds with each e every f <= e."""
+class _Forms(dict):
+    """b -> q.right_form(b) for one quiver q, computed on first read."""
 
-    def __missing__(self, key):
-        q, e = key
+    def __init__(self, q: Quiver):
+        super().__init__()
+        self.right_form = q.right_form
+
+    def __missing__(self, b):
+        form = self[b] = self.right_form(b)
+        return form
+
+
+class _QuiverRays(dict):
+    """e -> `_rays(q, e)` for one quiver q, with q's right forms in
+    `forms`.  A miss fills the table as the module docstring describes,
+    so it holds with each e every f <= e."""
+
+    def __init__(self, q: Quiver):
+        super().__init__()
+        self.q = q
+        self.forms = _Forms(q)
+
+    def __missing__(self, e):
         if len(e) <= 3:
             for j, x in enumerate(e):
-                if x and (q, e[:j] + (x - 1,) + e[j + 1 :]) not in self:
-                    _fill_box(q, e)
-                    return self[key]
-        form = q.right_form(e)
-        gens = _extreme_rays(_members(q, e)[1:])
-        self[key] = tuple((g, sum(map(mul, g, form))) for g in gens)
-        return self[key]
+                if x and e[:j] + (x - 1,) + e[j + 1 :] not in self:
+                    _fill_box(self, e)
+                    return self[e]
+        form = self.forms[e]
+        gens = _extreme_rays(_members(self, e)[1:])
+        self[e] = tuple((g, sum(map(mul, g, form))) for g in gens)
+        return self[e]
+
+
+class _RayMemo(dict):
+    """q -> q's `_QuiverRays`, made empty on first read."""
+
+    def __missing__(self, q):
+        table = self[q] = _QuiverRays(q)
+        return table
 
 
 _memo = _RayMemo()
@@ -183,16 +214,22 @@ _memo = _RayMemo()
 def _rays(q: Quiver, e: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(g, <g, e>) for one generic g of e on each extreme ray of the cone
     the generic subdimension vectors of e span; empty for e = 0."""
-    return _memo[q, e]
+    return _memo[q][e]
 
 
-def _fill_box(q: Quiver, d: tuple[int, ...]) -> None:
-    """Put the rays of every e <= d in the memo, on at most three vertices,
-    in one pass over packed integers; the module docstring has the layout
-    and the bound on w."""
+def _forms(q: Quiver) -> _Forms:
+    """q's memoized right forms: _forms(q)[b] = q.right_form(b)."""
+    return _memo[q].forms
+
+
+def _fill_box(table: _QuiverRays, d: tuple[int, ...]) -> None:
+    """Put the rays of every e <= d in the quiver's `table`, on at most
+    three vertices, in one pass over packed integers; the module docstring
+    has the layout and the bound on w."""
+    q, forms = table.q, table.forms
     n = len(d)
     box = list(product(*(range(x + 1) for x in d)))
-    _memo[q, box[0]] = ()
+    table[box[0]] = ()
     box = box[1:]
     scale = lcm(*range(1, sum(d) + 1))
     # numbered by projected point, ties in lexicographic order
@@ -206,8 +243,8 @@ def _fill_box(q: Quiver, d: tuple[int, ...]) -> None:
     below = _below_masks(d, ((f, 1 << w * k + w - 1) for k, f in enumerate(vectors)))
     slots = []  # [G_0, ..., G_{n-1}, Q] per ray slot
     for e in box:
-        if (q, e) not in _memo:
-            form = q.right_form(e)
+        if e not in table:
+            form = forms[e]
             m = signs
             for row, x in zip(below, e):
                 m &= row[x]
@@ -227,9 +264,9 @@ def _fill_box(q: Quiver, d: tuple[int, ...]) -> None:
                         ordered.append(vectors[k])
                         last = points[k]
                 gens = _chain(ordered)
-            _memo[q, e] = tuple((g, sum(map(mul, g, form))) for g in gens)
+            table[e] = tuple((g, sum(map(mul, g, form))) for g in gens)
         shift = w * field[e]
-        for s, (g, ge) in enumerate(_memo[q, e]):
+        for s, (g, ge) in enumerate(table[e]):
             if s == len(slots):
                 slots.append([0] * n + [signs])
             slot = slots[s]
@@ -241,8 +278,9 @@ def _fill_box(q: Quiver, d: tuple[int, ...]) -> None:
 def generic_subdimension_vectors(q: Quiver, e: DimensionVector) -> frozenset[DimensionVector]:
     """The set of generic subdimension vectors of e; always contains 0 and e."""
     e = q._vertex_tuple(e, DimensionVector)
-    _rays(q, e)  # a cold box is filled in one pass, not one vector at a time
-    return frozenset(map(DimensionVector, _members(q, e)))
+    table = _memo[q]
+    table[e]  # a cold box is filled in one pass, not one vector at a time
+    return frozenset(map(DimensionVector, _members(table, e)))
 
 
 def has_semistable(q: Quiver, e: DimensionVector, theta: StabilityParameter) -> bool:
@@ -263,7 +301,7 @@ def has_semistable(q: Quiver, e: DimensionVector, theta: StabilityParameter) -> 
 def _semistable(q: Quiver, e: tuple, theta: tuple, weight: int) -> bool:
     """`has_semistable` on a valid nonzero e, with weight = theta(e), unchecked."""
     size = sum(e)
-    for f, _ in _memo[q, e]:
+    for f, _ in _memo[q][e]:
         if sum(map(mul, theta, f)) * size > weight * sum(f):
             return False
     return True
@@ -291,5 +329,5 @@ def is_strongly_amply_stable(
 
 
 def clear_caches() -> None:
-    """Drop the memo table of generic ray generators (for cold starts)."""
+    """Drop every quiver's ray generators and right forms (for cold starts)."""
     _memo.clear()

@@ -353,6 +353,15 @@ class TestSweepCommand:
         parsed = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert ["(2,3)", "yes", "yes", "yes", "yes"] in parsed[1:]
 
+    @pytest.mark.parametrize("name", sorted(path.stem for path in (GOLDEN / "sweep").glob("*.json")))
+    def test_golden_sweep(self, name, capsys):
+        # tests/golden/sweep holds the CSV of an earlier release for each
+        # quiver, the stem naming its --dmax after the first dash
+        stem = GOLDEN / "sweep" / name
+        dmax = ",".join(name.split("-")[1:])
+        assert main(["sweep", str(stem.with_suffix(".json")), "--dmax", dmax]) == 0
+        assert capsys.readouterr().out == stem.with_suffix(".csv").read_text()
+
     def test_out_file(self, tmp_path):
         problem = {"vertices": 2, "arrows": [[1, 2]], "d": [1, 1], "theta": [1, -1]}
         path = write_problem(tmp_path, problem)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from operator import le, mul, sub
 
@@ -31,7 +32,7 @@ from quivermoduli import (
     verdict,
     window_width,
 )
-from quivermoduli.hn import _fit_masks, _Tables
+from quivermoduli.hn import _box_weights, _dot, _fit_masks, _Tables
 
 from cases import (
     CORPUS,
@@ -350,6 +351,22 @@ class TestFitMasks:
                 assert {i for k, i in enumerate(pieces) if mask >> k & 1} == expected, (q, d, rest)
                 dropped += len(below - expected)
         assert dropped > 0
+
+
+class TestBoxWeights:
+    """`_box_weights`, theta(e) for every e <= d by outer sums, against one
+    `_dot` per vector in lexicographic order."""
+
+    def test_equal_to_dot(self):
+        rng = random.Random(11)
+        zeros = 0
+        for _, d, theta in CORPUS + random_instances(300, seed=23):
+            # the instance's theta, and a free one with zero and negative entries
+            for t in (tuple(theta), tuple(rng.randint(-3, 3) for _ in d)):
+                zeros += 0 in t
+                expected = [_dot(t, e) for e in product(*(range(x + 1) for x in d))]
+                assert _box_weights(t, tuple(d)) == expected
+        assert zeros > 50
 
 
 class TestLeastCodim:

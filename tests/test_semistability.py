@@ -553,16 +553,29 @@ class TestRayTables:
                     )
         assert_matches_reference(FOUR_VERTEX, d, next(thetas(d, seed=1)))
 
+    def test_clear_caches_leaves_no_ray_and_no_form(self):
+        for q, d, _ in CORPUS + [(FOUR_VERTEX, DimensionVector((2, 1, 2, 1)), None)]:
+            generic_subdimension_vectors(q, d)
+        held = list(semistability._memo.values())
+        assert len(held) >= 4
+        assert all(table and table.forms for table in held)
+        quivermoduli.clear_caches()
+        assert not semistability._memo
+        for q, _, _ in CORPUS:
+            table = semistability._memo[q]
+            assert not table and not table.forms
+            assert all(table is not old for old in held)
+
     def test_dropping_a_ray_is_caught(self, monkeypatch):
-        # a mutant table that loses one ray wherever it has two or more, on
-        # every read: the box pass packing the rays of each f, the
-        # one-vector filter and the semistability test
-        class OneShort(type(semistability._memo)):
-            def __getitem__(self, key):
-                rays = super().__getitem__(key)
+        # a mutant per-quiver table that loses one ray wherever it has two
+        # or more, on every read: the box pass packing the rays of each f,
+        # the one-vector filter and the semistability test
+        class OneShort(semistability._QuiverRays):
+            def __getitem__(self, e):
+                rays = super().__getitem__(e)
                 return rays[:-1] if len(rays) > 1 else rays
 
-        monkeypatch.setattr(semistability, "_memo", OneShort())
+        monkeypatch.setattr(semistability, "_QuiverRays", OneShort)
         caught = 0
         for q, d, theta in CORPUS + random_instances(200, seed=5):
             if generic_subdimension_vectors(q, d) != reference_generic_subdimension_vectors(q, d):
@@ -571,3 +584,4 @@ class TestRayTables:
                      for e in subdimension_vectors(d)[1:]):
                 caught += 1
         assert caught > 0
+        assert {type(table) for table in semistability._memo.values()} == {OneShort}

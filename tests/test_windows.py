@@ -514,6 +514,22 @@ class TestVerdict:
                 assert 1 <= len(tested) <= 5, (path.name, len(tested))
         assert strong >= 7
 
+    def test_fallback_tests_each_piece_once(self, monkeypatch):
+        # with a strong failure witness, least_codim and the tables share
+        # one piece memo, so no vector is tested twice: at most one test
+        # per nonzero e <= d (49 and 97 here), against 54 and 103 when the
+        # tables tested again what the search had tested
+        semistable = quivermoduli.hn._semistable
+        tested = []
+        monkeypatch.setattr(
+            quivermoduli.hn, "_semistable", lambda *args: tested.append(args) or semistable(*args)
+        )
+        for name, nonzero in (("triangle-A", 49), ("triangle-B", 97)):
+            spec = load_problem(str(GOLDEN / f"{name}.json"))
+            tested.clear()
+            assert verdict(spec.quiver, spec.d, spec.theta).strong_failure_witness is not None
+            assert len({args[1] for args in tested}) == len(tested) <= nonzero, name
+
     def test_rejects_nonzero_theta_d(self):
         with pytest.raises(ValueError):
             verdict(KRONECKER_3, D_23, StabilityParameter((1, 1)))
