@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property
-from operator import index, mul, sub
+from operator import index, mul
 from typing import Iterable
 
 
@@ -54,6 +54,12 @@ class IntVector(tuple):
             raise ValueError(f"vector entries must be integers: {exc}") from None
         vec._check_entries()
         return vec
+
+    @classmethod
+    def _trusted(cls, entries: Iterable[int]):
+        """Wrap integers that already satisfy this class's checks, unchecked:
+        only for vectors the library built itself from checked input."""
+        return super().__new__(cls, entries)
 
     def _check_entries(self) -> None:
         pass
@@ -141,6 +147,10 @@ class Quiver:
         self.euler_matrix = tuple(
             tuple(int(i == j) - counts[i][j] for j in range(n)) for i in range(n)
         )
+        # the rows of A - A^T: canonical theta_i = skew_rows[i] . d
+        self.skew_rows = tuple(
+            tuple(counts[i][j] - counts[j][i] for j in range(n)) for i in range(n)
+        )
 
     @classmethod
     def kronecker(cls, arrow_count: int) -> Quiver:
@@ -213,18 +223,19 @@ class Quiver:
     def canonical_stability(self, d: DimensionVector) -> StabilityParameter:
         """Primitive stability parameter on the ray of <d,-> - <-,d>.
 
-        That difference is theta_i = sum_j (A_ij - A_ji) d_j; it is
-        divided by the gcd of its entries so that parallel arrows do not
-        inflate the output.  Always satisfies theta(d) = 0.
+        That difference is theta_i = sum_j (A_ij - A_ji) d_j, one dot
+        product of d with each of `skew_rows`; it is divided by the gcd of
+        its entries so that parallel arrows do not inflate the output.
+        Always satisfies theta(d) = 0.
         """
         d = self._vertex_tuple(d, DimensionVector)
         if not any(d):
             raise ValueError("canonical stability is undefined for the zero vector")
-        raw = list(map(sub, self.left_form(d), self.right_form(d)))
+        raw = [sum(map(mul, row, d)) for row in self.skew_rows]
         g = math.gcd(*raw)
         if g > 1:
             raw = [x // g for x in raw]
-        return StabilityParameter(raw)
+        return StabilityParameter._trusted(raw)
 
 
 _Fraction = None  # fractions.Fraction, bound by the first `slope` call
@@ -254,7 +265,7 @@ def subdimension_vectors(d: DimensionVector) -> list[DimensionVector]:
     The first element is always the zero vector and the last is d.
     """
     return [
-        DimensionVector(e)
+        DimensionVector._trusted(e)
         for e in itertools.product(*(range(x + 1) for x in d))
     ]
 

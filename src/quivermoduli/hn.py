@@ -224,7 +224,8 @@ class _Tables:
     The pass runs on plain int tuples with theta(e) computed once per e,
     by outer sums (`_box_weights`); the cuts read the right forms that
     the quiver's ray table keeps.  Only the pieces are wrapped as
-    `DimensionVector`s, for the entries.
+    `DimensionVector`s, for the entries, unchecked: they come out of the
+    box of a checked d.
 
     The flags: `coprime` says that no 0 < e < d has theta(e) = 0, as
     `is_theta_coprime` does.  `strong_failure_witness` is the first e in
@@ -281,7 +282,7 @@ class _Tables:
         }
         self.coprime = 0 not in weights[1:-1]
         self.strong_failure_witness = next(
-            (DimensionVector(vectors[i]) for i in range(1, last)
+            (DimensionVector._trusted(vectors[i]) for i in range(1, last)
              if weights[i] > 0 and cuts[last - i] < 1),
             None,
         )
@@ -291,7 +292,7 @@ class _Tables:
         """The DP tables, built on first use; see the class docstring."""
         vectors, weights = self.vectors, self.weights
         pieces = [
-            (DimensionVector(vectors[i]), weights[i], i)
+            (DimensionVector._trusted(vectors[i]), weights[i], i)
             for i in range(1, len(vectors)) if self.is_piece(i)
         ]
         scale = lcm(*{sum(e) for e, _, _ in pieces})
@@ -333,10 +334,11 @@ class _Tables:
         a zero remainder returns g, and a state (r, mu(e)) seen before is
         skipped.  A state's edges are the e <= rest of slope below mu,
         slopes compared by cross multiplication, whose tail is 0 or has
-        theta < 0, each of weight -<e, tail>.  By lemma (b) the first
-        zero remainder popped has the least codimension.
+        theta < 0, each of weight -<e, tail> = -e . right_form(tail), the
+        form read off the quiver's memo.  By lemma (b) the first zero
+        remainder popped has the least codimension.
         """
-        q, vectors, weights = self.q, self.vectors, self.weights
+        vectors, weights, forms = self.vectors, self.weights, _forms(self.q)
         last = len(vectors) - 1
         heap = [(c + 1, r, last - r) for r, c in self.cuts.items()]
         heapify(heap)
@@ -358,7 +360,7 @@ class _Tables:
                 e = vectors[j]
                 if ((weights[j] > floor or j == r) and weights[j] * size < w * sum(e)
                         and all(map(le, e, rest))):
-                    heappush(heap, (g - _dot(q.left_form(e), vectors[r - j]), r - j, j))
+                    heappush(heap, (g - _dot(e, forms[vectors[r - j]]), r - j, j))
         return None
 
     def is_piece(self, i: int) -> bool:

@@ -233,7 +233,7 @@ def _invariants(rep: FiniteFieldRep, budget: int) -> tuple[_Lattice, int]:
 def _by_slope(theta: tuple, low: tuple, d: tuple) -> list[tuple]:
     """(f, f - low) for low < f <= d, by decreasing slope, then size, of f - low."""
     fs = itertools.product(*(range(a, b + 1) for a, b in zip(low, d)))
-    out = [(f, DimensionVector(a - b for a, b in zip(f, low))) for f in fs if f != low]
+    out = [(f, DimensionVector._trusted(a - b for a, b in zip(f, low))) for f in fs if f != low]
     out.sort(key=lambda fe: (slope(theta, fe[1]), sum(fe[1])), reverse=True)
     return out
 

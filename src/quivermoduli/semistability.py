@@ -31,9 +31,9 @@ the filter for e once against the ray tables below it.
 The memo `_memo` has one table per quiver q, `_memo[q]`, keyed by
 plain int tuples: e maps to e's rays, and the table holds with each e
 every f <= e.  The table keeps q's right forms in `forms`, e mapping to
-right_form(e), each computed once: the filter, the box pass and the
-cuts of `hn._Tables` read them there.  A hot loop looks its quiver's
-table up once and then reads vectors only.  `clear_caches` empties
+right_form(e), each computed once: the filter, the box pass, and the
+cuts and search edges of `hn._Tables` read them there.  A hot loop
+looks its quiver's table up once and then reads vectors only.  `clear_caches` empties
 `_memo`, rays and forms of every quiver.  A miss at d whose
 predecessors d - u_j are all in the table runs the filter for d alone,
 as an ascending sweep does.  Any other miss, on at most three
@@ -65,6 +65,16 @@ vertices, fills the whole box 0 <= e <= d in one bit-parallel pass
   The vectors are visited in lexicographic order, so every f < e is
   packed before e is tested; the fields still empty are those of e and
   of vectors not <= e.
+- The prefilter, n = 3.  Lemma: if f is generic in e, so is every
+  generic g of f (Schofield 1992), so C(f) lies in C(e), the cone that
+  e's generic vectors span.  So a member h of e on an extreme ray of
+  C(e), as h lies in C(h), is on an extreme ray of C(h): it is parallel
+  to one of its own rays.  One mask `hull` keeps the sign bits of the
+  packed fields whose vector is parallel to one of its rays, set as
+  each field is packed.  The chain reads e's members ANDed with `hull`
+  and e's own bit (e is not packed yet): every member on an extreme ray
+  of C(e) stays, so the chain keeps the same first member per extreme
+  point, and only interior points leave its input.
 
 From four vertices on the one-vector filter always runs: every
 projected point of a member is kept there, so the slots would be as
@@ -225,7 +235,9 @@ def _forms(q: Quiver) -> _Forms:
 def _fill_box(table: _QuiverRays, d: tuple[int, ...]) -> None:
     """Put the rays of every e <= d in the quiver's `table`, on at most
     three vertices, in one pass over packed integers; the module docstring
-    has the layout and the bound on w."""
+    has the layout, the bound on w and the lemma behind the n = 3
+    prefilter, which feeds the chain only e and the members parallel to
+    one of their own rays."""
     q, forms = table.q, table.forms
     n = len(d)
     box = list(product(*(range(x + 1) for x in d)))
@@ -242,7 +254,10 @@ def _fill_box(table: _QuiverRays, d: tuple[int, ...]) -> None:
     signs = ((1 << w * len(box)) - 1) // ((1 << w) - 1) << (w - 1)
     below = _below_masks(d, ((f, 1 << w * k + w - 1) for k, f in enumerate(vectors)))
     slots = []  # [G_0, ..., G_{n-1}, Q] per ray slot
+    hull = 0  # n = 3: the sign bits of the packed f parallel to one of their own rays
     for e in box:
+        own = field[e]
+        shift = w * own
         if e not in table:
             form = forms[e]
             m = signs
@@ -255,6 +270,7 @@ def _fill_box(table: _QuiverRays, d: tuple[int, ...]) -> None:
                 hi = m.bit_length() // w - 1
                 gens = [vectors[lo]] if points[lo] == points[hi] else [vectors[lo], vectors[hi]]
             else:
+                m &= hull | 1 << shift + w - 1
                 ordered, last = [], None
                 while m:
                     low = m & -m
@@ -265,8 +281,10 @@ def _fill_box(table: _QuiverRays, d: tuple[int, ...]) -> None:
                         last = points[k]
                 gens = _chain(ordered)
             table[e] = tuple((g, sum(map(mul, g, form))) for g in gens)
-        shift = w * field[e]
-        for s, (g, ge) in enumerate(table[e]):
+        rays = table[e]
+        if n == 3 and any(points[field[g]] == points[own] for g, _ in rays):
+            hull |= 1 << shift + w - 1
+        for s, (g, ge) in enumerate(rays):
             if s == len(slots):
                 slots.append([0] * n + [signs])
             slot = slots[s]
@@ -280,7 +298,7 @@ def generic_subdimension_vectors(q: Quiver, e: DimensionVector) -> frozenset[Dim
     e = q._vertex_tuple(e, DimensionVector)
     table = _memo[q]
     table[e]  # a cold box is filled in one pass, not one vector at a time
-    return frozenset(map(DimensionVector, _members(table, e)))
+    return frozenset(map(DimensionVector._trusted, _members(table, e)))
 
 
 def has_semistable(q: Quiver, e: DimensionVector, theta: StabilityParameter) -> bool:
@@ -324,7 +342,7 @@ def is_strongly_amply_stable(
         raise ValueError("is_strongly_amply_stable requires theta(d) = 0")
     for e in product(*(range(x + 1) for x in d)):
         if sum(map(mul, theta, e)) > 0 and q.euler_pairing(e, tuple(map(sub, d, e))) > -2:
-            return False, DimensionVector(e)
+            return False, DimensionVector._trusted(e)
     return True, None
 
 

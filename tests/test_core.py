@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,15 +12,31 @@ from hypothesis import strategies as st
 
 from quivermoduli import (
     DimensionVector,
+    HNType,
     Quiver,
     StabilityParameter,
+    enumerate_hn_types,
+    generic_subdimension_vectors,
+    has_semistable,
+    is_strongly_amply_stable,
     is_theta_coprime,
     one_parameter_subgroup,
     slope,
     subdimension_vectors,
+    verdict,
 )
 
-from cases import KRONECKER_3, TRIANGLE_A, TRIANGLE_B, D_23, D_A, D_B
+from cases import (
+    CORPUS,
+    KRONECKER_3,
+    TRIANGLE_A,
+    TRIANGLE_B,
+    D_23,
+    D_A,
+    D_B,
+    random_instances,
+    wide_instances,
+)
 
 
 @st.composite
@@ -179,6 +196,74 @@ class TestCanonicalStability:
         d = DimensionVector(d)
         theta = q.canonical_stability(d)
         assert theta(d) == 0
+
+    def test_matches_euler_forms(self):
+        # <d,-> - <-,d> divided by its gcd, on every e <= d; the extra
+        # quivers have loops, 2-cycles and a vertex with no arrow
+        extra = [
+            (Quiver(2, [(1, 2), (2, 1)]), (3, 4)),
+            (Quiver(2, [(1, 2), (2, 1), (2, 1), (1, 1)]), (4, 3)),
+            (Quiver(3, [(1, 1), (1, 2), (2, 1), (2, 3), (2, 3), (3, 3)]), (3, 2, 3)),
+            (Quiver(3, [(1, 2), (1, 2)]), (2, 2, 2)),
+        ]
+        cases = [(q, d) for q, d, _ in CORPUS + random_instances(200, seed=41)]
+        cases += wide_instances(60, seed=13) + extra
+        checked = 0
+        for q, d in cases:
+            for e in subdimension_vectors(DimensionVector(d))[1:]:
+                raw = [a - b for a, b in zip(q.left_form(e), q.right_form(e))]
+                g = math.gcd(*raw) or 1
+                theta = q.canonical_stability(e)
+                assert theta == tuple(x // g for x in raw), (q, e)
+                assert type(theta) is StabilityParameter
+                checked += 1
+        assert checked > 1000
+
+
+class TestPublicInputsChecked:
+    """Every public entry that takes a dimension vector or a stability
+    parameter still rejects floats, negative dimensions and wrong lengths;
+    the library skips these checks only on vectors it built itself."""
+
+    BAD_D = [(1.5, 2), (2, -1), (2,), (2, 3, 0)]
+    BAD_THETA = [(1.5, -1), (3,), (3, -2, 0)]
+
+    @staticmethod
+    def calls_with_d(d):
+        theta = (3, -2)
+        if len(d) == 2:  # a lone vector has no length to match
+            yield DimensionVector, (d,)
+        yield KRONECKER_3.canonical_stability, (d,)
+        yield generic_subdimension_vectors, (KRONECKER_3, d)
+        yield has_semistable, (KRONECKER_3, d, theta)
+        yield is_strongly_amply_stable, (KRONECKER_3, d, theta)
+        yield enumerate_hn_types, (KRONECKER_3, d, theta)
+        yield verdict, (KRONECKER_3, d, theta)
+        yield is_theta_coprime, (theta, d)
+        yield HNType, (((1, 1), d),)
+
+    @staticmethod
+    def calls_with_theta(theta):
+        d = (2, 3)
+        if len(theta) == 2:
+            yield StabilityParameter, (theta,)
+        yield has_semistable, (KRONECKER_3, d, theta)
+        yield is_strongly_amply_stable, (KRONECKER_3, d, theta)
+        yield enumerate_hn_types, (KRONECKER_3, d, theta)
+        yield verdict, (KRONECKER_3, d, theta)
+        yield is_theta_coprime, (theta, d)
+
+    @pytest.mark.parametrize("d", BAD_D)
+    def test_bad_dimension_vector(self, d):
+        for fn, args in self.calls_with_d(d):
+            with pytest.raises(ValueError):
+                fn(*args)
+
+    @pytest.mark.parametrize("theta", BAD_THETA)
+    def test_bad_stability_parameter(self, theta):
+        for fn, args in self.calls_with_theta(theta):
+            with pytest.raises(ValueError):
+                fn(*args)
 
 
 class TestSlope:

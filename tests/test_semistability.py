@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from math import gcd
 from operator import mul
 
@@ -565,6 +566,33 @@ class TestRayTables:
             table = semistability._memo[q]
             assert not table and not table.forms
             assert all(table is not old for old in held)
+
+    def test_three_vertex_chain_skips_members_off_their_own_hull(self, monkeypatch):
+        # a cold box at A3 (8,8,8) feeds the monotone chain, for each e in
+        # lexicographic order, the first member per projected point among
+        # e and the members parallel to one of their own rays
+        q, d = Quiver(3, [(1, 2)] * 3 + [(2, 3)] * 3), (8, 8, 8)
+        fed = []
+        chain = semistability._chain
+        monkeypatch.setattr(
+            semistability, "_chain", lambda ordered: fed.append(list(ordered)) or chain(ordered)
+        )
+        _rays(q, d)
+        box = [tuple(e) for e in subdimension_vectors(DimensionVector(d))[1:]]
+        assert len(fed) == len(box)
+        walked = 0
+        for e, got in zip(box, fed):
+            members = sorted(
+                (tuple(Fraction(x, sum(f)) for x in f), tuple(f))
+                for f in generic_subdimension_vectors(q, e) if any(f)
+            )
+            walked += len({point for point, _ in members})
+            kept = {}
+            for point, f in members:
+                if f == e or any(parallel(f, g) for g, _ in _rays(q, f)):
+                    kept.setdefault(point, f)
+            assert got == list(kept.values()), e
+        assert sum(map(len, fed)) < 0.8 * walked
 
     def test_dropping_a_ray_is_caught(self, monkeypatch):
         # a mutant per-quiver table that loses one ray wherever it has two
