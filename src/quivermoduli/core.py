@@ -264,6 +264,8 @@ def subdimension_vectors(d: DimensionVector) -> list[DimensionVector]:
 
     The first element is always the zero vector and the last is d.
     """
+    if type(d) is not DimensionVector:
+        d = DimensionVector(d)
     return [
         DimensionVector._trusted(e)
         for e in itertools.product(*(range(x + 1) for x in d))

@@ -21,11 +21,11 @@ read: the pieces, and for every remainder an HN type of d can leave
 piece e <= rest that completes to a type, that is whose tail rest - e
 is zero or has a type with every slope below mu(e).  The remainders
 are numbered by their place in `subdimension_vectors(d)`, a
-mixed-radix number linear in the vector, so the tables form a list
-and a tail's number is the difference of two numbers.  Each entry
-carries the value of the DP F (derived in the `windows` module
-docstring) at its tail, and each table the prefix minima of those
-values in slope order.  Every entry completes, so
+mixed-radix number linear in the vector, so the tables form a dict
+keyed by number and a tail's number is the difference of two
+numbers.  Each entry carries the value of the DP F (derived in the
+`windows` module docstring) at its tail, and each table the prefix
+minima of those values in slope order.  Every entry completes, so
 `enumerate_hn_types` enters them all; `verdict` enters only those
 that can still fail the weight inequality.  The tables are built on
 first use: a strongly amply stable verdict needs none of them.  The
@@ -39,9 +39,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cached_property, reduce
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, product
+from itertools import accumulate, compress, product
 from math import gcd, lcm
-from operator import and_, itemgetter, le, mul, or_
+from operator import and_, itemgetter, le, mul
 from typing import NamedTuple
 
 from .core import (
@@ -124,6 +124,15 @@ def _dot(a: tuple, b: tuple) -> int:
     return sum(map(mul, a, b))
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits(mask: int) -> bytes:
+    """The binary digits of mask, lowest first, as the bytes 0 and 1:
+    `compress(items, _bits(mask))` yields items[k] for each set bit k."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+
+
 def _box_weights(theta: tuple, d: tuple) -> list[int]:
     """theta(e) for every 0 <= e <= d, in lexicographic order of e.
 
@@ -137,32 +146,6 @@ def _box_weights(theta: tuple, d: tuple) -> list[int]:
     return out
 
 
-def _fit_masks(vectors: list[tuple], weights: list[int], pieces: list[int]) -> list[int | None]:
-    """For each remainder rest = vectors[r] that gets a table (d, and every
-    rest with theta(rest) < 0; see `_Tables`), the pieces e <= rest whose
-    tail rest - e has a table too, that is theta(e) > theta(rest) or
-    e = rest, as a bitmask with bit k for the piece numbered pieces[k];
-    None for every other r.  weights[i] = theta(vectors[i]).
-
-    One bitmask per coordinate value selects e <= rest, and one suffix OR
-    over the pieces in (theta, number) order those past rest's place: a
-    piece e <= rest has a number i <= r, equal only for e = rest, so it
-    comes after (theta(rest), r) iff theta(e) > theta(rest) or e = rest."""
-    bits = [1 << k for k in range(len(pieces))]
-    # below[j][v] has bit k set iff piece k has e_j <= v
-    below = _below_masks(vectors[-1], zip(map(vectors.__getitem__, pieces), bits))
-    size = len(vectors)
-    by_theta = sorted(zip((weights[i] * size + i for i in pieces), bits))
-    keys = [key for key, _ in by_theta]
-    # after[j]: the pieces at places >= j in (theta, number) order
-    after = list(accumulate((b for _, b in reversed(by_theta)), or_, initial=0))[::-1]
-    return [
-        reduce(and_, map(list.__getitem__, below, rest), after[bisect_left(keys, w * size + r)])
-        if w < 0 or r == size - 1 else None
-        for r, (rest, w) in enumerate(zip(vectors, weights))
-    ]
-
-
 class _Tables:
     """The two verdict flags of (q, d, theta), and the DP tables over the
     remainders, in two stages.  The constructor is the lean pass every
@@ -171,8 +154,8 @@ class _Tables:
     `semistable`, which says whether d itself is a piece; it tests no
     other e for semistability.  The table stage runs on the first read
     of `tables`, which `search` makes: it tests every e <= d, then runs
-    `_fit_masks` and the table loop.  `least_codim` reads no table, and
-    tests only the pieces of the edges it pops.  Both stages test
+    the table loop.  `least_codim` reads no table, and tests only the
+    pieces of the edges it pops.  Both stages test
     through `is_piece`, which keeps each answer by number, so no vector
     is tested twice.
 
@@ -195,12 +178,11 @@ class _Tables:
     mean of mu(d^{r+1}), ..., mu(d^l), all <= mu(d^{r+1}) < mu(d^r);
     so mu(rest) < mu(v - rest), and mu(v) lies between the two.  With
     theta(d) = 0 every remainder of a type of d has theta(rest) < 0.
-    So tables[r] is built for rest = d, for rest = 0 and for every rest
-    with theta(rest) < 0; every other number holds one shared empty
-    table.  A piece e <= rest leaves a tail with a table iff
-    theta(e) > theta(rest) or e = rest; no other piece is tried.  By the
-    lemma, applied to rest, no other piece completes to a type of rest,
-    so each built table is the one the unrestricted DP would build.
+    So `tables` is a dict with one key r for each of rest = 0, rest = d
+    and every rest with theta(rest) < 0 (the keys of `cuts`), and no
+    other.  A piece e <= rest whose tail rest - e has no key is skipped:
+    by the lemma, applied to rest, it completes to no type of rest, so
+    each table is the one the unrestricted DP would build.
 
     tables[r], for the remainder rest numbered r, is
     (c, slopes, best_f, entries): c = N(rest) - 1 with
@@ -208,19 +190,20 @@ class _Tables:
     piece e <= rest that completes to a type, in ascending slope order,
     ties in lexicographic order, with t the number of the tail rest - e
     and f = F(tail, s); `slopes` their s; best_f[i] the minimum of
-    f - s c over the first i+1 entries.  Every built nonzero rest has an
-    entry, the first piece of any of its HN types, so only the shared
-    table is empty.  tables[0], the zero remainder, has no entries and
-    holds the DP's base case F = 0: c = 0 and one slope below every
-    piece's, so every bound reads it.
+    f - s c over the first i+1 entries.  Every nonzero rest with a table
+    has an entry, the first piece of any of its HN types.  tables[0], the
+    zero remainder, has no entries and holds the DP's base case F = 0:
+    c = 0 and one slope below every piece's, so every bound reads it.
 
-    The tables are built in one pass over the numbers, which puts every
+    The tables are built in ascending order of number, which puts every
     tail before rest: F at a tail state (t, s) is read off the
     finished tables[t] by bisection, and a piece with no slope of the
     tail below s does not complete and is dropped.  The pieces tried at
-    rest are a bitmask over the pieces in slope order (`_fit_masks`),
-    read in bit order.  The lean pass has filled the generic ray tables
-    of every e <= d before, in one pass.
+    rest are those e <= rest, a bitmask over the pieces in slope order
+    (the AND of `_below_masks` over the coordinates of rest), read in
+    bit order by `_bits`; a tail with no table costs one dict miss.  The lean pass
+    has filled the generic ray tables of every e <= d before, in one
+    pass.
     The pass runs on plain int tuples with theta(e) computed once per e,
     by outer sums (`_box_weights`); the cuts read the right forms that
     the quiver's ray table keeps.  Only the pieces are wrapped as
@@ -288,39 +271,35 @@ class _Tables:
         )
 
     @cached_property
-    def tables(self) -> list[tuple]:
+    def tables(self) -> dict[int, tuple]:
         """The DP tables, built on first use; see the class docstring."""
-        vectors, weights = self.vectors, self.weights
+        vectors, weights, cuts = self.vectors, self.weights, self.cuts
         pieces = [
             (DimensionVector._trusted(vectors[i]), weights[i], i)
             for i in range(1, len(vectors)) if self.is_piece(i)
         ]
         scale = lcm(*{sum(e) for e, _, _ in pieces})
         by_slope = sorted(((e, w * (scale // sum(e)), i) for e, w, i in pieces), key=itemgetter(1))
-        masks = _fit_masks(vectors, weights, [p[2] for p in by_slope])
-        cuts = self.cuts
-        empty = (0, [], [], [])
-        tables = [(0, [by_slope[0][1] - 1], [0], [])]
-        for r in range(1, len(masks)):
-            mask = masks[r]
-            if mask is None:
-                tables.append(empty)
-                continue
+        # below[j][v] has bit k set iff the k-th piece in slope order has e_j <= v
+        below = _below_masks(self.d, ((e, 1 << k) for k, (e, _, _) in enumerate(by_slope)))
+        tables = {0: (0, [by_slope[0][1] - 1], [0], [])}
+        for r in (*cuts, len(vectors) - 1):  # ascending: the cuts were numbered in order
             c = cuts.get(r, -1)  # at d, N(d) = -<0, d> = 0
             entries, slopes, fs = [], [], []
-            while mask:
-                bit = mask & -mask
-                mask ^= bit
-                e, s, i = by_slope[bit.bit_length() - 1]
+            mask = reduce(and_, map(list.__getitem__, below, vectors[r]))
+            for e, s, i in compress(by_slope, _bits(mask)):
                 t = r - i
-                tail_c, tail_slopes, tail_f, _ = tables[t]
+                tail = tables.get(t)
+                if tail is None:
+                    continue
+                tail_c, tail_slopes, tail_f, _ = tail
                 j = bisect_left(tail_slopes, s)
                 if j:
                     f = s * tail_c + tail_f[j - 1]
                     entries.append((e, s, t, f))
                     slopes.append(s)
                     fs.append(f - s * c)
-            tables.append((c, slopes, list(accumulate(fs, min)), entries))
+            tables[r] = (c, slopes, list(accumulate(fs, min)), entries)
         return tables
 
     def least_codim(self) -> int | None:
@@ -376,9 +355,10 @@ class _Tables:
         accepts, in lexicographic order.
 
         Depth-first over the states (r, bound), r the number of the
-        remainder.  The children of a state are the entries of tables[r]
-        of slope below bound (all of them at the root), a prefix found by
-        bisection, tried in lexicographic order of e.  Every entry
+        remainder, from d's number.  The children of a state are the
+        entries of tables[r] of slope below bound (all of them at the
+        root), a prefix found by bisection, tried in lexicographic order
+        of e.  Every entry
         completes to a type, so a child e is entered iff keep(e, low)
         holds, low being the partial sum plus the entry's F: the least
         failure sum of the `windows` module docstring over the types that
@@ -386,7 +366,7 @@ class _Tables:
         in at least one type.
         """
         out = []
-        stack = [(len(self.tables) - 1, 0, 0, ())]
+        stack = [(len(self.vectors) - 1, 0, 0, ())]
         while stack:
             r, bound, partial, prefix = stack.pop()
             if not r:
@@ -410,9 +390,11 @@ def pairing_table(q: Quiver, t: HNType) -> list[list[int | None]]:
     """Off-diagonal Euler pairings P[m][n] = <d^m, d^n> between the pieces.
 
     The diagonal is None: no stratum quantity reads it.  Codimension,
-    the cuts and every window weight are sums over this one table.
+    the cuts and every window weight are sums over this one table.  t is
+    checked as an `HNType` unless it is one already.
     """
-    _require_pieces(t)
+    if type(t) is not HNType:
+        t = HNType(t)
     pair = q.euler_pairing
     return [
         [None if m == n else pair(a, b) for n, b in enumerate(t)]

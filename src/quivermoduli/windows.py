@@ -42,10 +42,12 @@ smallest unstable codimension.  Every remainder rest_r with 0 < r < l
 has theta(rest_r) < 0, by the lemma in the `hn._Tables` docstring, so
 F and G are needed only at states whose remainder is 0 or has
 theta < 0.  The edge term of F is
-mu (N(rest) - 1) - mu(e) (N(rest) - 1), so one table per such
-remainder, keeping only the pieces e that complete to a type, each with F
-at its state (rest - e, mu(e)), and with prefix minima over them in
-slope order, answers every bound mu by bisection: the cost is
+mu (N(rest) - 1) - mu(e) (N(rest) - 1), so one table for d and for
+each such remainder, keyed by number, and none for any other
+remainder (a piece whose tail has no table is skipped), keeping only
+the pieces e that complete to a type, each with F at its state
+(rest - e, mu(e)), and with prefix minima over them in slope order,
+answers every bound mu by bisection: the cost is
 O(remainders x pieces), polynomial in d.
 Slopes are scaled to integers, so all of it is exact.  `hn._Tables`
 holds those tables (its docstring has their layout) and the one search
@@ -272,4 +274,5 @@ def verdict(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> Verdict
 
 def moduli_dimension(q: Quiver, d: DimensionVector) -> int:
     """Dimension 1 - <d, d> of the moduli space in the coprime case."""
+    d = q._vertex_tuple(d, DimensionVector)
     return 1 - q.euler_pairing(d, d)

@@ -4,6 +4,6 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
-    # per-test isolation for the memoized recursions
+    # per-test isolation: clear_caches empties every quiver's ray tables and forms
     quivermoduli.clear_caches()
     yield

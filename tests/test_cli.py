@@ -362,6 +362,14 @@ class TestSweepCommand:
         assert main(["sweep", str(stem.with_suffix(".json")), "--dmax", dmax]) == 0
         assert capsys.readouterr().out == stem.with_suffix(".csv").read_text()
 
+    @pytest.mark.parametrize("name", sorted(path.stem for path in (GOLDEN / "strata").glob("*.json")))
+    def test_golden_strata(self, name, capsys):
+        # tests/golden/strata holds the `qt strata` table of an earlier
+        # release for each problem: every HN type, the enumeration path
+        stem = GOLDEN / "strata" / name
+        assert main(["strata", str(stem.with_suffix(".json"))]) == 0
+        assert capsys.readouterr().out == stem.with_suffix(".txt").read_text()
+
     def test_out_file(self, tmp_path):
         problem = {"vertices": 2, "arrows": [[1, 2]], "d": [1, 1], "theta": [1, -1]}
         path = write_problem(tmp_path, problem)

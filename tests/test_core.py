@@ -15,12 +15,16 @@ from quivermoduli import (
     HNType,
     Quiver,
     StabilityParameter,
+    codimension,
+    codimension_cuts,
     enumerate_hn_types,
     generic_subdimension_vectors,
     has_semistable,
     is_strongly_amply_stable,
     is_theta_coprime,
+    moduli_dimension,
     one_parameter_subgroup,
+    pairing_table,
     slope,
     subdimension_vectors,
     verdict,
@@ -233,6 +237,7 @@ class TestPublicInputsChecked:
         theta = (3, -2)
         if len(d) == 2:  # a lone vector has no length to match
             yield DimensionVector, (d,)
+            yield subdimension_vectors, (d,)
         yield KRONECKER_3.canonical_stability, (d,)
         yield generic_subdimension_vectors, (KRONECKER_3, d)
         yield has_semistable, (KRONECKER_3, d, theta)
@@ -241,6 +246,10 @@ class TestPublicInputsChecked:
         yield verdict, (KRONECKER_3, d, theta)
         yield is_theta_coprime, (theta, d)
         yield HNType, (((1, 1), d),)
+        yield moduli_dimension, (KRONECKER_3, d)
+        # a type given as a plain list of vectors, one of them d
+        for fn in (pairing_table, codimension, codimension_cuts):
+            yield fn, (KRONECKER_3, [(1, 0), d])
 
     @staticmethod
     def calls_with_theta(theta):

@@ -32,7 +32,7 @@ from quivermoduli import (
     verdict,
     window_width,
 )
-from quivermoduli.hn import _box_weights, _dot, _fit_masks, _Tables
+from quivermoduli.hn import _box_weights, _dot, _Tables
 
 from cases import (
     CORPUS,
@@ -194,10 +194,10 @@ class TestEnumerateHNTypes:
 
 
 class TestFitLists:
-    """`_Tables` builds a table at the place r of each remainder in the
+    """`_Tables` keys a table by the place r of each remainder in the
     lexicographic list of the vectors 0 <= rest <= d, but only where an HN
     type of d can leave that remainder: rest = d, rest = 0 and theta(rest)
-    < 0.  Every other place holds an empty table.  A built table keeps
+    < 0.  No other place has a table.  A built table keeps
     only the pieces e <= rest that complete to a type: rest - e is zero
     or has a type with every slope below mu(e), and its place is stored.
     The reference is the plain filter over the pieces in slope order,
@@ -250,12 +250,14 @@ class TestFitLists:
             tables = _Tables(q, d, theta, "test").tables
             expected = self.reference_entries(q, d, theta)
             scale = lcm(*{sum(e) for e in vectors[1:] if has_semistable(q, e, theta)})
-            # tables[r] belongs to the remainder vectors[r], index 0 to zero
-            assert len(tables) == len(vectors) and vectors[0].is_zero()
-            # the empty tables are exactly the remainders 0 < rest < d with theta >= 0
-            assert [r for r in range(1, len(vectors)) if not tables[r][3]] == [
-                r for r in range(1, len(vectors) - 1) if theta.dot(vectors[r]) >= 0
-            ]
+            # tables[r] belongs to the remainder vectors[r], key 0 to zero
+            assert vectors[0].is_zero()
+            # the keys are exactly 0, d and the remainders with theta < 0,
+            # and only the zero remainder's table is empty
+            assert set(tables) == {0, len(vectors) - 1} | {
+                r for r, rest in enumerate(vectors) if theta.dot(rest) < 0
+            }
+            assert [r for r in tables if not tables[r][3]] == [0]
             for r, rest in enumerate(vectors[1:], 1):
                 if not self.built(d, theta, rest):
                     continue
@@ -270,11 +272,12 @@ class TestFitLists:
 
     def test_prefix_minima_never_empty(self):
         for q, d, theta in CORPUS + random_instances(50, seed=29):
-            zero, *tables = _Tables(q, d, theta, "test").tables
-            assert zero[3] == []
-            for rest, table in zip(subdimension_vectors(d)[1:], tables):
-                c, slopes, best_f, entries = table
-                if self.built(d, theta, rest):
+            tables = _Tables(q, d, theta, "test").tables
+            assert tables[0][3] == []
+            vectors = subdimension_vectors(d)
+            for r, (c, slopes, best_f, entries) in tables.items():
+                if r:
+                    assert self.built(d, theta, vectors[r])
                     assert entries and None not in best_f
                     assert len(slopes) == len(best_f) == len(entries)
 
@@ -294,13 +297,15 @@ class TestFitLists:
         for q, d, theta in CORPUS:
             tables = _Tables(q, d, theta, "test")
             # the prefix minima serve only the build: a reader of them would now fail
-            tables.tables = [(c, s, None, entries) for c, s, _, entries in tables.tables]
+            tables.tables = {
+                r: (c, s, None, entries) for r, (c, s, _, entries) in tables.tables.items()
+            }
             assert tables.search(lambda e, low: True) == reference_hn_types(q, d, theta)
 
     def test_ties_in_lexicographic_order(self):
         ties = 0
         for q, d, theta in CORPUS:
-            for *_, entries in _Tables(q, d, theta, "test").tables:
+            for *_, entries in _Tables(q, d, theta, "test").tables.values():
                 for a, b in zip(entries, entries[1:]):
                     assert slope(theta, a[0]) <= slope(theta, b[0])
                     if slope(theta, a[0]) == slope(theta, b[0]):
@@ -325,32 +330,6 @@ class TestFitLists:
             _Tables(K1, (0, 0), (1, -1), "caller")
         with pytest.raises(ValueError, match=r"^caller requires theta\(d\) = 0$"):
             _Tables(K1, (1, 1), (1, 0), "caller")
-
-
-class TestFitMasks:
-    """The pieces `_Tables` tries at a remainder: before any bisection, a
-    piece e <= rest is dropped unless its tail rest - e has a table."""
-
-    def test_equal_to_filter(self):
-        dropped = 0
-        for q, d, theta in CORPUS + random_instances(200, seed=37):
-            vectors = [tuple(v) for v in subdimension_vectors(d)]
-            weights = [theta.dot(v) for v in vectors]
-            pieces = [i for i in range(1, len(vectors)) if has_semistable(q, vectors[i], theta)]
-            random.Random(len(pieces)).shuffle(pieces)  # any bit order
-            masks = _fit_masks(vectors, weights, pieces)
-            assert len(masks) == len(vectors)
-            for r, rest in enumerate(vectors):
-                mask = masks[r]
-                if not (weights[r] < 0 or rest == vectors[-1]):
-                    assert mask is None
-                    continue
-                assert mask >> len(pieces) == 0
-                below = {i for i in pieces if all(map(le, vectors[i], rest))}
-                expected = {i for i in below if weights[i] > weights[r] or i == r}
-                assert {i for k, i in enumerate(pieces) if mask >> k & 1} == expected, (q, d, rest)
-                dropped += len(below - expected)
-        assert dropped > 0
 
 
 class TestBoxWeights:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,23 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 def _total(pieces):
     return tuple(map(sum, zip(*pieces)))
+
+
+BUILD_TABLES = quivermoduli.hn._Tables.tables.func
+
+
+def replace_table_stage(monkeypatch, stage):
+    """Run stage(self, BUILD_TABLES) as the tables stage of `hn._Tables`."""
+    tables = cached_property(lambda self: stage(self, BUILD_TABLES))
+    tables.__set_name__(quivermoduli.hn._Tables, "tables")
+    monkeypatch.setattr(quivermoduli.hn._Tables, "tables", tables)
+
+
+def count_table_builds(monkeypatch):
+    """The list each run of the tables stage of `hn._Tables` appends to."""
+    builds = []
+    replace_table_stage(monkeypatch, lambda self, build: builds.append(self) or build(self))
+    return builds
 
 
 def all_instances():
@@ -422,11 +440,7 @@ class TestVerdict:
             theta = q.canonical_stability(d)
             if has_semistable(q, d, theta):
                 batch.append((q, d, theta))
-        builds = []
-        fit_masks = quivermoduli.hn._fit_masks
-        monkeypatch.setattr(
-            quivermoduli.hn, "_fit_masks", lambda *args: builds.append(args) or fit_masks(*args)
-        )
+        builds = count_table_builds(monkeypatch)
         failing, branches = 0, Counter()
         for q, d, theta in batch:
             before = len(builds)
@@ -473,12 +487,10 @@ class TestVerdict:
         assert verdict(TRIANGLE_B, D_B, THETA_B).failing_strata == (FAILING_B,)
 
     def test_strongly_amply_stable_builds_no_table(self, monkeypatch):
-        fit_masks = quivermoduli.hn._fit_masks
-
-        def refuse(*args):
+        def refuse(self, build):
             raise AssertionError("a strongly amply stable verdict must not build the DP tables")
 
-        monkeypatch.setattr(quivermoduli.hn, "_fit_masks", refuse)
+        replace_table_stage(monkeypatch, refuse)
         theta = KRONECKER_3.canonical_stability(D_23)
         golden_23 = min(codim for codim, *_ in GOLDEN_UNSTABLE_23.values())
         assert verdict(KRONECKER_3, D_23, theta).min_unstable_codim == golden_23
@@ -488,10 +500,7 @@ class TestVerdict:
         assert verdict(spec.quiver, spec.d, spec.theta).min_unstable_codim == golden
 
         # with a strong failure witness the verdict falls back to the tables
-        builds = []
-        monkeypatch.setattr(
-            quivermoduli.hn, "_fit_masks", lambda *args: builds.append(args) or fit_masks(*args)
-        )
+        builds = count_table_builds(monkeypatch)
         assert verdict(TRIANGLE_B, D_B, THETA_B).failing_strata == (FAILING_B,)
         assert len(builds) == 1
 
