@@ -50,12 +50,7 @@ from .core import (
     StabilityParameter,
     slope,
 )
-from .semistability import _below_masks, _forms, _rays, _semistable, has_semistable
-
-
-def _require_pieces(t) -> None:
-    if not t:
-        raise ValueError("an HN type must have at least one piece")
+from .semistability import _below_masks, _memo, _semistable, has_semistable
 
 
 class HNType(tuple):
@@ -69,7 +64,8 @@ class HNType(tuple):
 
     def __new__(cls, pieces):
         t = super().__new__(cls, (DimensionVector(p) for p in pieces))
-        _require_pieces(t)
+        if not t:
+            raise ValueError("an HN type must have at least one piece")
         length = len(t[0])
         for p in t:
             if len(p) != length:
@@ -99,12 +95,21 @@ def validate_hn_type(
     t = HNType(t)
     if d is not None and t.total() != DimensionVector(d):
         raise ValueError(f"HN type sums to {tuple(t.total())}, expected {tuple(d)}")
-    slopes = [slope(theta, p) for p in t]
-    if any(a <= b for a, b in zip(slopes, slopes[1:])):
-        raise ValueError("HN type slopes must be strictly decreasing")
+    _decreasing_slopes(theta, t)
     for p in t:
         if not has_semistable(q, p, theta):
             raise ValueError(f"piece {tuple(p)} admits no semistable representation")
+
+
+def _decreasing_slopes(theta: StabilityParameter, t: HNType) -> list:
+    """The slopes of t's pieces, once they are strictly decreasing; theta
+    is checked unless it is a `StabilityParameter`."""
+    if type(theta) is not StabilityParameter:
+        theta = StabilityParameter(theta)
+    slopes = [slope(theta, p) for p in t]
+    if any(a <= b for a, b in zip(slopes, slopes[1:])):
+        raise ValueError("HN type slopes must be strictly decreasing")
+    return slopes
 
 
 def enumerate_hn_types(
@@ -201,14 +206,14 @@ class _Tables:
     tail below s does not complete and is dropped.  The pieces tried at
     rest are those e <= rest, a bitmask over the pieces in slope order
     (the AND of `_below_masks` over the coordinates of rest), read in
-    bit order by `_bits`; a tail with no table costs one dict miss.  The lean pass
-    has filled the generic ray tables of every e <= d before, in one
-    pass.
-    The pass runs on plain int tuples with theta(e) computed once per e,
-    by outer sums (`_box_weights`); the cuts read the right forms that
-    the quiver's ray table keeps.  Only the pieces are wrapped as
-    `DimensionVector`s, for the entries, unchecked: they come out of the
-    box of a checked d.
+    bit order by `_bits`; a tail with no table costs one dict miss.
+    The lean pass runs on plain int tuples with theta(e) computed once
+    per e, by outer sums (`_box_weights`).  It looks the quiver's ray
+    table up once, as `table`, and fills the entry (rays, right form) of
+    every e <= d there before any piece test; the cuts and the edges of
+    `least_codim` read each remainder's right form off its entry.  Only
+    the pieces are wrapped as `DimensionVector`s, for the entries,
+    unchecked: they come out of the box of a checked d.
 
     The flags: `coprime` says that no 0 < e < d has theta(e) = 0, as
     `is_theta_coprime` does.  `strong_failure_witness` is the first e in
@@ -248,7 +253,8 @@ class _Tables:
         if _dot(theta, d) != 0:
             raise ValueError(f"{caller} requires theta(d) = 0")
         self.q, self.d, self.theta = q, d, theta
-        _rays(q, d)  # fills a cold box of ray tables in one pass, before any piece test
+        self.table = table = _memo[q]
+        table[d]  # fills a cold box of ray tables in one pass, before any piece test
         self.vectors = vectors = list(product(*(range(x + 1) for x in d)))
         self.weights = weights = _box_weights(theta, d)
         last = len(vectors) - 1
@@ -258,9 +264,8 @@ class _Tables:
 
         # c = N(rest) - 1 = -<d - rest, rest> - 1 at each rest with theta < 0,
         # d - rest being the (r+1)-th vector from the end
-        forms = _forms(q)
         self.cuts = cuts = {
-            r: -_dot(vectors[last - r], forms[rest]) - 1
+            r: -_dot(vectors[last - r], table[rest][1]) - 1
             for r, rest in enumerate(vectors) if weights[r] < 0
         }
         self.coprime = 0 not in weights[1:-1]
@@ -314,10 +319,10 @@ class _Tables:
         skipped.  A state's edges are the e <= rest of slope below mu,
         slopes compared by cross multiplication, whose tail is 0 or has
         theta < 0, each of weight -<e, tail> = -e . right_form(tail), the
-        form read off the quiver's memo.  By lemma (b) the first zero
+        form read off tail's entry in `table`.  By lemma (b) the first zero
         remainder popped has the least codimension.
         """
-        vectors, weights, forms = self.vectors, self.weights, _forms(self.q)
+        vectors, weights, table = self.vectors, self.weights, self.table
         last = len(vectors) - 1
         heap = [(c + 1, r, last - r) for r, c in self.cuts.items()]
         heapify(heap)
@@ -339,7 +344,7 @@ class _Tables:
                 e = vectors[j]
                 if ((weights[j] > floor or j == r) and weights[j] * size < w * sum(e)
                         and all(map(le, e, rest))):
-                    heappush(heap, (g - _dot(e, forms[vectors[r - j]]), r - j, j))
+                    heappush(heap, (g - _dot(e, table[vectors[r - j]][1]), r - j, j))
         return None
 
     def is_piece(self, i: int) -> bool:
@@ -440,12 +445,12 @@ class OneParameterSubgroup(NamedTuple):
 def one_parameter_subgroup(theta: StabilityParameter, t: HNType) -> OneParameterSubgroup:
     """Integral weight data of the destabilizing subgroup for type t.
 
-    Requires the slopes of t to be strictly decreasing.
+    Requires the slopes of t to be strictly decreasing.  theta and t
+    are checked unless they are a `StabilityParameter` and an `HNType`.
     """
-    _require_pieces(t)
-    slopes = [slope(theta, p) for p in t]
-    if any(a <= b for a, b in zip(slopes, slopes[1:])):
-        raise ValueError("one_parameter_subgroup requires strictly decreasing slopes")
+    if type(t) is not HNType:
+        t = HNType(t)
+    slopes = _decreasing_slopes(theta, t)
     scale = lcm(*(mu.denominator for mu in slopes))
     weights = tuple(int(scale * mu) for mu in slopes)
     return OneParameterSubgroup(scale=scale, weights=weights)

@@ -29,12 +29,12 @@ inside the hull stay, correct but not pruned.
 the filter for e once against the ray tables below it.
 
 The memo `_memo` has one table per quiver q, `_memo[q]`, keyed by
-plain int tuples: e maps to e's rays, and the table holds with each e
-every f <= e.  The table keeps q's right forms in `forms`, e mapping to
-right_form(e), each computed once: the filter, the box pass, and the
-cuts and search edges of `hn._Tables` read them there.  A hot loop
-looks its quiver's table up once and then reads vectors only.  `clear_caches` empties
-`_memo`, rays and forms of every quiver.  A miss at d whose
+plain int tuples: e maps to the pair (e's rays, right_form(e)), and the
+table holds with each e every f <= e.  So each form is computed once,
+when e's rays are stored: the filter, the box pass, and the cuts and
+search edges of `hn._Tables` read it there.  A hot loop looks its
+quiver's table up once and then reads vectors only.  `clear_caches`
+empties `_memo`, rays and forms of every quiver.  A miss at d whose
 predecessors d - u_j are all in the table runs the filter for d alone,
 as an ascending sweep does.  Any other miss, on at most three
 vertices, fills the whole box 0 <= e <= d in one bit-parallel pass
@@ -159,16 +159,16 @@ def _below_masks(d: tuple[int, ...], pairs) -> list[list[int]]:
     return masks
 
 
-def _members(table: _QuiverRays, e: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _members(table: _QuiverRays, e: tuple, form: tuple) -> list[tuple[int, ...]]:
     """The generic subdimension vectors of e, in lexicographic order, read
-    off the quiver's `table`.
+    off the quiver's `table`, with form = right_form(e): on the one-vector
+    path e has no entry yet.
 
     Recurses only on vectors of smaller total, so it terminates."""
-    form = table.forms[e]
     out = []
     for f in product(*(range(x + 1) for x in e)):
         # f = 0 has no rays, and f = e is always generic
-        for g, gf in table[f] if f != e else ():
+        for g, gf in table[f][0] if f != e else ():
             if sum(map(mul, g, form)) < gf:
                 break
         else:
@@ -176,27 +176,14 @@ def _members(table: _QuiverRays, e: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-class _Forms(dict):
-    """b -> q.right_form(b) for one quiver q, computed on first read."""
-
-    def __init__(self, q: Quiver):
-        super().__init__()
-        self.right_form = q.right_form
-
-    def __missing__(self, b):
-        form = self[b] = self.right_form(b)
-        return form
-
-
 class _QuiverRays(dict):
-    """e -> `_rays(q, e)` for one quiver q, with q's right forms in
-    `forms`.  A miss fills the table as the module docstring describes,
-    so it holds with each e every f <= e."""
+    """e -> (`_rays(q, e)`, q.right_form(e)) for one quiver q, its only
+    memo of either.  A miss fills the table as the module docstring
+    describes, so it holds with each e every f <= e."""
 
     def __init__(self, q: Quiver):
         super().__init__()
         self.q = q
-        self.forms = _Forms(q)
 
     def __missing__(self, e):
         if len(e) <= 3:
@@ -204,10 +191,10 @@ class _QuiverRays(dict):
                 if x and e[:j] + (x - 1,) + e[j + 1 :] not in self:
                     _fill_box(self, e)
                     return self[e]
-        form = self.forms[e]
-        gens = _extreme_rays(_members(self, e)[1:])
-        self[e] = tuple((g, sum(map(mul, g, form))) for g in gens)
-        return self[e]
+        form = self.q.right_form(e)
+        gens = _extreme_rays(_members(self, e, form)[1:])
+        entry = self[e] = (tuple((g, sum(map(mul, g, form))) for g in gens), form)
+        return entry
 
 
 class _RayMemo(dict):
@@ -224,24 +211,19 @@ _memo = _RayMemo()
 def _rays(q: Quiver, e: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(g, <g, e>) for one generic g of e on each extreme ray of the cone
     the generic subdimension vectors of e span; empty for e = 0."""
-    return _memo[q][e]
-
-
-def _forms(q: Quiver) -> _Forms:
-    """q's memoized right forms: _forms(q)[b] = q.right_form(b)."""
-    return _memo[q].forms
+    return _memo[q][e][0]
 
 
 def _fill_box(table: _QuiverRays, d: tuple[int, ...]) -> None:
-    """Put the rays of every e <= d in the quiver's `table`, on at most
-    three vertices, in one pass over packed integers; the module docstring
-    has the layout, the bound on w and the lemma behind the n = 3
-    prefilter, which feeds the chain only e and the members parallel to
-    one of their own rays."""
-    q, forms = table.q, table.forms
+    """Put the entry (rays, right form) of every e <= d in the quiver's
+    `table`, on at most three vertices, in one pass over packed integers;
+    the module docstring has the layout, the bound on w and the lemma
+    behind the n = 3 prefilter, which feeds the chain only e and the
+    members parallel to one of their own rays."""
+    q = table.q
     n = len(d)
     box = list(product(*(range(x + 1) for x in d)))
-    table[box[0]] = ()
+    table[box[0]] = ((), (0,) * n)
     box = box[1:]
     scale = lcm(*range(1, sum(d) + 1))
     # numbered by projected point, ties in lexicographic order
@@ -259,7 +241,7 @@ def _fill_box(table: _QuiverRays, d: tuple[int, ...]) -> None:
         own = field[e]
         shift = w * own
         if e not in table:
-            form = forms[e]
+            form = q.right_form(e)
             m = signs
             for row, x in zip(below, e):
                 m &= row[x]
@@ -280,8 +262,8 @@ def _fill_box(table: _QuiverRays, d: tuple[int, ...]) -> None:
                         ordered.append(vectors[k])
                         last = points[k]
                 gens = _chain(ordered)
-            table[e] = tuple((g, sum(map(mul, g, form))) for g in gens)
-        rays = table[e]
+            table[e] = (tuple((g, sum(map(mul, g, form))) for g in gens), form)
+        rays = table[e][0]
         if n == 3 and any(points[field[g]] == points[own] for g, _ in rays):
             hull |= 1 << shift + w - 1
         for s, (g, ge) in enumerate(rays):
@@ -297,8 +279,8 @@ def generic_subdimension_vectors(q: Quiver, e: DimensionVector) -> frozenset[Dim
     """The set of generic subdimension vectors of e; always contains 0 and e."""
     e = q._vertex_tuple(e, DimensionVector)
     table = _memo[q]
-    table[e]  # a cold box is filled in one pass, not one vector at a time
-    return frozenset(map(DimensionVector._trusted, _members(table, e)))
+    form = table[e][1]  # a cold box is filled in one pass, not one vector at a time
+    return frozenset(map(DimensionVector._trusted, _members(table, e, form)))
 
 
 def has_semistable(q: Quiver, e: DimensionVector, theta: StabilityParameter) -> bool:
@@ -319,7 +301,7 @@ def has_semistable(q: Quiver, e: DimensionVector, theta: StabilityParameter) -> 
 def _semistable(q: Quiver, e: tuple, theta: tuple, weight: int) -> bool:
     """`has_semistable` on a valid nonzero e, with weight = theta(e), unchecked."""
     size = sum(e)
-    for f, _ in _memo[q][e]:
+    for f, _ in _memo[q][e][0]:
         if sum(map(mul, theta, f)) * size > weight * sum(f):
             return False
     return True

@@ -13,11 +13,14 @@ d^1, ..., d^l for the type,
 so ambient = width + stratum.  All three, and the codimension, are
 sums over one table of the pairings <d^m,d^n> (`hn.pairing_table`),
 evaluated once per stratum.  The stratum passes the weight
-inequality when k_1 - k_l < width; if every unstable stratum
-passes and theta is coprime to d, higher cohomology of the structure
-sheaf vanishes on the moduli space, and acyclicity of the quiver
-upgrades this to rigidity.  A failed inequality only withholds the
-certificate, it does not disprove vanishing.
+inequality when k_1 - k_l < width.  The subgroup's weights on End(U),
+U the universal bundle, are the k_m - k_n (`hom_bundle_weights`), at
+most k_1 - k_l, so the inequality puts all of them inside the window
+of the stratum.  If every unstable stratum passes and theta is coprime
+to d, Teleman quantization gives H^{>0}(M, End U) = 0 on the moduli
+space M; with an acyclic quiver this yields rigidity, H^1(M, T_M) = 0.
+A failed inequality only withholds the certificate, it does not
+disprove vanishing.
 
 `verdict` decides the inequality on every unstable stratum without
 listing the HN types, whose number grows exponentially with d.  Write
@@ -104,6 +107,7 @@ in proportion to the failures and returns them sorted.
 from __future__ import annotations
 
 from collections import Counter
+from operator import index
 from typing import NamedTuple
 
 from .core import DimensionVector, Quiver, StabilityParameter
@@ -163,6 +167,10 @@ def hom_bundle_weights(
     """
     t = HNType(t)
     length = len(t[0])
+    try:
+        i, j = index(i), index(j)
+    except TypeError:
+        raise ValueError(f"vertices must be integers, got ({i!r}, {j!r})") from None
     if not (1 <= i <= length and 1 <= j <= length):
         raise ValueError(f"vertex pair ({i}, {j}) out of range for {length} vertices")
     k = sub.weights
@@ -193,8 +201,11 @@ def stratum_report(q: Quiver, theta: StabilityParameter, t: HNType) -> StratumRe
     """Full weight report for one stratum.
 
     The dense stratum (a single piece) passes by convention: there is
-    nothing to quantize away.
+    nothing to quantize away.  t is checked as an `HNType` unless it is
+    one already, and stored as one.
     """
+    if type(t) is not HNType:
+        t = HNType(t)
     sub = one_parameter_subgroup(theta, t)
     table = pairing_table(q, t)
     stratum, width = _window_weights(table, sub.weights)

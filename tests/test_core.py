@@ -26,7 +26,9 @@ from quivermoduli import (
     one_parameter_subgroup,
     pairing_table,
     slope,
+    stratum_report,
     subdimension_vectors,
+    validate_hn_type,
     verdict,
 )
 
@@ -250,6 +252,9 @@ class TestPublicInputsChecked:
         # a type given as a plain list of vectors, one of them d
         for fn in (pairing_table, codimension, codimension_cuts):
             yield fn, (KRONECKER_3, [(1, 0), d])
+        # a one-piece type given as a plain list: d is checked before its slope
+        yield one_parameter_subgroup, (theta, [d])
+        yield stratum_report, (KRONECKER_3, theta, [d])
 
     @staticmethod
     def calls_with_theta(theta):
@@ -261,6 +266,10 @@ class TestPublicInputsChecked:
         yield enumerate_hn_types, (KRONECKER_3, d, theta)
         yield verdict, (KRONECKER_3, d, theta)
         yield is_theta_coprime, (theta, d)
+        # an HN type of d at theta = (3, -2)
+        yield one_parameter_subgroup, (theta, [(1, 0), (1, 3)])
+        yield stratum_report, (KRONECKER_3, theta, [(1, 0), (1, 3)])
+        yield validate_hn_type, (KRONECKER_3, theta, [(1, 0), (1, 3)])
 
     @pytest.mark.parametrize("d", BAD_D)
     def test_bad_dimension_vector(self, d):

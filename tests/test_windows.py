@@ -231,6 +231,13 @@ class TestHomBundleWeights:
         with pytest.raises(ValueError):
             hom_bundle_weights(t, sub, 1, 3)
 
+    def test_vertex_not_an_integer(self):
+        t = HNType(((1, 1), (1, 2)))
+        sub = one_parameter_subgroup(THETA_23, t)
+        for i, j in ((1.0, 2), (1, 2.0), ("1", 2)):
+            with pytest.raises(ValueError, match="vertices must be integers"):
+                hom_bundle_weights(t, sub, i, j)
+
 
 class TestSubgroupLength:
     """A subgroup must carry one weight per piece of the type."""
@@ -304,6 +311,11 @@ class TestStratumReport:
             assert rep.max_bundle_weight == max_bw
             assert rep.window_width == eta
             assert rep.inequality_holds
+
+    def test_plain_type_is_stored_checked(self):
+        rep = stratum_report(KRONECKER_3, THETA_23, [(1, 0), (0, 1)])
+        assert type(rep.hn_type) is HNType
+        assert rep.hn_type == ((1, 0), (0, 1))
 
     def test_failing_stratum(self):
         rep = stratum_report(TRIANGLE_B, THETA_B, FAILING_B)
