@@ -244,13 +244,19 @@ _Fraction = None  # fractions.Fraction, bound by the first `slope` call
 def slope(theta: StabilityParameter, e: tuple) -> fractions.Fraction:
     """Slope mu(e) = theta(e) / |e| as an exact Fraction.
 
-    Undefined (raises) for the zero vector.  `fractions` is imported on
-    the first call, so a process that never takes a slope never loads it.
+    Undefined (raises) for the zero vector.  theta and e are checked
+    unless they are a `StabilityParameter` and a `DimensionVector`.
+    `fractions` is imported on the first call, so a process that never
+    takes a slope never loads it.
     """
     global _Fraction
     if _Fraction is None:
         from fractions import Fraction as _Fraction
 
+    if type(theta) is not StabilityParameter:
+        theta = StabilityParameter(theta)
+    if type(e) is not DimensionVector:
+        e = DimensionVector(e)
     if len(theta) != len(e):
         raise ValueError(f"vector length mismatch: {len(theta)} vs {len(e)}")
     total = sum(e)

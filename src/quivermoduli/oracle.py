@@ -11,6 +11,11 @@ digits, a subspace is the set of its vectors' numbers, and a tuple of
 subspaces, one per vertex, is one bit of an integer.  The invariant
 tuples of a representation are the AND of one integer per arrow, built
 once per matrix, and its HN type depends only on them.
+
+The HN type is an isomorphism invariant, and the GL(d_t) x GL(d_s)
+orbits of the matrices of an arrow s -> t with s != t are their rank
+classes.  So the census reads the first arrow, when it is not a loop,
+at one matrix per rank, weighted by the size of that rank class.
 """
 
 from __future__ import annotations
@@ -88,6 +93,24 @@ def rep_count(field: int, q: Quiver, d: DimensionVector) -> int:
 def _all_matrices(rows: int, cols: int, p: int) -> list[tuple]:
     flats = itertools.product(range(p), repeat=rows * cols)
     return [tuple(flat[r * cols : (r + 1) * cols] for r in range(rows)) for flat in flats]
+
+
+def _rank_classes(rows: int, cols: int, p: int) -> list[tuple[tuple, int]]:
+    """(R_r, number of rank-r matrices) for r = 0..min(rows, cols), over F_p.
+
+    R_r is the first matrix of rank r in `_all_matrices` order: zero rows,
+    then rows e_cols, e_(cols-1), ..., e_(cols-r+1).  The class size is
+    prod_{i<r} (p^rows - p^i)(p^cols - p^i) over |GL_r(F_p)| =
+    prod_{i<r} (p^r - p^i), both products kept whole and divided once."""
+    out, size, orbit, units = [], 1, 1, ()
+    zero = (0,) * cols
+    for r in range(min(rows, cols) + 1):
+        if r:
+            size *= (p**rows - p ** (r - 1)) * (p**cols - p ** (r - 1))
+            orbit *= p ** (r - 1) * (p**r - 1)  # |GL_r| / |GL_(r-1)|
+            units += (zero[: cols - r] + (1,) + zero[cols - r + 1 :],)
+        out.append(((zero,) * (rows - r) + units, size // orbit))
+    return out
 
 
 def enumerate_reps(field: int, q: Quiver, d: DimensionVector, budget: int = DEFAULT_BUDGET):
@@ -232,6 +255,7 @@ def _invariants(rep: FiniteFieldRep, budget: int) -> tuple[_Lattice, int]:
 @lru_cache(maxsize=1024)
 def _by_slope(theta: tuple, low: tuple, d: tuple) -> list[tuple]:
     """(f, f - low) for low < f <= d, by decreasing slope, then size, of f - low."""
+    theta = StabilityParameter._trusted(theta)
     fs = itertools.product(*(range(a, b + 1) for a, b in zip(low, d)))
     out = [(f, DimensionVector._trusted(a - b for a, b in zip(f, low))) for f in fs if f != low]
     out.sort(key=lambda fe: (slope(theta, fe[1]), sum(fe[1])), reverse=True)
@@ -290,23 +314,40 @@ def stratum_census(
     `enumerate_reps`.  The integers of the matrices of each vertex pair
     count against the budget.  They are ANDed arrow by arrow, equal
     partial results merged, so each invariant set is met once.
+
+    A first arrow s -> t that is not a loop is read at one matrix R_r per
+    rank r (`_rank_classes`), weighted by its class.  This is exact: for
+    g in prod_v GL(d_v) with g M_1 = M'_1, the map that sends the other
+    matrices M_a to g M_a is a bijection from the representations with
+    first matrix M_1 to those with M'_1, and it keeps every HN type.  It
+    keeps the order too.  In `enumerate_reps` order the first matrix is
+    the slowest digit, so a block of M_1 that is not the first of its rank
+    meets no type its rank's first block has not met, and the first
+    blocks come in increasing rank, as the R_r do.  A loop's orbits are
+    conjugacy classes, so a loop first arrow is read matrix by matrix.
     """
     field = _field_size(field)
     d = q._vertex_tuple(d, DimensionVector)
     if not any(d):
         raise ValueError("stratum_census requires a nonzero dimension vector")
     theta = q._vertex_tuple(theta, StabilityParameter)
-    pairs = dict.fromkeys((s - 1, t - 1) for s, t in q.arrows)
-    masks = sum(field ** (d[s] * d[t]) for s, t in pairs)
+    arrows = [(s - 1, t - 1) for s, t in q.arrows]
+    masks = sum(field ** (d[s] * d[t]) for s, t in set(arrows))
     lat = _checked_lattice(field, d, budget, rep_count(field, q, d), masks)
-    for s, t in pairs:
-        matrices = _all_matrices(d[t], d[s], field)
-        pairs[s, t] = Counter(_arrow_mask(lat, s, t, m) for m in matrices)
     reached = Counter({lat.full: 1})
-    for s, t in q.arrows:
+    if arrows and arrows[0][0] != arrows[0][1]:
+        s, t = arrows.pop(0)
+        # R_0 = 0 keeps every tuple, so its mask is lat.full, counted once
+        for m, n in _rank_classes(d[t], d[s], field)[1:]:
+            reached[_arrow_mask(lat, s, t, m)] += n
+    pairs = {
+        (s, t): Counter(_arrow_mask(lat, s, t, m) for m in _all_matrices(d[t], d[s], field))
+        for s, t in dict.fromkeys(arrows)
+    }
+    for pair in arrows:
         merged = Counter()
         for part, n in reached.items():
-            for mask, k in pairs[s - 1, t - 1].items():
+            for mask, k in pairs[pair].items():
                 merged[part & mask] += n * k
         reached = merged
     census = Counter()

@@ -218,8 +218,14 @@ def test_criterion_08_strong_stability_implications():
 
 def test_criterion_09_finite_field_census_agreement():
     def check():
-        # the paper's instance over F_2: 2^18 representations
-        battery = CENSUS_BATTERY + [(KRONECKER_3, D_23, THETA_23, 2)]
+        # the paper's instance over F_2: 2^18 representations; K1 (4,4)
+        # and the path 1 -> 2 -> 3 at (3,3,3), whose first arrows have 2^16
+        # and 2^9 matrices, check the census by rank class at real sizes
+        battery = CENSUS_BATTERY + [
+            (KRONECKER_3, D_23, THETA_23, 2),
+            (Quiver.kronecker(1), DimensionVector((4, 4)), StabilityParameter((1, -1)), 2),
+            (Quiver(3, [(1, 2), (2, 3)]), DimensionVector((3, 3, 3)), StabilityParameter((1, 0, -1)), 2),
+        ]
         start = time.perf_counter()
         for q, d, theta, p in battery:
             census = stratum_census(q, d, theta, field=p)

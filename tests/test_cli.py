@@ -370,6 +370,15 @@ class TestSweepCommand:
         assert main(["strata", str(stem.with_suffix(".json"))]) == 0
         assert capsys.readouterr().out == stem.with_suffix(".txt").read_text()
 
+    @pytest.mark.parametrize("name", sorted(path.stem for path in (GOLDEN / "census").glob("*.json")))
+    def test_golden_census(self, name, capsys):
+        # tests/golden/census holds the `qt oracle-census` table of an earlier
+        # release for each problem, the stem naming its field after "-F"
+        stem = GOLDEN / "census" / name
+        field = name.rsplit("-F", 1)[1]
+        assert main(["oracle-census", str(stem.with_suffix(".json")), "--field", field]) == 0
+        assert capsys.readouterr().out == stem.with_suffix(".txt").read_text()
+
     def test_out_file(self, tmp_path):
         problem = {"vertices": 2, "arrows": [[1, 2]], "d": [1, 1], "theta": [1, -1]}
         path = write_problem(tmp_path, problem)

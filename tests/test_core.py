@@ -300,6 +300,11 @@ class TestSlope:
         with pytest.raises(ValueError):
             slope(StabilityParameter((1, -1)), (0, 0))
 
+    @pytest.mark.parametrize("theta, e", [((1.5, -1), (1, 1)), ((1, -1), (1.5, 1)), ((1, -1), (2, -1))])
+    def test_bad_input_rejected(self, theta, e):
+        with pytest.raises(ValueError):
+            slope(theta, e)
+
     @settings(deadline=None)
     @given(quiver_with_vectors(count=1, lo=0, hi=5), st.integers(1, 6))
     def test_homogeneous_in_e_and_linear_in_theta(self, data, n):

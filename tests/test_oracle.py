@@ -244,9 +244,15 @@ class TestMatchesReference:
                     assert has_subrep_of_dimension(rep, f) == (f in dims)
 
     def test_census_is_a_counter_of_reference_types(self):
-        # same counts and the same insertion order, that of enumerate_reps
+        # same counts and the same insertion order, that of enumerate_reps;
+        # the first arrow is read by rank class unless it is a loop, so the
+        # instances include first arrows with ranks up to 2 met once, and a loop
         for q, d, theta, p in CENSUS_BATTERY + [
             (Quiver.kronecker(2), DimensionVector((2, 2)), StabilityParameter((1, -1)), 3),
+            (K1, DimensionVector((2, 2)), THETA11, 3),
+            (K1, DimensionVector((3, 2)), StabilityParameter((2, -3)), 2),
+            (Quiver(3, [(1, 2), (2, 3)]), DimensionVector((2, 2, 2)), StabilityParameter((1, 0, -1)), 2),
+            (Quiver(2, [(1, 1), (1, 2)]), DimensionVector((2, 1)), StabilityParameter((1, -2)), 2),
         ]:
             census = stratum_census(q, d, theta, field=p)
             reference = Counter(reference_hn_type_of(rep, theta) for rep in enumerate_reps(p, q, d))
@@ -281,6 +287,37 @@ class TestMatchesReference:
         dims = reference_subrep_dimensions(rep)
         for f in subdimension_vectors(rep.dim):
             assert has_subrep_of_dimension(rep, f) == (f in dims)
+
+
+def _rank(m, p):
+    """Rank of a matrix over F_p, by Gaussian elimination."""
+    rows, rank = [list(row) for row in m], 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][c] * inverse
+            rows[i] = [(x - factor * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+class TestRankClasses:
+    @pytest.mark.parametrize("p, most", [(2, 3), (3, 3), (5, 2)])
+    def test_first_matrix_of_each_rank_and_class_sizes(self, p, most):
+        for rows in range(most + 1):
+            for cols in range(most + 1):
+                classes = oracle._rank_classes(rows, cols, p)
+                first, sizes = {}, Counter()
+                for m in oracle._all_matrices(rows, cols, p):
+                    r = _rank(m, p)
+                    first.setdefault(r, m)
+                    sizes[r] += 1
+                assert classes == [(first[r], sizes[r]) for r in range(min(rows, cols) + 1)]
+                assert sum(n for _, n in classes) == p ** (rows * cols)
 
 
 class TestGoldenCensus:
