@@ -10,15 +10,19 @@ Four subcommands on JSON problem files:
 A problem file is an object with exactly the keys "vertices", "arrows"
 (1-based [source, target] pairs), "d", and "theta" (an integer vector,
 or "canonical").  Exit codes: 0 rigidity certified, 10 vanishing but not
-rigidity, 20 no certificate, 2 bad input.
+rigidity, 20 no certificate, 2 bad input or a usage error.
 
-`csv` and `quivermoduli.oracle` are imported by the subcommands that use
-them, so a `qt verdict` process never loads them.
+The command line is read against one table, `COMMANDS`, of each
+subcommand's handler and options, not by `argparse`, which with
+`gettext` and `locale` would cost a cold process several milliseconds.
+Options take `--name VALUE` or `--name=VALUE`, before or after the file;
+they are not abbreviated.  `csv` and `quivermoduli.oracle` are imported
+by the subcommands that use them, so a `qt verdict` process never loads
+them.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -203,18 +207,18 @@ def strata_rows(spec: ProblemSpec) -> tuple[list[list[str]], bool]:
 # --- subcommands -------------------------------------------------------------
 
 
-def cmd_strata(args) -> int:
-    spec = load_problem(args.problem)
+def cmd_strata(problem: str, format: str) -> int:
+    spec = load_problem(problem)
     rows, dense_present = strata_rows(spec)
-    print(render_table(STRATA_COLUMNS, rows, args.format))
-    if args.format == "txt":
+    print(render_table(STRATA_COLUMNS, rows, format))
+    if format == "txt":
         dense = "present" if dense_present else "absent"
         print(f"{len(rows)} unstable strata; dense semistable stratum {dense}")
     return 0
 
 
-def cmd_verdict(args) -> int:
-    spec = load_problem(args.problem)
+def cmd_verdict(problem: str) -> int:
+    spec = load_problem(problem)
     q, d, theta = spec.quiver, spec.d, spec.theta
     v = verdict(q, d, theta)
 
@@ -251,7 +255,10 @@ def cmd_verdict(args) -> int:
         print("rigidity: certified (vanishing plus an acyclic quiver)")
     else:
         print("rigidity: not certified")
-    print(f"moduli dimension: {moduli_dimension(q, d)}")
+    if v.stable:
+        print(f"moduli dimension: {moduli_dimension(q, d)}")
+    else:
+        print("moduli dimension: none (no theta-stable point)")
 
     if v.rigidity_certified:
         return EXIT_RIGIDITY
@@ -260,13 +267,13 @@ def cmd_verdict(args) -> int:
     return EXIT_NONE
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(problem: str, dmax: str, out: str) -> int:
     import csv
 
-    spec = load_problem(args.problem)
+    spec = load_problem(problem)
     q = spec.quiver
     try:
-        d_max = [int(x) for x in args.dmax.split(",")]
+        d_max = [int(x) for x in dmax.split(",")]
     except ValueError as exc:
         raise ProblemSpecError(f"--dmax must be comma-separated integers: {exc}") from exc
     if len(d_max) != q.vertex_count:
@@ -284,11 +291,11 @@ def cmd_sweep(args) -> int:
         )
 
     try:
-        out = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
+        sink = sys.stdout if out == "-" else open(out, "w", newline="")
     except OSError as exc:
-        raise ProblemSpecError(f"cannot write {args.out}: {exc}") from exc
+        raise ProblemSpecError(f"cannot write {out}: {exc}") from exc
     try:
-        writer = csv.writer(out, lineterminator="\n")
+        writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(SWEEP_COLUMNS)
         for e in subdimension_vectors(DimensionVector(d_max))[1:]:
             theta = q.canonical_stability(e)
@@ -304,20 +311,20 @@ def cmd_sweep(args) -> int:
                     fmt_bool(v.all_strata_inequality),
                 ]
             )
-            out.flush()
+            sink.flush()
     finally:
-        if out is not sys.stdout:
-            out.close()
+        if sink is not sys.stdout:
+            sink.close()
     return 0
 
 
-def cmd_oracle_census(args) -> int:
+def cmd_oracle_census(problem: str, field: int) -> int:
     from . import oracle
 
-    spec = load_problem(args.problem)
+    spec = load_problem(problem)
     budget = _env_int("QT_BUDGET", oracle.DEFAULT_BUDGET)
     census = oracle.stratum_census(
-        spec.quiver, spec.d, spec.theta, args.field, budget=budget
+        spec.quiver, spec.d, spec.theta, field, budget=budget
     )
     rows = [[fmt_hn_type(t), str(census[t])] for t in sorted(census)]
     print(render_table(("hn_type", "count"), rows, "txt"))
@@ -325,7 +332,7 @@ def cmd_oracle_census(args) -> int:
         spec.d[s - 1] * spec.d[t - 1] for s, t in spec.quiver.arrows
     )
     total = sum(census.values())
-    print(f"total: {total} representations (= {args.field}^{dim_rep})")
+    print(f"total: {total} representations (= {field}^{dim_rep})")
     known = set(enumerate_hn_types(spec.quiver, spec.d, spec.theta))
     stray = [t for t in sorted(census) if t not in known]
     if stray:
@@ -347,47 +354,120 @@ def _env_int(name: str, default: int) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qt",
-        description="Harder-Narasimhan strata and quantization-window certificates "
-        "for quiver moduli.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# --- command line ------------------------------------------------------------
 
-    p_strata = sub.add_parser("strata", help="table of unstable strata")
-    p_strata.add_argument("problem", help="JSON problem file")
-    p_strata.add_argument(
-        "--format", choices=("txt", "csv", "md"), default="txt", help="output format"
-    )
-    p_strata.set_defaults(func=cmd_strata)
 
-    p_verdict = sub.add_parser("verdict", help="vanishing/rigidity certificates")
-    p_verdict.add_argument("problem", help="JSON problem file")
-    p_verdict.set_defaults(func=cmd_verdict)
+class Option(NamedTuple):
+    """One `--name VALUE` option of a subcommand."""
 
-    p_sweep = sub.add_parser(
-        "sweep", help="survey all d <= dmax at canonical stability"
-    )
-    p_sweep.add_argument("problem", help="JSON problem file (only the quiver is used)")
-    p_sweep.add_argument("--dmax", required=True, help="comma-separated bounds, one per vertex")
-    p_sweep.add_argument("--out", default="-", help="output CSV path (default stdout)")
-    p_sweep.set_defaults(func=cmd_sweep)
+    metavar: str  # "a|b|c" lists the only values accepted
+    default: str | None  # None: the option is required
+    help: str
+    kind: type = str
 
-    p_census = sub.add_parser(
-        "oracle-census", help="brute-force stratum census over a prime field"
-    )
-    p_census.add_argument("problem", help="JSON problem file")
-    p_census.add_argument("--field", type=int, required=True, help="prime field size")
-    p_census.set_defaults(func=cmd_oracle_census)
 
-    return parser
+# subcommand -> (handler, summary, options by name); the handler is called
+# with FILE as `problem` and each option's value as a keyword of its name
+COMMANDS = {
+    "strata": (cmd_strata, "table of unstable strata", {
+        "format": Option("txt|csv|md", "txt", "output format"),
+    }),
+    "verdict": (cmd_verdict, "vanishing/rigidity certificates", {}),
+    "sweep": (cmd_sweep, "survey all d <= dmax at canonical stability", {
+        "dmax": Option("V", None, "comma-separated bounds, one per vertex"),
+        "out": Option("PATH", "-", "output CSV path, - for stdout"),
+    }),
+    "oracle-census": (cmd_oracle_census, "brute-force stratum census over a prime field", {
+        "field": Option("N", None, "prime field size", int),
+    }),
+}
+USAGE = "qt {" + ",".join(COMMANDS) + "} FILE [options]"
+
+
+def usage(command: str) -> str:
+    """The usage line of one subcommand, without the leading "usage: "."""
+    parts = [f"qt {command} FILE"]
+    for name, opt in COMMANDS[command][2].items():
+        part = f"--{name} {opt.metavar}"
+        parts.append(part if opt.default is None else f"[{part}]")
+    return " ".join(parts)
+
+
+def help_text() -> str:
+    """What -h prints: the grammar, and each subcommand with its options."""
+    lines = [
+        f"usage: {USAGE}",
+        "",
+        "Harder-Narasimhan strata and quantization-window certificates for quiver moduli.",
+        "FILE is a JSON problem file.  Options may come before or after FILE, as",
+        "--name VALUE or --name=VALUE; a repeated option keeps its last value.",
+    ]
+    for command, (_, summary, options) in COMMANDS.items():
+        lines += ["", f"  {usage(command)}", f"      {summary}"]
+        for name, opt in options.items():
+            default = "" if opt.default is None else f" (default {opt.default})"
+            lines.append(f"      --{name} {opt.metavar}: {opt.help}{default}")
+    return "\n".join(lines)
+
+
+def _usage_error(line: str, reason: str):
+    print(f"usage: {line}\nqt: error: {reason}", file=sys.stderr)
+    raise SystemExit(EXIT_INPUT)
+
+
+def parse_args(argv: list[str]):
+    """(handler, keyword arguments) for the arguments after `qt`, read
+    against COMMANDS.  A usage error prints the usage line and the reason
+    to stderr and raises SystemExit(2); -h or --help prints `help_text`
+    to stdout and raises SystemExit(0), wherever it stands."""
+    if "-h" in argv or "--help" in argv:
+        print(help_text())
+        raise SystemExit(0)
+    if not argv:
+        _usage_error(USAGE, "the following arguments are required: command")
+    command, *rest = argv
+    if command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        _usage_error(USAGE, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    handler, _, options = COMMANDS[command]
+    line = usage(command)
+    kwargs, files, args = {}, [], iter(rest)
+    for arg in args:
+        if arg == "-" or not arg.startswith("-"):
+            files.append(arg)
+            continue
+        name, eq, value = arg[2:].partition("=")
+        opt = options.get(name) if arg.startswith("--") else None
+        if opt is None:
+            _usage_error(line, f"unrecognized arguments: {arg}")
+        if not eq:
+            value = next(args, None)
+            if value is None or value.startswith("--"):
+                _usage_error(line, f"argument --{name}: expected one argument")
+        choices = opt.metavar.split("|")
+        if len(choices) > 1 and value not in choices:
+            listed = ", ".join(map(repr, choices))
+            _usage_error(line, f"argument --{name}: invalid choice: {value!r} (choose from {listed})")
+        try:
+            kwargs[name] = opt.kind(value)
+        except ValueError:
+            _usage_error(line, f"argument --{name}: invalid {opt.kind.__name__} value: {value!r}")
+    if not files:
+        _usage_error(line, "the following arguments are required: FILE")
+    if len(files) > 1:
+        _usage_error(line, f"unrecognized arguments: {' '.join(files[1:])}")
+    for name, opt in options.items():
+        if name not in kwargs:
+            if opt.default is None:
+                _usage_error(line, f"the following arguments are required: --{name}")
+            kwargs[name] = opt.default
+    return handler, {"problem": files[0], **kwargs}
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    handler, kwargs = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.func(args)
+        return handler(**kwargs)
     except BrokenPipeError:
         # downstream closed the pipe (e.g. | head); suppress the shutdown
         # flush error and exit quietly

@@ -334,16 +334,20 @@ def stratum_census(
     arrows = [(s - 1, t - 1) for s, t in q.arrows]
     masks = sum(field ** (d[s] * d[t]) for s, t in set(arrows))
     lat = _checked_lattice(field, d, budget, rep_count(field, q, d), masks)
+    first = arrows.pop(0) if arrows and arrows[0][0] != arrows[0][1] else None
+    by_matrix = {}  # vertex pair -> matrix -> mask, in `_all_matrices` order
+    for s, t in dict.fromkeys(arrows):
+        matrices = _all_matrices(d[t], d[s], field)
+        by_matrix[s, t] = dict(zip(matrices, [_arrow_mask(lat, s, t, m) for m in matrices]))
     reached = Counter({lat.full: 1})
-    if arrows and arrows[0][0] != arrows[0][1]:
-        s, t = arrows.pop(0)
-        # R_0 = 0 keeps every tuple, so its mask is lat.full, counted once
+    if first is not None:
+        s, t = first
+        # R_0 = 0 keeps every tuple, so its mask is lat.full, counted once;
+        # a parallel arrow has built the pair's masks, R_r's among them
+        known = by_matrix.get(first, {})
         for m, n in _rank_classes(d[t], d[s], field)[1:]:
-            reached[_arrow_mask(lat, s, t, m)] += n
-    pairs = {
-        (s, t): Counter(_arrow_mask(lat, s, t, m) for m in _all_matrices(d[t], d[s], field))
-        for s, t in dict.fromkeys(arrows)
-    }
+            reached[known[m] if m in known else _arrow_mask(lat, s, t, m)] += n
+    pairs = {pair: Counter(masks.values()) for pair, masks in by_matrix.items()}
     for pair in arrows:
         merged = Counter()
         for part, n in reached.items():

@@ -119,6 +119,7 @@ from .hn import (
     pairing_table,
     table_codimension,
 )
+from .semistability import _stable
 
 
 def _require_weights(pieces: int, k: tuple[int, ...]) -> None:
@@ -226,7 +227,9 @@ class Verdict(NamedTuple):
     """Certificate summary for one (quiver, d, theta) instance.
 
     `strong_failure_witness` is the lexicographically smallest e that
-    breaks strong ample stability, or None when it holds.
+    breaks strong ample stability, or None when it holds.  `stable` says
+    whether a theta-stable representation of dimension d exists, so that
+    the moduli space of stable ones has dimension `moduli_dimension`.
     """
 
     coprime: bool
@@ -239,6 +242,7 @@ class Verdict(NamedTuple):
     rigidity_certified: bool
     failing_strata: tuple[HNType, ...]
     min_unstable_codim: int | None
+    stable: bool
 
 
 def verdict(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> Verdict:
@@ -253,7 +257,10 @@ def verdict(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> Verdict
     search of lemma (b), the failing strata by lemma (a) without a
     strong failure witness and by the min-path DP with one.  Without a
     witness, d and the vectors of the edges the search pops are the only
-    e <= d tested for semistability.
+    e <= d tested for semistability.  `stable` holds when theta is
+    coprime to d, as no generic 0 < f < d then has theta(f) = 0;
+    otherwise it reads d's ray generators and tests the proper multiples
+    of d / gcd(d).
     """
     tables = _Tables(q, d, theta, "verdict")
     d = tables.d
@@ -280,10 +287,13 @@ def verdict(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> Verdict
         rigidity_certified=vanishing and q.is_acyclic,
         failing_strata=failing,
         min_unstable_codim=min_codim,
+        stable=tables.coprime or _stable(tables.table, d, tables.theta, 0),
     )
 
 
 def moduli_dimension(q: Quiver, d: DimensionVector) -> int:
-    """Dimension 1 - <d, d> of the moduli space in the coprime case."""
+    """Dimension 1 - <d, d> of the moduli space of theta-stable
+    representations of dimension d, when one exists (`Verdict.stable`);
+    if theta is coprime to d, every semistable one is stable."""
     d = q._vertex_tuple(d, DimensionVector)
     return 1 - q.euler_pairing(d, d)

@@ -280,6 +280,17 @@ class TestVerdictCommand:
         assert "vanishing: certified" in out
         assert "rigidity: not certified" in out
 
+    @pytest.mark.parametrize("problem", [
+        # Dynkin A3: 1 - <d,d> = -99, and no representation of d is stable
+        {"vertices": 3, "arrows": [[1, 2], [2, 3]], "d": [10, 10, 10], "theta": "canonical"},
+        # (1,1) is generic with theta = 0, so no representation is stable
+        {"vertices": 2, "arrows": [[1, 2], [1, 2]], "d": [2, 2], "theta": "canonical"},
+    ], ids=["A3-10-10-10", "K2-2-2"])
+    def test_no_dimension_without_a_stable_point(self, tmp_path, capsys, problem):
+        main(["verdict", write_problem(tmp_path, problem)])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "moduli dimension: none (no theta-stable point)"
+
     def test_empty_semistable_locus_is_input_error(self, tmp_path, capsys):
         problem = {
             "vertices": 2,
@@ -322,6 +333,80 @@ class TestInputErrors:
         with pytest.raises(SystemExit) as exc:
             main(["strata"])
         assert exc.value.code == 2
+
+
+TOP_USAGE = "usage: qt {strata,verdict,sweep,oracle-census} FILE [options]\n"
+STRATA_USAGE = "usage: qt strata FILE [--format txt|csv|md]\n"
+SWEEP_USAGE = "usage: qt sweep FILE --dmax V [--out PATH]\n"
+CENSUS_USAGE = "usage: qt oracle-census FILE --field N\n"
+STRATA_CSV = "hn_type,codim,slopes,C,k,k1_minus_kl,eta,inequality\n"
+SWEEP_CSV = "d,coprime,amply,strongly_amply,all_strata_inequality\n\"(0,1)\",yes"
+
+# argv (FILE stands for a problem file), exit code, stdout prefix, stderr
+# prefix; a usage error prints nothing to stdout, a success nothing to stderr
+COMMAND_LINES = {
+    "no-command": ([], 2, "", TOP_USAGE + "qt: error: the following arguments are required: command\n"),
+    "unknown-command": (["bogus", "FILE"], 2, "", TOP_USAGE + "qt: error: argument command: invalid choice: 'bogus'"),
+    "no-file": (["strata"], 2, "", STRATA_USAGE + "qt: error: the following arguments are required: FILE\n"),
+    "unknown-option": (["strata", "FILE", "--bogus"], 2, "", STRATA_USAGE + "qt: error: unrecognized arguments: --bogus\n"),
+    "short-option": (["strata", "-x", "FILE"], 2, "", STRATA_USAGE + "qt: error: unrecognized arguments: -x\n"),
+    "no-abbreviation": (["sweep", "FILE", "--dm", "1,1"], 2, "", SWEEP_USAGE + "qt: error: unrecognized arguments: --dm\n"),
+    "stray-argument": (["verdict", "FILE", "extra"], 2, "", "usage: qt verdict FILE\nqt: error: unrecognized arguments: extra\n"),
+    "no-value-at-end": (["sweep", "FILE", "--dmax"], 2, "", SWEEP_USAGE + "qt: error: argument --dmax: expected one argument\n"),
+    "no-value-before-option": (["sweep", "FILE", "--dmax", "--out", "x.csv"], 2, "", SWEEP_USAGE + "qt: error: argument --dmax: expected one argument\n"),
+    "no-dmax": (["sweep", "FILE", "--out", "x.csv"], 2, "", SWEEP_USAGE + "qt: error: the following arguments are required: --dmax\n"),
+    "no-field": (["oracle-census", "FILE"], 2, "", CENSUS_USAGE + "qt: error: the following arguments are required: --field\n"),
+    "bad-format": (["strata", "FILE", "--format", "xml"], 2, "", STRATA_USAGE + "qt: error: argument --format: invalid choice: 'xml' (choose from 'txt', 'csv', 'md')\n"),
+    "bad-format-equals": (["strata", "FILE", "--format=xml"], 2, "", STRATA_USAGE + "qt: error: argument --format: invalid choice: 'xml'"),
+    "bad-field": (["oracle-census", "FILE", "--field", "two"], 2, "", CENSUS_USAGE + "qt: error: argument --field: invalid int value: 'two'\n"),
+    "help": (["-h"], 0, TOP_USAGE, ""),
+    "help-long": (["--help"], 0, TOP_USAGE, ""),
+    "help-subcommand": (["verdict", "-h"], 0, TOP_USAGE, ""),
+    "help-after-file": (["sweep", "FILE", "--help"], 0, TOP_USAGE, ""),
+    "strata-default-txt": (["strata", "FILE"], 0, "hn_type  ", ""),
+    "strata-equals": (["strata", "FILE", "--format=csv"], 0, STRATA_CSV, ""),
+    "option-before-file": (["strata", "--format", "md", "FILE"], 0, "| hn_type | codim |", ""),
+    "repeated-option": (["strata", "FILE", "--format", "md", "--format", "csv"], 0, STRATA_CSV, ""),
+    "verdict": (["verdict", "FILE"], 0, "quiver: 2 vertices, 3 arrows, acyclic\n", ""),
+    "sweep-default-stdout": (["sweep", "FILE", "--dmax", "1,1"], 0, SWEEP_CSV, ""),
+    "sweep-equals-first": (["sweep", "--dmax=1,1", "FILE"], 0, SWEEP_CSV, ""),
+    "census-equals-first": (["oracle-census", "--field=2", "FILE"], 0, "hn_type", ""),
+}
+IN_A_CHILD = ["no-command", "unknown-command", "no-dmax", "bad-field", "help",
+              "help-subcommand", "strata-default-txt", "sweep-equals-first"]
+
+
+class TestCommandLine:
+    """The grammar `main` reads against `cli.COMMANDS`."""
+
+    @staticmethod
+    def expect(tmp_path, name):
+        argv, code, out, err = COMMAND_LINES[name]
+        path = write_problem(tmp_path, TestOracleCensusCommand.PROBLEM)
+        return [path if arg == "FILE" else arg for arg in argv], code, out, err
+
+    @staticmethod
+    def check(captured, code, out, err):
+        assert captured[0] == code
+        assert captured[1].startswith(out) and (code != 2 or captured[1] == "")
+        assert captured[2].startswith(err) and (code == 2 or captured[2] == "")
+
+    @pytest.mark.parametrize("name", COMMAND_LINES)
+    def test_in_process(self, tmp_path, capsys, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        argv, code, out, err = self.expect(tmp_path, name)
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        self.check((got, *capsys.readouterr()), code, out, err)
+
+    @pytest.mark.parametrize("name", IN_A_CHILD)
+    def test_in_a_child(self, tmp_path, name):
+        argv, code, out, err = self.expect(tmp_path, name)
+        proc = subprocess.run([sys.executable, "-m", "quivermoduli.cli", *argv], cwd=tmp_path,
+                              capture_output=True, text=True, env=child_env())
+        self.check((proc.returncode, proc.stdout, proc.stderr), code, out, err)
 
 
 class TestSweepCommand:
@@ -537,10 +622,11 @@ class TestFreshProcess:
     whose modules it imports only when they run."""
 
     # never needed by `qt verdict`; dataclasses alone pulls in inspect,
-    # ast, dis and tokenize
+    # ast, dis and tokenize, and argparse pulls in gettext, whose lookups
+    # import locale
     UNUSED_BY_VERDICT = {
         "dataclasses", "inspect", "csv", "pathlib", "fractions", "decimal", "numbers",
-        "quivermoduli.oracle",
+        "quivermoduli.oracle", "argparse", "gettext", "locale",
     }
 
     def test_verdict_imports_nothing_it_never_runs(self):
@@ -598,7 +684,7 @@ RECORD_FIELDS = {
     "Verdict": (
         "coprime", "acyclic", "strongly_amply_stable", "strong_failure_witness",
         "amply_stable", "all_strata_inequality", "vanishing_certified",
-        "rigidity_certified", "failing_strata", "min_unstable_codim",
+        "rigidity_certified", "failing_strata", "min_unstable_codim", "stable",
     ),
 }
 

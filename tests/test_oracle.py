@@ -320,6 +320,18 @@ class TestRankClasses:
                 assert sum(n for _, n in classes) == p ** (rows * cols)
 
 
+class TestMaskCalls:
+    @pytest.mark.parametrize("p, calls", [(2, 4), (3, 9)])
+    def test_parallel_first_arrow_builds_its_pair_once(self, monkeypatch, p, calls):
+        # K3 (1,2): the first arrow's pair recurs, so its p^2 masks are built
+        # once and R_1's mask is read off them, not built a second time
+        made = []
+        arrow_mask = oracle._arrow_mask
+        monkeypatch.setattr(oracle, "_arrow_mask", lambda *a: made.append(a[-1]) or arrow_mask(*a))
+        stratum_census(KRONECKER_3, DimensionVector((1, 2)), StabilityParameter((2, -1)), field=p)
+        assert len(made) == calls == len(set(made))
+
+
 class TestGoldenCensus:
     def test_every_golden_stratum_has_an_f2_point(self):
         census = stratum_census(KRONECKER_3, D_23, THETA_23, field=2)

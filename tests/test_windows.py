@@ -53,6 +53,7 @@ from cases import (
 from weight_oracles import (
     ambient_weight_by_blocks,
     codimension_by_blocks,
+    reference_generic_subdimension_vectors,
     reference_verdict,
     stratum_weight_by_blocks,
 )
@@ -579,3 +580,48 @@ class TestModuliDimension:
     def test_point_cases(self):
         assert moduli_dimension(Quiver(1, []), DimensionVector((1,))) == 0
         assert moduli_dimension(JORDAN, DimensionVector((1,))) == 1
+
+
+class TestStable:
+    """`Verdict.stable` against the brute force: the general representation
+    is stable iff theta(f) < 0 for every generic 0 < f < d."""
+
+    @staticmethod
+    def brute_force(q, d, theta):
+        return all(
+            theta.dot(f) < 0
+            for f in reference_generic_subdimension_vectors(q, d)
+            if not f.is_zero() and f != d
+        )
+
+    def test_matches_brute_force(self):
+        batch = [
+            (q, d, theta)
+            for q, d, theta in CORPUS + random_instances(300, seed=29)
+            if has_semistable(q, d, theta)
+        ]
+        seen = Counter()
+        for q, d, theta in batch:
+            stable = verdict(q, d, theta).stable
+            assert stable == self.brute_force(q, d, theta), (q, d, theta)
+            # whether a proper multiple of d / gcd(d) is generic: the second
+            # part of the test, where the first reads the rays off d's line
+            on_line = any(
+                0 < sum(f) < sum(d) and all(x * sum(d) == y * sum(f) for x, y in zip(f, d))
+                for f in reference_generic_subdimension_vectors(q, d)
+            )
+            seen[stable, on_line] += 1
+        assert seen[True, False] >= 50
+        assert seen[False, True] >= 20 and seen[False, False] >= 10
+
+    @pytest.mark.parametrize("q, d", [
+        (Quiver(3, [(1, 2), (2, 3)]), (10, 10, 10)),  # Dynkin A3, where 1 - <d,d> = -99
+        (Quiver.kronecker(2), (2, 2)),  # (1,1) is generic with theta = 0
+        (Quiver.kronecker(2), (1, 1)),  # stable, with gcd 1
+        (Quiver(1, []), (2,)),  # a semisimple point
+    ])
+    def test_examples(self, q, d):
+        d = DimensionVector(d)
+        theta = q.canonical_stability(d)
+        assert verdict(q, d, theta).stable == self.brute_force(q, d, theta)
+        assert verdict(q, d, theta).stable == (d == (1, 1))

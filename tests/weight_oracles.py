@@ -195,6 +195,12 @@ def reference_verdict(quiver, d, theta):
     coprime = is_theta_coprime(theta, d)
     strong, witness = is_strongly_amply_stable(quiver, d, theta)
     vanishing = coprime and not failing
+    # the general representation is stable: theta < 0 on every generic 0 < f < d
+    stable = all(
+        theta.dot(f) < 0
+        for f in reference_generic_subdimension_vectors(quiver, d)
+        if not f.is_zero() and f != d
+    )
     return Verdict(
         coprime=coprime,
         acyclic=quiver.is_acyclic,
@@ -206,6 +212,7 @@ def reference_verdict(quiver, d, theta):
         rigidity_certified=vanishing and quiver.is_acyclic,
         failing_strata=tuple(failing),
         min_unstable_codim=min_codim,
+        stable=stable,
     )
 
 
