@@ -152,7 +152,7 @@ def _box_weights(theta: tuple, d: tuple) -> list[int]:
 
 
 class _Tables:
-    """The two verdict flags of (q, d, theta), and the DP tables over the
+    """The verdict flags of (q, d, theta), and the DP tables over the
     remainders, in two stages.  The constructor is the lean pass every
     verdict runs: the vectors e <= d, their theta weights, c at each
     remainder (`cuts`), `coprime`, `strong_failure_witness` and
@@ -191,7 +191,8 @@ class _Tables:
 
     tables[r], for the remainder rest numbered r, is
     (c, slopes, best_f, entries): c = N(rest) - 1 with
-    N(rest) = -<d - rest, rest>; `entries` one (e, s, t, f) for each
+    N(rest) = -<d - rest, rest>, but c = 0 at d, as no cut comes before
+    a first piece; `entries` one (e, s, t, f) for each
     piece e <= rest that completes to a type, in ascending slope order,
     ties in lexicographic order, with t the number of the tail rest - e
     and f = F(tail, s); `slopes` their s; best_f[i] the minimum of
@@ -216,7 +217,10 @@ class _Tables:
     unchecked: they come out of the box of a checked d.
 
     The flags: `coprime` says that no 0 < e < d has theta(e) = 0, as
-    `is_theta_coprime` does.  `strong_failure_witness` is the first e in
+    `is_theta_coprime` does, and `stable()` that no generic one does,
+    which for a semistable d means that a theta-stable point exists; it
+    scans the same e, none when coprime, and tests each for genericity
+    off its rays.  `strong_failure_witness` is the first e in
     numbering order with theta(e) > 0 and <e, d - e> > -2, that is with
     c < 1 at the remainder d - e, or None; it is what
     `is_strongly_amply_stable` returns.  That remainder has
@@ -289,7 +293,7 @@ class _Tables:
         below = _below_masks(self.d, ((e, 1 << k) for k, (e, _, _) in enumerate(by_slope)))
         tables = {0: (0, [by_slope[0][1] - 1], [0], [])}
         for r in (*cuts, len(vectors) - 1):  # ascending: the cuts were numbered in order
-            c = cuts.get(r, -1)  # at d, N(d) = -<0, d> = 0
+            c = cuts.get(r, 0)  # at d: no cut before a first piece
             entries, slopes, fs = [], [], []
             mask = reduce(and_, map(list.__getitem__, below, vectors[r]))
             for e, s, i in compress(by_slope, _bits(mask)):
@@ -347,6 +351,19 @@ class _Tables:
                     heappush(heap, (g - _dot(e, table[vectors[r - j]][1]), r - j, j))
         return None
 
+    def stable(self) -> bool:
+        """Whether a theta-stable representation of dimension d exists, for
+        a semistable d: one does unless some generic 0 < e < d has
+        theta(e) = 0 (King 1994, Schofield 1992).  Each such e is tested as `_members`
+        tests it, by Schofield's criterion read off e's rays in `table`
+        against d's right form.  With `coprime` there is no such e."""
+        vectors, weights, table = self.vectors, self.weights, self.table
+        form = table[self.d][1]
+        return self.coprime or all(
+            any(_dot(g, form) < ge for g, ge in table[vectors[i]][0])
+            for i in range(1, len(vectors) - 1) if not weights[i]
+        )
+
     def is_piece(self, i: int) -> bool:
         """Whether the vector numbered i admits a semistable
         representation, tested once per number for both stages."""
@@ -380,8 +397,6 @@ class _Tables:
             c, slopes, _, entries = self.tables[r]
             if prefix:
                 entries = entries[: bisect_left(slopes, bound)]
-            else:  # no cut before the first piece
-                c = 0
             children = []
             for e, s, t, f in sorted(entries):
                 total = partial + (bound - s) * c

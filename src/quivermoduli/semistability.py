@@ -31,14 +31,14 @@ the filter for e once against the ray tables below it.
 The memo `_memo` has one table per quiver q, `_memo[q]`, keyed by
 plain int tuples: e maps to the pair (e's rays, right_form(e)), and the
 table holds with each e every f <= e.  So each form is computed once,
-when e's rays are stored: the filter, the box pass, and the cuts and
-search edges of `hn._Tables` read it there.  A hot loop looks its
-quiver's table up once and then reads vectors only.  `clear_caches`
-empties `_memo`, rays and forms of every quiver.  A miss at d whose
-predecessors d - u_j are all in the table runs the filter for d alone,
-as an ascending sweep does.  Any other miss, on at most three
-vertices, fills the whole box 0 <= e <= d in one bit-parallel pass
-(`_fill_box`):
+when e's rays are stored: the filter, the box pass, and the cuts,
+search edges and stable test of `hn._Tables` read it there.  A hot
+loop looks its quiver's table up once and then reads vectors only.
+`clear_caches` empties `_memo`, rays and forms of every quiver.  A
+miss at d whose predecessors d - u_j are all in the table runs the
+filter for d alone, as an ascending sweep does.  Any other miss, on at
+most three vertices, fills the whole box 0 <= e <= d in one
+bit-parallel pass (`_fill_box`):
 
 - Layout.  The nonzero vectors f <= d are numbered by their
   projected point f / |f|, scaled to integers by the lcm of the sizes,
@@ -84,7 +84,7 @@ many as the largest generic set has directions.
 from __future__ import annotations
 
 from itertools import product
-from math import gcd, lcm
+from math import lcm
 from operator import mul, sub
 
 from .core import DimensionVector, Quiver, StabilityParameter
@@ -303,33 +303,6 @@ def _semistable(q: Quiver, e: tuple, theta: tuple, weight: int) -> bool:
     size = sum(e)
     for f, _ in _memo[q][e][0]:
         if sum(map(mul, theta, f)) * size > weight * sum(f):
-            return False
-    return True
-
-
-def _stable(table: _QuiverRays, e: tuple, theta: tuple, weight: int) -> bool:
-    """Does a theta-stable representation of dimension e exist?  Read off
-    the quiver's `table`, for a valid nonzero e with a semistable one and
-    weight = theta(e), unchecked.
-
-    Stability is open, so one exists iff the general representation is
-    stable, iff mu(f) < mu(e) for every generic 0 < f < e (King,
-    Schofield).  Semistability puts every generic f at mu(f) <= mu(e), so
-    the f with mu(f) = mu(e) span a face of the cone of the generic
-    vectors, and the face holds e.  e's stored generators include one on
-    each extreme ray of the cone and no two parallel ones, so exactly one
-    of them has mu = mu(e) iff that face is e's ray.  Then the test is
-    that no f = j e / gcd(e) with 0 < j < gcd(e) is generic in e.  As
-    e - f is a positive multiple of f, Schofield's test for f reads
-    <g, f> >= 0 off f's stored rays, with no form.
-    """
-    size = sum(e)
-    level = [g for g, _ in table[e][0] if sum(map(mul, theta, g)) * size >= weight * sum(g)]
-    if len(level) > 1:
-        return False
-    k = gcd(*e)
-    for j in range(1, k):
-        if all(gf >= 0 for _, gf in table[tuple(x // k * j for x in e)][0]):
             return False
     return True
 

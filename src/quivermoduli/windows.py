@@ -119,7 +119,6 @@ from .hn import (
     pairing_table,
     table_codimension,
 )
-from .semistability import _stable
 
 
 def _require_weights(pieces: int, k: tuple[int, ...]) -> None:
@@ -257,10 +256,8 @@ def verdict(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> Verdict
     search of lemma (b), the failing strata by lemma (a) without a
     strong failure witness and by the min-path DP with one.  Without a
     witness, d and the vectors of the edges the search pops are the only
-    e <= d tested for semistability.  `stable` holds when theta is
-    coprime to d, as no generic 0 < f < d then has theta(f) = 0;
-    otherwise it reads d's ray generators and tests the proper multiples
-    of d / gcd(d).
+    e <= d tested for semistability.  `stable` holds iff no generic
+    0 < f < d has theta(f) = 0 (`hn._Tables.stable`).
     """
     tables = _Tables(q, d, theta, "verdict")
     d = tables.d
@@ -287,7 +284,7 @@ def verdict(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> Verdict
         rigidity_certified=vanishing and q.is_acyclic,
         failing_strata=failing,
         min_unstable_codim=min_codim,
-        stable=tables.coprime or _stable(tables.table, d, tables.theta, 0),
+        stable=tables.stable(),
     )
 
 

@@ -215,6 +215,22 @@ class TestStrataCommand:
         assert dense
         assert rows == EXPECTED_STRATA_CELLS
 
+    def test_closed_pipe_exits_quietly(self, tmp_path):
+        # K3 (10,11) has 2,769 unstable strata, about 400 kB of table, more
+        # than a pipe buffer holds: the child is still writing when the
+        # reader closes the pipe after one line
+        problem = {"vertices": 2, "arrows": [[1, 2]] * 3, "d": [10, 11], "theta": "canonical"}
+        path = write_problem(tmp_path, problem)
+        with subprocess.Popen(
+            [sys.executable, "-m", "quivermoduli.cli", "strata", path],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+        ) as child:
+            assert child.stdout.readline().startswith(b"hn_type")
+            child.stdout.close()
+            _, err = child.communicate(timeout=60)
+        assert child.returncode == 0
+        assert err == b""
+
 
 class TestReadme:
     """README's examples are run, and its printed table is real output."""
@@ -328,6 +344,20 @@ class TestInputErrors:
         path = write_problem(tmp_path, dict(KRONECKER_PROBLEM, theta=[1, 1]))
         assert main(["strata", path]) == EXIT_INPUT
         assert "theta(d) = 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("d", [1, True], '"d" must be a list of integers'),
+        ("d", "1,2", '"d" must be a list of integers'),
+        ("theta", "auto", '"theta" must be "canonical" or a list of integers'),
+        ("theta", [1, 2.5], '"theta" must be "canonical" or a list of integers'),
+    ], ids=["d-bool", "d-string", "theta-word", "theta-float"])
+    def test_non_integer_vector(self, tmp_path, capsys, key, value, message):
+        data = dict(KRONECKER_PROBLEM, **{key: value})
+        with pytest.raises(ProblemSpecError) as exc:
+            parse_problem(json.dumps(data))
+        assert str(exc.value) == message
+        assert main(["verdict", write_problem(tmp_path, data)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"qt: error: {message}\n"
 
     def test_missing_argument_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -533,6 +563,22 @@ class TestOracleCensusCommand:
         assert "((1,0),(0,1))  1" in out
         assert "((1,1))" in out and "7" in out
         assert "total: 8 representations (= 2^3)" in out
+        assert "WARNING" not in out
+
+    def test_warns_of_types_missing_from_enumeration(self, tmp_path, capsys, monkeypatch):
+        # the census's types are checked against the enumeration: with one
+        # type dropped from it, the warning names that type
+        dropped = HNType([(1, 0), (0, 1)])
+        enumerate_types = quivermoduli.cli.enumerate_hn_types
+        monkeypatch.setattr(
+            quivermoduli.cli,
+            "enumerate_hn_types",
+            lambda *args: tuple(t for t in enumerate_types(*args) if t != dropped),
+        )
+        path = write_problem(tmp_path, self.PROBLEM)
+        assert main(["oracle-census", path, "--field", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "WARNING: census types missing from enumeration: ((1,0),(0,1))"
 
     def test_budget_env(self, tmp_path, capsys, monkeypatch):
         path = write_problem(tmp_path, self.PROBLEM)

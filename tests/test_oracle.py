@@ -113,6 +113,20 @@ class TestSubreps:
         rep = FiniteFieldRep(2, K1, D11, (((0,),),))
         assert has_subrep_of_dimension(rep, DimensionVector((1, 0)))
 
+    def test_dimension_not_below_rep_builds_no_lattice(self, monkeypatch):
+        # f not <= dim V is refused before any subspace lattice is built
+        built = []
+        checked_lattice = oracle._checked_lattice
+        monkeypatch.setattr(
+            oracle, "_checked_lattice", lambda *args: built.append(args) or checked_lattice(*args)
+        )
+        rep = FiniteFieldRep(2, K1, D11, (((0,),),))
+        assert has_subrep_of_dimension(rep, DimensionVector((2, 0))) is False
+        assert has_subrep_of_dimension(rep, DimensionVector((0, 2))) is False
+        assert built == []
+        assert has_subrep_of_dimension(rep, DimensionVector((1, 0))) is True
+        assert len(built) == 1
+
 
 class TestHNTypeOf:
     def test_zero_rep_splits(self):
