@@ -9,8 +9,10 @@ Four subcommands on JSON problem files:
 
 A problem file is an object with exactly the keys "vertices", "arrows"
 (1-based [source, target] pairs), "d", and "theta" (an integer vector,
-or "canonical").  Exit codes: 0 rigidity certified, 10 vanishing but not
-rigidity, 20 no certificate, 2 bad input or a usage error.
+or "canonical"); `main` loads it once and hands the checked `ProblemSpec`
+to the subcommand's handler.  Exit codes: 0 rigidity certified, 10
+vanishing but not rigidity, 20 no certificate, 2 bad input or a usage
+error.
 
 The command line is read against one table, `COMMANDS`, of each
 subcommand's handler and options, not by `argparse`, which with
@@ -84,40 +86,38 @@ def parse_problem(text: str) -> ProblemSpec:
         for a in arrows
     ):
         raise ProblemSpecError("\"arrows\" must be a list of [source, target] integer pairs")
+    # d and theta are checked before the quiver, whose tables take vertices^2
+    d = _vector(data, "d", vertices, DimensionVector, "a list of integers")
+    canonical = data["theta"] == "canonical"
+    if not canonical:
+        theta = _vector(data, "theta", vertices, StabilityParameter,
+                        "\"canonical\" or a list of integers")
     try:
         quiver = Quiver(vertices, [tuple(a) for a in arrows])
     except ValueError as exc:
         raise ProblemSpecError(str(exc)) from exc
-
-    d_raw = data["d"]
-    if not isinstance(d_raw, list) or not all(_is_int(x) for x in d_raw):
-        raise ProblemSpecError("\"d\" must be a list of integers")
-    if len(d_raw) != vertices:
-        raise ProblemSpecError(
-            f"\"d\" has length {len(d_raw)}, expected {vertices}"
-        )
-    try:
-        d = DimensionVector(d_raw)
-    except ValueError as exc:
-        raise ProblemSpecError(str(exc)) from exc
-
-    theta_raw = data["theta"]
-    if theta_raw == "canonical":
+    if canonical:
         if d.is_zero():
             raise ProblemSpecError("canonical theta is undefined for d = 0")
         theta = quiver.canonical_stability(d)
-    else:
-        if not isinstance(theta_raw, list) or not all(_is_int(x) for x in theta_raw):
-            raise ProblemSpecError("\"theta\" must be \"canonical\" or a list of integers")
-        if len(theta_raw) != vertices:
-            raise ProblemSpecError(
-                f"\"theta\" has length {len(theta_raw)}, expected {vertices}"
-            )
-        theta = StabilityParameter(theta_raw)
     pairing = theta.dot(d)
     if pairing != 0:
         raise ProblemSpecError(f"theta(d) = {pairing}, expected 0")
     return ProblemSpec(quiver=quiver, d=d, theta=theta)
+
+
+def _vector(data: dict, key: str, vertices: int, kind: type, what: str):
+    """data[key] as a `kind` with one entry per vertex; `what` names the
+    values the key accepts."""
+    raw = data[key]
+    if not isinstance(raw, list) or not all(_is_int(x) for x in raw):
+        raise ProblemSpecError(f"\"{key}\" must be {what}")
+    if len(raw) != vertices:
+        raise ProblemSpecError(f"\"{key}\" has length {len(raw)}, expected {vertices}")
+    try:
+        return kind(raw)
+    except ValueError as exc:
+        raise ProblemSpecError(str(exc)) from exc
 
 
 def _is_int(x) -> bool:
@@ -207,8 +207,7 @@ def strata_rows(spec: ProblemSpec) -> tuple[list[list[str]], bool]:
 # --- subcommands -------------------------------------------------------------
 
 
-def cmd_strata(problem: str, format: str) -> int:
-    spec = load_problem(problem)
+def cmd_strata(spec: ProblemSpec, format: str) -> int:
     rows, dense_present = strata_rows(spec)
     print(render_table(STRATA_COLUMNS, rows, format))
     if format == "txt":
@@ -217,8 +216,7 @@ def cmd_strata(problem: str, format: str) -> int:
     return 0
 
 
-def cmd_verdict(problem: str) -> int:
-    spec = load_problem(problem)
+def cmd_verdict(spec: ProblemSpec) -> int:
     q, d, theta = spec.quiver, spec.d, spec.theta
     v = verdict(q, d, theta)
 
@@ -267,10 +265,9 @@ def cmd_verdict(problem: str) -> int:
     return EXIT_NONE
 
 
-def cmd_sweep(problem: str, dmax: str, out: str) -> int:
+def cmd_sweep(spec: ProblemSpec, dmax: str, out: str) -> int:
     import csv
 
-    spec = load_problem(problem)
     q = spec.quiver
     try:
         d_max = [int(x) for x in dmax.split(",")]
@@ -299,6 +296,8 @@ def cmd_sweep(problem: str, dmax: str, out: str) -> int:
         writer.writerow(SWEEP_COLUMNS)
         for e in subdimension_vectors(DimensionVector(d_max))[1:]:
             theta = q.canonical_stability(e)
+            # asked first, not caught from `verdict`'s ValueError: `verdict`
+            # runs `_Tables`' lean pass before it finds no semistable point
             if not has_semistable(q, e, theta):
                 continue
             v = verdict(q, e, theta)
@@ -318,10 +317,9 @@ def cmd_sweep(problem: str, dmax: str, out: str) -> int:
     return 0
 
 
-def cmd_oracle_census(problem: str, field: int) -> int:
+def cmd_oracle_census(spec: ProblemSpec, field: int) -> int:
     from . import oracle
 
-    spec = load_problem(problem)
     budget = _env_int("QT_BUDGET", oracle.DEFAULT_BUDGET)
     census = oracle.stratum_census(
         spec.quiver, spec.d, spec.theta, field, budget=budget
@@ -366,8 +364,8 @@ class Option(NamedTuple):
     kind: type = str
 
 
-# subcommand -> (handler, summary, options by name); the handler is called
-# with FILE as `problem` and each option's value as a keyword of its name
+# subcommand -> (handler, summary, options by name); `main` calls the handler
+# with the problem loaded from FILE and each option's value as a keyword
 COMMANDS = {
     "strata": (cmd_strata, "table of unstable strata", {
         "format": Option("txt|csv|md", "txt", "output format"),
@@ -416,10 +414,10 @@ def _usage_error(line: str, reason: str):
 
 
 def parse_args(argv: list[str]):
-    """(handler, keyword arguments) for the arguments after `qt`, read
-    against COMMANDS.  A usage error prints the usage line and the reason
-    to stderr and raises SystemExit(2); -h or --help prints `help_text`
-    to stdout and raises SystemExit(0), wherever it stands."""
+    """(handler, FILE, option values by name) for the arguments after
+    `qt`, read against COMMANDS.  A usage error prints the usage line and
+    the reason to stderr and raises SystemExit(2); -h or --help prints
+    `help_text` to stdout and raises SystemExit(0), wherever it stands."""
     if "-h" in argv or "--help" in argv:
         print(help_text())
         raise SystemExit(0)
@@ -461,13 +459,13 @@ def parse_args(argv: list[str]):
             if opt.default is None:
                 _usage_error(line, f"the following arguments are required: --{name}")
             kwargs[name] = opt.default
-    return handler, {"problem": files[0], **kwargs}
+    return handler, files[0], kwargs
 
 
 def main(argv=None) -> int:
-    handler, kwargs = parse_args(sys.argv[1:] if argv is None else list(argv))
+    handler, path, options = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        return handler(**kwargs)
+        return handler(load_problem(path), **options)
     except BrokenPipeError:
         # downstream closed the pipe (e.g. | head); suppress the shutdown
         # flush error and exit quietly

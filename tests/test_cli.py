@@ -345,12 +345,17 @@ class TestInputErrors:
         assert main(["strata", path]) == EXIT_INPUT
         assert "theta(d) = 5" in capsys.readouterr().err
 
+    # every refusal of a d or theta, by its full text: type, length, sign
     @pytest.mark.parametrize("key, value, message", [
         ("d", [1, True], '"d" must be a list of integers'),
         ("d", "1,2", '"d" must be a list of integers'),
         ("theta", "auto", '"theta" must be "canonical" or a list of integers'),
         ("theta", [1, 2.5], '"theta" must be "canonical" or a list of integers'),
-    ], ids=["d-bool", "d-string", "theta-word", "theta-float"])
+        ("d", [2, 3, 4], '"d" has length 3, expected 2'),
+        ("theta", [3, -2, 0], '"theta" has length 3, expected 2'),
+        ("d", [2, -3], "dimension vector has a negative entry: (2, -3)"),
+    ], ids=["d-bool", "d-string", "theta-word", "theta-float", "d-length", "theta-length",
+            "d-negative"])
     def test_non_integer_vector(self, tmp_path, capsys, key, value, message):
         data = dict(KRONECKER_PROBLEM, **{key: value})
         with pytest.raises(ProblemSpecError) as exc:
@@ -358,6 +363,18 @@ class TestInputErrors:
         assert str(exc.value) == message
         assert main(["verdict", write_problem(tmp_path, data)]) == EXIT_INPUT
         assert capsys.readouterr().err == f"qt: error: {message}\n"
+
+    @pytest.mark.parametrize("key", ["d", "theta"])
+    def test_length_refused_before_the_quiver(self, tmp_path, capsys, monkeypatch, key):
+        # the quiver's tables take vertices^2 entries: three of 20000^2 here
+        def no_quiver(*args):
+            raise AssertionError("the quiver was built before d and theta were checked")
+
+        monkeypatch.setattr("quivermoduli.cli.Quiver", no_quiver)
+        data = {"vertices": 20000, "arrows": [], "d": [0] * 20000, "theta": [0] * 20000}
+        data[key] = [1]
+        assert main(["verdict", write_problem(tmp_path, data)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f'qt: error: "{key}" has length 1, expected 20000\n'
 
     def test_missing_argument_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -102,6 +102,10 @@ class TestQuiverConstruction:
         assert Quiver(2, [(1, 2), (1, 2)]) == Quiver.kronecker(2)
         assert hash(Quiver(2, [(1, 2)])) == hash(Quiver(2, [(1, 2)]))
         assert Quiver(2, [(1, 2)]) != Quiver(2, [(2, 1)])
+        assert (Quiver(1, []) == 5) is False
+
+    def test_repr(self):
+        assert repr(Quiver(2, [(1, 2)])) == "Quiver(2, [(1, 2)])"
 
 
 class TestVectors:
@@ -116,6 +120,10 @@ class TestVectors:
         assert d + e == (3, 4)
         assert 2 * d == (4, 6)
         assert d.dot((3, -2)) == 0
+
+    def test_scalar_must_be_an_int(self):
+        with pytest.raises(TypeError):
+            DimensionVector((1, 2)) * 1.5
 
     def test_leq(self):
         assert DimensionVector((1, 2)).leq((2, 3))

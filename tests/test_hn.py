@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from heapq import heappush
 from itertools import product
 from math import lcm
 from operator import le, mul, sub
@@ -419,6 +420,22 @@ class TestLeastCodim:
             assert tables.least_codim() == least(d, None), (q, d, theta, sorted(nonpieces))
             if roots:
                 assert tested[0] in nonpieces
+
+    def test_a_state_seen_before_is_skipped(self, monkeypatch):
+        # the one instance found (among 8,800 random and wide ones) on which
+        # a state (r, mu(e)) is popped twice: the second pop pushes no edges,
+        # 83 pushes in all, where a search without the closed set makes 86
+        q, d, theta = Quiver(3, [(3, 2)]), DimensionVector((2, 2, 4)), StabilityParameter((-22, 2, 10))
+        pushes = []
+
+        def counted(heap, entry):
+            pushes.append(entry)
+            heappush(heap, entry)
+
+        monkeypatch.setattr(quivermoduli.hn, "heappush", counted)
+        codims = [codimension(q, t) for t in reference_hn_types(q, d, theta) if t != (d,)]
+        assert _Tables(q, d, theta, "test").least_codim() == min(codims) == 0
+        assert len(pushes) == 83
 
 class TestVerdictFlags:
     """The coprime flag and the strong ample witness come out of the table
