@@ -31,6 +31,7 @@ import sys
 from typing import NamedTuple
 
 from .core import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     DimensionVector,
     Quiver,
@@ -62,7 +63,10 @@ class ProblemSpec(NamedTuple):
 
 
 def parse_problem(text: str) -> ProblemSpec:
-    """Parse and validate a JSON problem description."""
+    """Parse and validate a JSON problem description.
+
+    A quiver whose vertices^2 tables exceed `QT_BUDGET` is refused with
+    `BudgetExceededError` before they are allocated."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -86,12 +90,15 @@ def parse_problem(text: str) -> ProblemSpec:
         for a in arrows
     ):
         raise ProblemSpecError("\"arrows\" must be a list of [source, target] integer pairs")
-    # d and theta are checked before the quiver, whose tables take vertices^2
+    # d, theta and the budget are checked before the quiver, whose tables take vertices^2
     d = _vector(data, "d", vertices, DimensionVector, "a list of integers")
     canonical = data["theta"] == "canonical"
     if not canonical:
         theta = _vector(data, "theta", vertices, StabilityParameter,
                         "\"canonical\" or a list of integers")
+    budget = _env_int("QT_BUDGET", DEFAULT_BUDGET)
+    if vertices * vertices > budget:
+        raise BudgetExceededError(vertices * vertices, budget, "quiver tables need {} entries")
     try:
         quiver = Quiver(vertices, [tuple(a) for a in arrows])
     except ValueError as exc:
@@ -320,7 +327,7 @@ def cmd_sweep(spec: ProblemSpec, dmax: str, out: str) -> int:
 def cmd_oracle_census(spec: ProblemSpec, field: int) -> int:
     from . import oracle
 
-    budget = _env_int("QT_BUDGET", oracle.DEFAULT_BUDGET)
+    budget = _env_int("QT_BUDGET", DEFAULT_BUDGET)
     census = oracle.stratum_census(
         spec.quiver, spec.d, spec.theta, field, budget=budget
     )

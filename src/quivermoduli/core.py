@@ -20,6 +20,9 @@ from operator import index, mul
 from typing import Iterable
 
 
+DEFAULT_BUDGET = 10_000_000  # `QT_BUDGET`'s default, the one bound on work and memory
+
+
 class BudgetExceededError(RuntimeError):
     """Raised instead of starting a computation that is too large.
 

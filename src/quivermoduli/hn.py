@@ -39,7 +39,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cached_property, reduce
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, compress, product
+from itertools import accumulate, compress, product, repeat
 from math import gcd, lcm
 from operator import and_, itemgetter, le, mul
 from typing import NamedTuple
@@ -50,7 +50,14 @@ from .core import (
     StabilityParameter,
     slope,
 )
-from .semistability import _below_masks, _memo, _semistable, has_semistable
+from .semistability import (
+    _below_masks,
+    _box_weights,
+    _fill_whole,
+    _memo,
+    _semistable,
+    has_semistable,
+)
 
 
 class HNType(tuple):
@@ -138,19 +145,6 @@ def _bits(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
 
 
-def _box_weights(theta: tuple, d: tuple) -> list[int]:
-    """theta(e) for every 0 <= e <= d, in lexicographic order of e.
-
-    theta is linear, so the list is built by outer sums, one pass per
-    coordinate: each weight of the vectors over the first j coordinates
-    is followed by its sums with theta_j * x for x = 0, ..., d_j."""
-    out = [0]
-    for a, x in zip(theta, d):
-        steps = [a * k for k in range(x + 1)]
-        out = [v + s for v in out for s in steps]
-    return out
-
-
 class _Tables:
     """The verdict flags of (q, d, theta), and the DP tables over the
     remainders, in two stages.  The constructor is the lean pass every
@@ -210,10 +204,18 @@ class _Tables:
     bit order by `_bits`; a tail with no table costs one dict miss.
     The lean pass runs on plain int tuples with theta(e) computed once
     per e, by outer sums (`_box_weights`).  It looks the quiver's ray
-    table up once, as `table`, and fills the entry (rays, right form) of
-    every e <= d there before any piece test; the cuts and the edges of
-    `least_codim` read each remainder's right form off its entry.  Only
-    the pieces are wrapped as `DimensionVector`s, for the entries,
+    table up once, as `table`.  The cuts and the edges of `least_codim`
+    read a vector's right form off its entry in `entries`, which is
+    `table`, but on a cold d, one not held yet, (None, right form) for
+    every e <= d, the forms built by outer sums, so that a cold d's
+    `strong_failure_witness` is found before any ray is read.  On a cold
+    d with a witness it then fills the entry (rays, right form) of every
+    e <= d, as the tables test them all, and so does `tables` on a cold
+    d without one; otherwise d's test fills only d's hom closure, or a
+    small box whole (the `semistability` module docstring), and a piece
+    off the closure is filled when `least_codim` pops it.  `stable()`
+    reads the rays of the e the table holds, as no other e is generic
+    in d.  Only the pieces are wrapped as `DimensionVector`s, for the entries,
     unchecked: they come out of the box of a checked d.
 
     The flags: `coprime` says that no 0 < e < d has theta(e) = 0, as
@@ -258,18 +260,22 @@ class _Tables:
             raise ValueError(f"{caller} requires theta(d) = 0")
         self.q, self.d, self.theta = q, d, theta
         self.table = table = _memo[q]
-        table[d]  # fills a cold box of ray tables in one pass, before any piece test
+        self.cold = cold = d not in table
         self.vectors = vectors = list(product(*(range(x + 1) for x in d)))
         self.weights = weights = _box_weights(theta, d)
         last = len(vectors) - 1
-        # number -> is that vector a piece, tested at most once per number
-        self.piece = {last: _semistable(q, d, theta, 0)}
-        self.semistable = self.piece[last]
 
+        # the cuts and `least_codim` read right forms off `entries`: the ray
+        # table, or on a cold d, so that no ray is read before the witness is
+        # known, (None, right form) per e, by outer sums as right_form(e)_i =
+        # sum_j M_ij e_j is linear in e
+        self.entries = entries = table if not cold else dict(
+            zip(vectors, zip(repeat(None), zip(*(_box_weights(row, d) for row in q.euler_matrix))))
+        )
         # c = N(rest) - 1 = -<d - rest, rest> - 1 at each rest with theta < 0,
         # d - rest being the (r+1)-th vector from the end
         self.cuts = cuts = {
-            r: -_dot(vectors[last - r], table[rest][1]) - 1
+            r: -_dot(vectors[last - r], entries[rest][1]) - 1
             for r, rest in enumerate(vectors) if weights[r] < 0
         }
         self.coprime = 0 not in weights[1:-1]
@@ -278,11 +284,19 @@ class _Tables:
              if weights[i] > 0 and cuts[last - i] < 1),
             None,
         )
+        if cold and self.strong_failure_witness is not None:
+            _fill_whole(table, vectors)  # the tables test every e <= d
+        # number -> is that vector a piece, tested at most once per number;
+        # d's test fills a cold d's hom closure, or its whole box if small
+        self.piece = {last: _semistable(q, d, theta, 0)}
+        self.semistable = self.piece[last]
 
     @cached_property
     def tables(self) -> dict[int, tuple]:
         """The DP tables, built on first use; see the class docstring."""
         vectors, weights, cuts = self.vectors, self.weights, self.cuts
+        if self.cold:
+            _fill_whole(self.table, vectors)  # they test every e <= d
         pieces = [
             (DimensionVector._trusted(vectors[i]), weights[i], i)
             for i in range(1, len(vectors)) if self.is_piece(i)
@@ -323,10 +337,10 @@ class _Tables:
         skipped.  A state's edges are the e <= rest of slope below mu,
         slopes compared by cross multiplication, whose tail is 0 or has
         theta < 0, each of weight -<e, tail> = -e . right_form(tail), the
-        form read off tail's entry in `table`.  By lemma (b) the first zero
-        remainder popped has the least codimension.
+        form read off tail's entry in `entries`.  By lemma (b) the first
+        zero remainder popped has the least codimension.
         """
-        vectors, weights, table = self.vectors, self.weights, self.table
+        vectors, weights, entries = self.vectors, self.weights, self.entries
         last = len(vectors) - 1
         heap = [(c + 1, r, last - r) for r, c in self.cuts.items()]
         heapify(heap)
@@ -348,19 +362,22 @@ class _Tables:
                 e = vectors[j]
                 if ((weights[j] > floor or j == r) and weights[j] * size < w * sum(e)
                         and all(map(le, e, rest))):
-                    heappush(heap, (g - _dot(e, table[vectors[r - j]][1]), r - j, j))
+                    heappush(heap, (g - _dot(e, entries[vectors[r - j]][1]), r - j, j))
         return None
 
     def stable(self) -> bool:
         """Whether a theta-stable representation of dimension d exists, for
         a semistable d: one does unless some generic 0 < e < d has
-        theta(e) = 0 (King 1994, Schofield 1992).  Each such e is tested as `_members`
-        tests it, by Schofield's criterion read off e's rays in `table`
-        against d's right form.  With `coprime` there is no such e."""
+        theta(e) = 0 (King 1994, Schofield 1992).  Each such e is tested as
+        `_members` tests it, by Schofield's criterion read off e's rays in
+        `table` against d's right form.  An e the table does not hold is
+        off d's hom closure, which the table holds with d, so
+        <e, d - e> < 0 and e is not generic.  With `coprime` there is no
+        such e."""
         vectors, weights, table = self.vectors, self.weights, self.table
         form = table[self.d][1]
         return self.coprime or all(
-            any(_dot(g, form) < ge for g, ge in table[vectors[i]][0])
+            (entry := table.get(vectors[i])) is None or any(_dot(g, form) < ge for g, ge in entry[0])
             for i in range(1, len(vectors) - 1) if not weights[i]
         )
 

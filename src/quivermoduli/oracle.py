@@ -27,10 +27,15 @@ from functools import lru_cache
 from math import isqrt
 from operator import index
 
-from .core import BudgetExceededError, DimensionVector, Quiver, StabilityParameter, slope
+from .core import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    DimensionVector,
+    Quiver,
+    StabilityParameter,
+    slope,
+)
 from .hn import HNType
-
-DEFAULT_BUDGET = 10_000_000
 
 
 def _field_size(p: int) -> int:

@@ -28,23 +28,58 @@ inside the hull stay, correct but not pruned.
 `generic_subdimension_vectors` still returns the whole set by running
 the filter for e once against the ray tables below it.
 
+The closure lemma.  g = f is one of f's generic vectors, so f generic
+in e needs <f, e - f> >= 0 (it is hom(f, e - f) once ext vanishes), and
+f's rays are read only when f passes this test against some e whose rays
+are read.  The hom closure of d is d with every f != 0 reached from it
+by steps e -> f, f <= e, <f, e - f> >= 0; no f outside it is ever
+tested against a vector whose rays are read.  It is 11-13 % of the box
+on A3 and A4^2, 37-43 % on K3.
+
 The memo `_memo` has one table per quiver q, `_memo[q]`, keyed by
 plain int tuples: e maps to the pair (e's rays, right_form(e)), and the
-table holds with each e every f <= e.  So each form is computed once,
-when e's rays are stored: the filter, the box pass, and the cuts,
-search edges and stable test of `hn._Tables` read it there.  A hot
-loop looks its quiver's table up once and then reads vectors only.
-`clear_caches` empties `_memo`, rays and forms of every quiver.  A
-miss at d whose predecessors d - u_j are all in the table runs the
-filter for d alone, as an ascending sweep does.  Any other miss, on at
-most three vertices, fills the whole box 0 <= e <= d in one
-bit-parallel pass (`_fill_box`):
+table holds with each e its hom closure.  So each form is computed once,
+when e's rays are stored, and read there by the filter, the box pass
+and `hn._Tables`, which on a d the table does not hold yet builds the
+forms of d's box by outer sums.  A hot loop looks its quiver's table up
+once and then reads vectors only.  `clear_caches` empties `_memo`, rays
+and forms of every quiver.  The one-vector filter (`_members`) puts an f with no entry to
+the closure lemma's test before it reads f's entry, so it fills only
+e's closure; an f already held is read at once.  A miss at d whose
+predecessors d - u_j are all held runs it for d alone, as an ascending
+sweep does, and so does a miss at 0 or a unit vector.  Any other miss at
+d, on at most three vertices, is cold (`_QuiverRays.fill_cold`): a box
+of at least `_CLOSURE_MIN_BOX` vectors takes two packed passes,
 
-- Layout.  The nonzero vectors f <= d are numbered by their
-  projected point f / |f|, scaled to integers by the lcm of the sizes,
-  ties in lexicographic order; number k owns bits [wk, wk + w) of every
-  packed integer, its field.  Ray slot s holds, for each f with more
-  than s rays, its s-th ray g: columns G_i = sum_k g_i 2^(wk) and
+1. the closure pass (`_closure`).  Every e <= d, 0 included, owns the
+   field numbered by its place in lexicographic order.  The columns are
+   F_i = sum_k f_i 2^(wk) and Q = sum_k (BIAS - <f, f>) 2^(wk), built by
+   outer sums as `_box_weights` builds theta, so that for x the sum
+   sum_i right_form(x)_i F_i + Q has BIAS + <f, x - f> in f's field,
+   BIAS > B and every d_j as below; ANDed with one mask of the f with
+   f_j <= x_j per coordinate, (BIAS + x_j) * ones - F_j read at the sign
+   bits, its sign bits are x's closure steps.  From d, each vector
+   reached and not held is expanded once, and only the bits new to the
+   pass are read off; a held vector is reached but not expanded, as the
+   table holds its closure;
+2. the box pass (`_fill_box`) below, over the vectors the closure pass
+   reached;
+
+and a smaller box one box pass over the whole box, as it did before the
+closure pass: there the closure, and the second one that a later miss
+at a piece off it costs (the least-codimension search makes such
+misses), outweigh what it skips.  No layout outlives its pass.
+`_fill_whole` fills the whole box for `hn._Tables` with a strong
+failure witness, or building its DP tables for
+`hn.enumerate_hn_types`: those test every e <= d for semistability.
+
+The box pass over a list of vectors, each <= its last one d:
+
+- Layout.  The vectors are numbered by their projected point f / |f|,
+  scaled to integers by the lcm of the sizes, ties in lexicographic
+  order; number k owns bits [wk, wk + w) of every packed integer, its
+  field.  Ray slot s holds, for each f with more than s rays, its s-th
+  ray g: columns G_i = sum_k g_i 2^(wk) and
   Q = sum_k (BIAS - <g, f>) 2^(wk).  The field of an f with fewer rays
   is 0 in every G_i and BIAS in Q.
 - The test.  For e, V = sum_i right_form(e)_i G_i + Q equals
@@ -64,14 +99,19 @@ bit-parallel pass (`_fill_box`):
   `_extreme_rays` shares.  e's rays are then packed into e's field.
   The vectors are visited in lexicographic order, so every f < e is
   packed before e is tested; the fields still empty are those of e and
-  of vectors not <= e.
+  of vectors not <= e.  The list holds e's closure with each e that has
+  no entry yet, and an f <= e in the list but off e's closure is packed
+  too, so its field fails e's test as its rays say.  A held e is packed
+  from its entry, not tested.
 - The prefilter, n = 3.  Lemma: if f is generic in e, so is every
   generic g of f (Schofield 1992), so C(f) lies in C(e), the cone that
   e's generic vectors span.  So a member h of e on an extreme ray of
   C(e), as h lies in C(h), is on an extreme ray of C(h): it is parallel
   to one of its own rays.  One mask `hull` keeps the sign bits of the
   packed fields whose vector is parallel to one of its rays, set as
-  each field is packed.  The chain reads e's members ANDed with `hull`
+  each field is packed; a held e's rays may have no field, so their
+  projected points are computed.  The chain reads e's members ANDed
+  with `hull`
   and e's own bit (e is not packed yet): every member on an extreme ray
   of C(e) stays, so the chain keeps the same first member per extreme
   point, and only interior points leave its input.
@@ -83,7 +123,7 @@ many as the largest generic set has directions.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import product, zip_longest
 from math import lcm
 from operator import mul, sub
 
@@ -159,16 +199,58 @@ def _below_masks(d: tuple[int, ...], pairs) -> list[list[int]]:
     return masks
 
 
+def _box_weights(theta: tuple, d: tuple) -> list[int]:
+    """theta(e) for every 0 <= e <= d, in lexicographic order of e.
+
+    theta is linear, so the list is built by outer sums, one pass per
+    coordinate: each weight of the vectors over the first j coordinates
+    is followed by its sums with theta_j * x for x = 0, ..., d_j."""
+    out = [0]
+    for a, x in zip(theta, d):
+        steps = [a * k for k in range(x + 1)]
+        out = [v + s for v in out for s in steps]
+    return out
+
+
+def _box_squares(m: tuple, d: tuple) -> list[int]:
+    """<e, e> = sum_ij e_i m_ij e_j for every 0 <= e <= d, in lexicographic
+    order of e, by outer sums as `_box_weights`: appending y to a prefix v
+    adds y (c . v) + y^2 m_jj, with c_i = m_ij + m_ji linear in v."""
+    out = [0]
+    for j, x in enumerate(d):
+        cross = _box_weights([m[i][j] + m[j][i] for i in range(j)], d[:j])
+        out = [s + y * (c + y * m[j][j]) for s, c in zip(out, cross) for y in range(x + 1)]
+    return out
+
+
+def _pack(values: list[int], w: int) -> int:
+    """sum_k values[k] 2^(wk), by pairing neighbours, so that no step
+    shifts more than half of the result."""
+    while len(values) > 1:
+        values = [a + (b << w) for a, b in zip_longest(values[::2], values[1::2], fillvalue=0)]
+        w *= 2
+    return values[0]
+
+
 def _members(table: _QuiverRays, e: tuple, form: tuple) -> list[tuple[int, ...]]:
     """The generic subdimension vectors of e, in lexicographic order, read
     off the quiver's `table`, with form = right_form(e): on the one-vector
-    path e has no entry yet.
+    path e has no entry yet.  An f with no entry is first put to the
+    closure lemma's test <f, e - f> >= 0, and filled only if it passes.
 
     Recurses only on vectors of smaller total, so it terminates."""
     out = []
+    get, right_form = table.get, table.q.right_form
     for f in product(*(range(x + 1) for x in e)):
-        # f = 0 has no rays, and f = e is always generic
-        for g, gf in table[f][0] if f != e else ():
+        entry = get(f)
+        if entry is None:
+            if f == e:  # e has no entry yet, and is always generic
+                out.append(f)
+                continue
+            if sum(map(mul, f, form)) < sum(map(mul, f, right_form(f))):
+                continue
+            entry = table[f]
+        for g, gf in entry[0]:  # f = 0 has no rays; a held e passes its own
             if sum(map(mul, g, form)) < gf:
                 break
         else:
@@ -179,22 +261,38 @@ def _members(table: _QuiverRays, e: tuple, form: tuple) -> list[tuple[int, ...]]
 class _QuiverRays(dict):
     """e -> (`_rays(q, e)`, q.right_form(e)) for one quiver q, its only
     memo of either.  A miss fills the table as the module docstring
-    describes, so it holds with each e every f <= e."""
+    describes, so it holds with each e the hom closure of e."""
 
     def __init__(self, q: Quiver):
         super().__init__()
         self.q = q
 
     def __missing__(self, e):
-        if len(e) <= 3:
+        if len(e) <= 3 and sum(e) > 1:  # 0 and the unit vectors cost nothing
             for j, x in enumerate(e):
                 if x and e[:j] + (x - 1,) + e[j + 1 :] not in self:
-                    _fill_box(self, e)
+                    self.fill_cold(e)
                     return self[e]
         form = self.q.right_form(e)
         gens = _extreme_rays(_members(self, e, form)[1:])
         entry = self[e] = (tuple((g, sum(map(mul, g, form))) for g in gens), form)
         return entry
+
+    def fill_cold(self, d: tuple[int, ...]) -> None:
+        """A cold miss at d: the closure pass from d, then the box pass
+        over the vectors it reaches; a box of fewer than
+        `_CLOSURE_MIN_BOX` vectors is filled whole."""
+        box = _box(d)
+        self.setdefault(box[0], ((), box[0]))
+        _fill_box(self, box[1:] if len(box) < _CLOSURE_MIN_BOX else _closure(self, box))
+
+
+# the smallest box the closure pass fills.  Below it the pass and the second
+# one that a piece off d's closure costs outweigh what it skips: cold verdicts
+# in process through the closure, against the whole box, took K3 (8,9), 90
+# vectors, 16 % longer, triangle B (1,6,6), 98 with a witness, 30 %, and
+# K3 (10,11), 132, 6 %; K3 (12,13), 182, took 8 % less, A3 (5,5,5), 216, 62 %
+_CLOSURE_MIN_BOX = 150
 
 
 class _RayMemo(dict):
@@ -214,24 +312,86 @@ def _rays(q: Quiver, e: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], .
     return _memo[q][e][0]
 
 
-def _fill_box(table: _QuiverRays, d: tuple[int, ...]) -> None:
-    """Put the entry (rays, right form) of every e <= d in the quiver's
-    `table`, on at most three vertices, in one pass over packed integers;
-    the module docstring has the layout, the bound on w and the lemma
-    behind the n = 3 prefilter, which feeds the chain only e and the
-    members parallel to one of their own rays."""
-    q = table.q
+def _box(d: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The vectors 0 <= e <= d in lexicographic order."""
+    return list(product(*(range(x + 1) for x in d)))
+
+
+def _bound(q: Quiver, d: tuple[int, ...]) -> int:
+    """B = sum_ij d_i |M_ij| d_j >= |<g, e - f>| for 0 <= g, f, e <= d."""
+    return sum(x * abs(m) * y for x, row in zip(d, q.euler_matrix) for m, y in zip(row, d))
+
+
+def _fill_whole(table: _QuiverRays, box: list[tuple[int, ...]]) -> None:
+    """Hold every vector of d's `box`, 0 first, for a caller that reads
+    them all: on at most three vertices, in one box pass over the whole
+    box, which packs the entries already held; from four on, each miss
+    runs the one-vector filter."""
+    if len(box[0]) <= 3 and not all(map(table.__contains__, box)):
+        table.setdefault(box[0], ((), box[0]))
+        _fill_box(table, box[1:])
+
+
+def _closure(table: _QuiverRays, box: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The closure pass over d's `box`, in lexicographic order, 0 first:
+    the vectors reached from d, d included, by the closure lemma's step to
+    the f <= x, f != 0, with <f, x - f> >= 0, taken only from the x that
+    `table` does not hold, as a held x holds its closure; sorted.  The
+    vector numbered k in `box` owns the w-bit field k.  The
+    columns are f_i per field, and BIAS - <f, f> last, so that
+    V = sum_i right_form(x)_i F_i + Q has BIAS + <f, x - f> in the field
+    of f; `below[j][v]` holds the sign bits of the f != 0 with f_j <= v.
+    Each x is expanded once, and only the bits new to `seen` are read."""
+    q, d = table.q, box[-1]
     n = len(d)
-    box = list(product(*(range(x + 1) for x in d)))
-    table[box[0]] = ((), (0,) * n)
-    box = box[1:]
+    # BIAS = 2^(w-1) exceeds every |<f, x - f>| and every d_j
+    w = max(_bound(q, d), *d).bit_length() + 1
+    bias = 1 << w - 1
+    ones = ((1 << w * len(box)) - 1) // ((1 << w) - 1)
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    columns = [_pack(_box_weights(u, d), w) for u in units]
+    columns.append(_pack([bias - s for s in _box_squares(q.euler_matrix, d)], w))
+    signs = ones << w - 1 ^ bias  # every field's sign bit but 0's
+    # BIAS + v - f_j >= BIAS iff f_j <= v
+    below = [[((bias + v) * ones - column) & signs for v in range(x + 1)]
+             for column, x in zip(columns, d)]
+    right_form = q.right_form
+    seen = 1 << w * len(box) - 1  # d's sign bit
+    todo, reached = [d], []
+    while todo:
+        x = todo.pop()
+        reached.append(x)
+        if x in table:
+            continue
+        new = sum(map(mul, right_form(x), columns), columns[-1]) & ~seen
+        for row, v in zip(below, x):
+            new &= row[v]
+        seen |= new
+        while new:
+            top = new.bit_length() - 1
+            new ^= 1 << top
+            todo.append(box[top // w])
+    return sorted(reached)
+
+
+def _fill_box(table: _QuiverRays, box: list[tuple[int, ...]]) -> None:
+    """Put the entry (rays, right form) of every vector of `box` in the
+    quiver's `table`, on at most three vertices, in one pass over packed
+    integers.  `box` is nonzero vectors in lexicographic order, the last
+    one d and the others <= d, and holds, with each vector the table does
+    not hold yet, its hom closure; the entries held are packed, not
+    recomputed.  The module docstring has the layout, the bound on w and
+    the lemma behind the n = 3 prefilter, which feeds the chain only e and
+    the members parallel to one of their own rays."""
+    q = table.q
+    d = box[-1]
+    n = len(d)
     scale = lcm(*range(1, sum(d) + 1))
     # numbered by projected point, ties in lexicographic order
     points, vectors = zip(*sorted((tuple(x * (scale // sum(f)) for x in f), f) for f in box))
     field = {f: k for k, f in enumerate(vectors)}
 
-    bound = sum(x * abs(m) * y for x, row in zip(d, q.euler_matrix) for m, y in zip(row, d))
-    w = bound.bit_length() + 1
+    w = _bound(q, d).bit_length() + 1
     # BIAS = 2^(w-1) in every field, which is also every field's sign bit
     signs = ((1 << w * len(box)) - 1) // ((1 << w) - 1) << (w - 1)
     below = _below_masks(d, ((f, 1 << w * k + w - 1) for k, f in enumerate(vectors)))
@@ -262,10 +422,14 @@ def _fill_box(table: _QuiverRays, d: tuple[int, ...]) -> None:
                         ordered.append(vectors[k])
                         last = points[k]
                 gens = _chain(ordered)
+                if any(points[field[g]] == points[own] for g in gens):
+                    hull |= 1 << shift + w - 1
             table[e] = (tuple((g, sum(map(mul, g, form))) for g in gens), form)
-        rays = table[e][0]
-        if n == 3 and any(points[field[g]] == points[own] for g, _ in rays):
+        elif n == 3 and any(
+            tuple(x * (scale // sum(g)) for x in g) == points[own] for g, _ in table[e][0]
+        ):  # a held e's rays may have no field here
             hull |= 1 << shift + w - 1
+        rays = table[e][0]
         for s, (g, ge) in enumerate(rays):
             if s == len(slots):
                 slots.append([0] * n + [signs])

@@ -27,11 +27,13 @@ from quivermoduli.cli import (
     STRATA_COLUMNS,
     SWEEP_COLUMNS,
     ProblemSpecError,
+    load_problem,
     main,
     parse_problem,
     render_table,
     strata_rows,
 )
+from quivermoduli.core import BudgetExceededError
 
 KRONECKER_PROBLEM = {
     "vertices": 2,
@@ -375,6 +377,31 @@ class TestInputErrors:
         data[key] = [1]
         assert main(["verdict", write_problem(tmp_path, data)]) == EXIT_INPUT
         assert capsys.readouterr().err == f'qt: error: "{key}" has length 1, expected 20000\n'
+
+    def test_vertex_count_refused_by_the_budget(self, tmp_path, capsys, monkeypatch):
+        # a consistent file with 20000 vertices: its quiver would hold three
+        # tables of 4e8 entries, so it is refused, with exit 2, at once
+        monkeypatch.delenv("QT_BUDGET", raising=False)
+        data = {"vertices": 20000, "arrows": [], "d": [0] * 19999 + [1], "theta": [0] * 20000}
+        path = write_problem(tmp_path, data)
+        start = time.perf_counter()
+        assert main(["verdict", path]) == EXIT_INPUT
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == (
+            "qt: error: quiver tables need 400000000 entries, budget is 10000000 "
+            "(raise the budget to force the computation)\n"
+        )
+        monkeypatch.setenv("QT_BUDGET", "15")
+        small = {"vertices": 4, "arrows": [], "d": [1, 0, 0, 0], "theta": [0] * 4}
+        with pytest.raises(BudgetExceededError, match="quiver tables need 16 entries"):
+            parse_problem(json.dumps(small))
+
+    def test_every_golden_problem_fits_the_budget(self, monkeypatch):
+        monkeypatch.delenv("QT_BUDGET", raising=False)
+        paths = sorted(GOLDEN.glob("**/*.json"))
+        assert len(paths) >= 20
+        for path in paths:
+            assert load_problem(str(path)).quiver.vertex_count <= 5
 
     def test_missing_argument_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
-from operator import mul
+from operator import mul, sub
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from quivermoduli import (
     verdict,
 )
 from quivermoduli import semistability
+from quivermoduli.cli import load_problem
 from quivermoduli.oracle import enumerate_reps, has_subrep_of_dimension
 from quivermoduli.semistability import _extreme_rays, _rays
 
@@ -50,6 +53,7 @@ from weight_oracles import (
 )
 
 K1 = Quiver.kronecker(1)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestGenericSubdimensionVectors:
@@ -445,6 +449,29 @@ def memo_instances():
     return out
 
 
+def hom_closure(q, d):
+    """The nonzero f reached from d by the steps e -> f, f <= e, f != 0,
+    with <f, e - f> >= 0, d included: brute force."""
+    out, todo = {d}, [d]
+    while todo:
+        e = todo.pop()
+        for f in product(*(range(x + 1) for x in e)):
+            if any(f) and f not in out and q.euler_pairing(f, tuple(map(sub, e, f))) >= 0:
+                out.add(f)
+                todo.append(f)
+    return out
+
+
+def assert_holds_closures(q, table):
+    """The table's invariant: each held e holds every f of its hom
+    closure, and its right form."""
+    for e, (_, form) in table.items():
+        assert form == q.right_form(e)
+        for f in product(*(range(x + 1) for x in e)):
+            if any(f) and q.euler_pairing(f, tuple(map(sub, e, f))) >= 0:
+                assert f in table, (q, e, f)
+
+
 def visit(d, order):
     """The e <= d in the order a memo test asks for them: d first, so its
     cold box is filled in one pass; ascending, one vector at a time; or
@@ -457,22 +484,45 @@ def visit(d, order):
     return vectors
 
 
+@pytest.fixture
+def closure_on_every_box(monkeypatch):
+    """A cold miss fills the closure however small its box, so that the
+    references, which stop at small d, reach the closure pass."""
+    monkeypatch.setattr(semistability, "_CLOSURE_MIN_BOX", 1)
+
+
 @pytest.mark.parametrize("order", ["cold", "ascending", "shuffled"])
 class TestMemoPaths:
     """Every reader of the ray memo against the references, whichever way
-    the memo was filled: by the bit-parallel box pass or the one-vector
-    filter."""
+    the memo was filled: by the closure and box passes, the box pass over
+    a whole small box, or the one-vector filter."""
 
     def test_paths_taken(self, order, monkeypatch):
+        # a cold read at d, not 0 or a unit vector, on at most three
+        # vertices runs one box pass, ending at d; it leaves the table
+        # holding d's whole box if that has fewer than `_CLOSURE_MIN_BOX`
+        # vectors, and 0 and d's hom closure otherwise, or from four
+        # vertices on; after every read, each held e holds its hom closure
         passes = []
         fill_box = semistability._fill_box
         monkeypatch.setattr(
-            semistability, "_fill_box", lambda q, d: passes.append(d) or fill_box(q, d)
+            semistability, "_fill_box",
+            lambda table, box: passes.append(box[-1]) or fill_box(table, box),
         )
         for q, d, _ in memo_instances():
             quivermoduli.clear_caches()
-            for e in visit(d, order):
+            table = semistability._memo[q]
+            box = set(product(*(range(x + 1) for x in d)))
+            whole = len(d) <= 3 and len(box) < semistability._CLOSURE_MIN_BOX
+            for k, e in enumerate(visit(d, order)):
                 _rays(q, e)
+                if k == 0 and order == "cold":
+                    assert len(d) > 3 or sum(d) < 2 or passes[-1] == tuple(d)
+                    held = box if whole else {(0,) * len(d)} | hom_closure(q, tuple(d))
+                    assert set(table) == held, (q, d)
+                if k in (0, 1):
+                    assert_holds_closures(q, table)
+            assert_holds_closures(q, table)
         if order == "ascending":
             assert passes == []
         else:
@@ -524,6 +574,47 @@ class TestMemoPaths:
         assert verdicts > 150
 
 
+@pytest.mark.usefixtures("closure_on_every_box")
+class TestMemoPathsOnTheClosure(TestMemoPaths):
+    """`TestMemoPaths` with every cold box filled by the closure pass: by
+    default only boxes of `_CLOSURE_MIN_BOX` vectors or more take it,
+    beyond most references, and `TestMemoPaths` checks the others."""
+
+
+def closure_instances():
+    """(q, d): CORPUS, random instances, instances on four and five
+    vertices, and every golden problem."""
+    out = [(q, d) for q, d, _ in CORPUS + random_instances(200, seed=11)]
+    out += wide_instances(100, seed=17)
+    out += [(spec.quiver, spec.d) for spec in map(load_problem, map(str, sorted(GOLDEN.glob("*.json"))))]
+    return [(q, tuple(d)) for q, d in out]
+
+
+class TestClosureFill:
+    @pytest.mark.usefixtures("closure_on_every_box")
+    def test_equals_the_full_box_pass(self):
+        # a cold read at d fills d's hom closure; each of its entries equals
+        # the entry the whole box gives: one box pass over every e <= d on
+        # up to three vertices, the one-vector filter in ascending order,
+        # with every f <= e held, from four on
+        skipped = 0
+        for q, d in closure_instances():
+            quivermoduli.clear_caches()
+            _rays(q, d)
+            closure = dict(semistability._memo[q])
+            quivermoduli.clear_caches()
+            table = semistability._memo[q]
+            box = list(product(*(range(x + 1) for x in d)))
+            if len(d) <= 3:
+                semistability._fill_whole(table, box)
+            else:
+                for e in box:
+                    table[e]
+            assert len(table) == len(box)
+            assert all(closure[e] == table[e] for e in closure), (q, d)
+            skipped += len(box) - len(closure)
+        assert skipped > 10_000
+
 class TestRayTables:
     """The memoized ray generators against the reference generic sets."""
 
@@ -569,9 +660,10 @@ class TestRayTables:
             assert all(table is not old for old in held)
 
     def test_three_vertex_chain_skips_members_off_their_own_hull(self, monkeypatch):
-        # a cold box at A3 (8,8,8) feeds the monotone chain, for each e in
-        # lexicographic order, the first member per projected point among
-        # e and the members parallel to one of their own rays
+        # a cold read at A3 (8,8,8) fills the rays of d's hom closure, 13 %
+        # of the box, and feeds the monotone chain, for each closure vector
+        # e in lexicographic order, the first member per projected point
+        # among e and the members parallel to one of their own rays
         q, d = Quiver(3, [(1, 2)] * 3 + [(2, 3)] * 3), (8, 8, 8)
         fed = []
         chain = semistability._chain
@@ -579,10 +671,11 @@ class TestRayTables:
             semistability, "_chain", lambda ordered: fed.append(list(ordered)) or chain(ordered)
         )
         _rays(q, d)
-        box = [tuple(e) for e in subdimension_vectors(DimensionVector(d))[1:]]
-        assert len(fed) == len(box)
+        fed = list(fed)
+        closure = sorted(hom_closure(q, d))
+        assert len(fed) == len(closure) < 0.14 * 9**3
         walked = 0
-        for e, got in zip(box, fed):
+        for e, got in zip(closure, fed):
             members = sorted(
                 (tuple(Fraction(x, sum(f)) for x in f), tuple(f))
                 for f in generic_subdimension_vectors(q, e) if any(f)
