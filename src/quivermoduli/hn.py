@@ -51,6 +51,7 @@ from .core import (
     slope,
 )
 from .semistability import (
+    _CLOSURE_MIN_BOX,
     _below_masks,
     _box_weights,
     _fill_whole,
@@ -208,12 +209,17 @@ class _Tables:
     read a vector's right form off its entry in `entries`, which is
     `table`, but on a cold d, one not held yet, (None, right form) for
     every e <= d, the forms built by outer sums, so that a cold d's
-    `strong_failure_witness` is found before any ray is read.  On a cold
-    d with a witness it then fills the entry (rays, right form) of every
-    e <= d, as the tables test them all, and so does `tables` on a cold
-    d without one; otherwise d's test fills only d's hom closure, or a
-    small box whole (the `semistability` module docstring), and a piece
-    off the closure is filled when `least_codim` pops it.  `stable()`
+    `strong_failure_witness` is found before any ray is read; so it is
+    on a box of `_CLOSURE_MIN_BOX` vectors or more that the table holds
+    only in part (d's hom closure, as `has_semistable` at d leaves it),
+    where each miss would run a closure pass of its own.  With a witness
+    it then fills the entry (rays, right form) of every e <= d, as the
+    tables test them all, and so does `tables` without one: one
+    `_fill_whole` per instance, which is a box pass unless the table
+    holds the whole box.  Otherwise d's test fills only d's hom
+    closure, or a small box whole (the `semistability` module
+    docstring), and a piece off the closure is filled when `least_codim`
+    pops it.  `stable()`
     reads the rays of the e the table holds, as no other e is generic
     in d.  Only the pieces are wrapped as `DimensionVector`s, for the entries,
     unchecked: they come out of the box of a checked d.
@@ -260,16 +266,19 @@ class _Tables:
             raise ValueError(f"{caller} requires theta(d) = 0")
         self.q, self.d, self.theta = q, d, theta
         self.table = table = _memo[q]
-        self.cold = cold = d not in table
         self.vectors = vectors = list(product(*(range(x + 1) for x in d)))
         self.weights = weights = _box_weights(theta, d)
         last = len(vectors) - 1
 
         # the cuts and `least_codim` read right forms off `entries`: the ray
-        # table, or on a cold d, so that no ray is read before the witness is
-        # known, (None, right form) per e, by outer sums as right_form(e)_i =
-        # sum_j M_ij e_j is linear in e
-        self.entries = entries = table if not cold else dict(
+        # table, but (None, right form) per e, by outer sums as right_form(e)_i
+        # = sum_j M_ij e_j is linear in e, on a cold d, so that no ray is read
+        # before the witness is known, and on a box of `_CLOSURE_MIN_BOX` or
+        # more held in part, where each miss would run a closure pass
+        held = d in table and (
+            len(vectors) < _CLOSURE_MIN_BOX or all(map(table.__contains__, vectors))
+        )
+        self.entries = entries = table if held else dict(
             zip(vectors, zip(repeat(None), zip(*(_box_weights(row, d) for row in q.euler_matrix))))
         )
         # c = N(rest) - 1 = -<d - rest, rest> - 1 at each rest with theta < 0,
@@ -284,7 +293,7 @@ class _Tables:
              if weights[i] > 0 and cuts[last - i] < 1),
             None,
         )
-        if cold and self.strong_failure_witness is not None:
+        if self.strong_failure_witness is not None:
             _fill_whole(table, vectors)  # the tables test every e <= d
         # number -> is that vector a piece, tested at most once per number;
         # d's test fills a cold d's hom closure, or its whole box if small
@@ -295,7 +304,7 @@ class _Tables:
     def tables(self) -> dict[int, tuple]:
         """The DP tables, built on first use; see the class docstring."""
         vectors, weights, cuts = self.vectors, self.weights, self.cuts
-        if self.cold:
+        if self.strong_failure_witness is None:  # else the constructor filled it
             _fill_whole(self.table, vectors)  # they test every e <= d
         pieces = [
             (DimensionVector._trusted(vectors[i]), weights[i], i)

@@ -10,7 +10,12 @@ No quotient is ever formed.  A vector of F_p^n is numbered by its base-p
 digits, a subspace is the set of its vectors' numbers, and a tuple of
 subspaces, one per vertex, is one bit of an integer.  The invariant
 tuples of a representation are the AND of one integer per arrow, built
-once per matrix, and its HN type depends only on them.
+once per matrix, and its HN type depends only on them.  The integers of
+a vertex pair s -> t are built in one batch (`_arrow_masks`): a matrix
+is read as the numbers of its columns, and the image of each basis row
+is folded from them with tables of the sums and multiples of F_p^(d_t),
+kept on the lattice.  The type is read with one AND per dimension
+vector tried, against the tuples of that dimension.
 
 The HN type is an isomorphism invariant, and the GL(d_t) x GL(d_s)
 orbits of the matrices of an arrow s -> t with s != t are their rank
@@ -22,10 +27,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
-from functools import lru_cache
-from math import isqrt
-from operator import index
+from functools import lru_cache, reduce
+from math import isqrt, lcm
+from operator import and_, index, mul
+from typing import NamedTuple
 
 from .core import (
     DEFAULT_BUDGET,
@@ -33,7 +38,6 @@ from .core import (
     DimensionVector,
     Quiver,
     StabilityParameter,
-    slope,
 )
 from .hn import HNType
 
@@ -59,8 +63,14 @@ def _require_prime(p: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class FiniteFieldRep:
+class _Rep(NamedTuple):
+    field: int
+    quiver: Quiver
+    dim: DimensionVector
+    matrices: tuple
+
+
+class FiniteFieldRep(_Rep):
     """A representation over F_field: one matrix per arrow, in arrow order.
 
     Construction checks that the field is prime, that dim has one entry
@@ -68,23 +78,20 @@ class FiniteFieldRep:
     (so () if d_t = 0) with entries in range(field).
     """
 
-    field: int
-    quiver: Quiver
-    dim: DimensionVector
-    matrices: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "field", _require_prime(self.field))
-        dim = DimensionVector(self.quiver._vertex_tuple(self.dim, DimensionVector))
-        object.__setattr__(self, "dim", dim)
-        if len(self.matrices) != self.quiver.arrow_count:
+    def __new__(cls, field: int, quiver: Quiver, dim: DimensionVector, matrices: tuple):
+        field = _require_prime(field)
+        dim = DimensionVector(quiver._vertex_tuple(dim, DimensionVector))
+        if len(matrices) != quiver.arrow_count:
             raise ValueError("a representation needs one matrix per arrow")
-        for (s, t), m in zip(self.quiver.arrows, self.matrices):
-            rows, cols, p = dim[t - 1], dim[s - 1], self.field
+        for (s, t), m in zip(quiver.arrows, matrices):
+            rows, cols = dim[t - 1], dim[s - 1]
             if [len(row) for row in m] != [cols] * rows or not all(
-                isinstance(x, int) and 0 <= x < p for row in m for x in row
+                isinstance(x, int) and 0 <= x < field for row in m for x in row
             ):
-                raise ValueError(f"arrow {s}->{t} needs a {rows}x{cols} matrix over range({p})")
+                raise ValueError(f"arrow {s}->{t} needs a {rows}x{cols} matrix over range({field})")
+        return super().__new__(cls, field, quiver, dim, matrices)
 
 
 def rep_count(field: int, q: Quiver, d: DimensionVector) -> int:
@@ -168,16 +175,27 @@ def _number(v, p: int) -> int:
 class _Lattice:
     """Every subspace tuple of F_p^d: tuple (j_1, ..., j_n) in `_subspaces`
     order is bit sum_v j_v * stride_v.  Per vertex v, holders[v][x] is
-    the set of subspaces holding vector number x; slices[v][j], slabs[v][r]
-    and up_of[v][A] are the sets of tuples whose subspace at v is j, has
-    dimension r, or lies in A, for A the set of subspaces above some one.
+    the set of subspaces holding vector number x; slices[v][j] and
+    up_of[v][A] are the sets of tuples whose subspace at v is j or lies
+    in A, for A the set of subspaces above some one.  dims[f], for each
+    f <= d, is the set of tuples of dimension f.
+
+    rows[v] and spans[v] let `_arrow_masks` build the image of every
+    subspace at v from a matrix's columns.  The basis rows at v are
+    numbered e_0, ..., e_(n-1) first, then the other nonzero vectors whose
+    first nonzero entry is 1, by vector number; rows[v] holds (k, c, i)
+    for each of the others, which is c e_k plus the row numbered i, k its
+    last nonzero entry.  spans[v] holds, for each subspace j > 0, the
+    subspace spanned by its basis but the last row, and that last row's
+    number.  `arithmetic(v)` holds the sums and multiples of F_p^(d_v).
     """
 
     def __init__(self, p: int, d: tuple, size: int):
         self.p, self.d = p, d
         self.bases = [_subspaces(n, p) for n in d]
         self.full, stride = (1 << size) - 1, size
-        self.holders, self.slices, self.slabs, self.up_of = [], [], [], []
+        self.holders, self.slices, self.up_of, self.rows, self.spans = [], [], [], [], []
+        slabs = []
         for n, bases in zip(d, self.bases):
             count = len(bases)
             stride //= count
@@ -195,36 +213,72 @@ class _Lattice:
             for j, basis in enumerate(bases):
                 for row in basis:
                     aboves[j] &= holders[_number(row, p)]
+            # a row less its last nonzero entry c e_k has a smaller number
+            rows = sorted({row for basis in bases for row in basis},
+                          key=lambda row: (row.count(0) < n - 1, _number(row, p)))
+            number = {row: i for i, row in enumerate(rows)}
+            place = {basis: j for j, basis in enumerate(bases)}
             self.holders.append(holders)
             self.slices.append(slices)
-            self.slabs.append([sum(x for x, b in zip(slices, bases) if len(b) == r)
-                               for r in range(n + 1)])
             self.up_of.append({a: sum(x for k, x in enumerate(slices) if a >> k & 1)
                                for a in aboves})
+            self.rows.append([
+                (k, row[k], number[row[:k] + (0,) + row[k + 1:]])
+                for row in rows[n:] for k in [max(i for i, c in enumerate(row) if c)]
+            ])
+            self.spans.append([(place[basis[:-1]], number[basis[-1]]) for basis in bases[1:]])
+            slabs.append([sum(x for x, b in zip(slices, bases) if len(b) == r)
+                          for r in range(n + 1)])
+        self.dims = dict(zip(itertools.product(*(range(n + 1) for n in d)),
+                             (reduce(and_, masks, self.full) for masks in itertools.product(*slabs))))
+        self._arithmetic = {}
+
+    def arithmetic(self, v: int) -> tuple[list, list]:
+        """(plus, times) over F_p^(d_v) by vector number, built on first use:
+        plus[x][y] is x + y and times[c][x] is c x.  The lowest digit is
+        added and multiplied mod p, the others by the tables of d_v - 1."""
+        if v not in self._arithmetic:
+            p, plus, times = self.p, [[0]], [[0]] * self.p
+            for _ in range(self.d[v]):
+                n = len(plus) * p
+                plus = [[(x + y) % p + p * plus[x // p][y // p] for y in range(n)] for x in range(n)]
+                times = [[c * x % p + p * row[x // p] for x in range(n)] for c, row in enumerate(times)]
+            self._arithmetic[v] = plus, times
+        return self._arithmetic[v]
 
 
 _lattice = lru_cache(maxsize=8)(_Lattice)
 
 
-def _checked_lattice(p: int, d: tuple, budget: int, reps: int = 0, masks: int = 0) -> _Lattice:
+def _checked_lattice(
+    p: int, d: tuple, budget: int, arrows=(), reps: int = 0, masks: int = 0
+) -> _Lattice:
     """The lattice of F_p^d, once none of `reps`, its tuples, the words
-    of its integers with `masks` more and the vectors its build lists
-    exceeds the budget and then p, an int of at least 2, is prime.
+    of its integers with `masks` more, the vectors its build lists and
+    the entries of the arithmetic tables of `arrows` exceeds the budget
+    and then p, an int of at least 2, is prime.
 
-    The build lists, per vertex v, the p^{d_v} entries of `holders` and
-    the p^r vectors spanned by each r-dimensional subspace."""
+    The integers are two per subspace at each vertex, one per dimension
+    at each vertex and one per f <= d.  The build lists, per vertex v,
+    the p^{d_v} entries of `holders` and the p^r vectors spanned by each
+    r-dimensional subspace.  `_arrow_masks` on an arrow s -> t (s, t
+    0-based) with d_s >= 2 builds `arithmetic(t)`: p^{d_t} (p^{d_t} + p)
+    entries."""
     by_rank = [[_gaussian(n, r, p) for r in range(n + 1)] for n in d]
     counts = [sum(row) for row in by_rank]
-    size = 1
-    for c in counts:
+    size = dims = 1
+    for c, n in zip(counts, d):
         size *= c
-    words = (2 * sum(counts) + sum(d) + len(d) + masks) * -(-size // 64)
+        dims *= n + 1
+    words = (2 * sum(counts) + sum(d) + len(d) + dims + masks) * -(-size // 64)
     vectors = sum(p**n + sum(g * p**r for r, g in enumerate(row)) for n, row in zip(d, by_rank))
+    entries = sum(p ** d[t] * (p ** d[t] + p) for t in {t for s, t in arrows if d[s] >= 2})
     for needed, what in (
         (reps, "enumeration needs {} points"),
         (size, "subspace lattice needs {} tuples"),
         (words, "subspace tables need {} 64-bit words"),
         (vectors, "subspace spans need {} vectors"),
+        (entries, "arithmetic tables need {} entries"),
     ):
         if needed > budget:
             raise BudgetExceededError(needed, budget, what)
@@ -232,38 +286,61 @@ def _checked_lattice(p: int, d: tuple, budget: int, reps: int = 0, masks: int = 
     return _lattice(p, tuple(d), size)
 
 
-def _arrow_mask(lat: _Lattice, s: int, t: int, m: tuple) -> int:
-    """The tuples U with m U_s inside U_t (s, t 0-based), as bits."""
-    p, holders = lat.p, lat.holders[t]
-    images = {}
-    groups = {}  # the subspaces at t holding the image -> those slices at s
-    for j, basis in enumerate(lat.bases[s]):
-        into = (1 << len(lat.bases[t])) - 1
-        for row in basis:
-            if row not in images:
-                images[row] = _number([sum(a * b for a, b in zip(r, row)) % p for r in m], p)
-            into &= holders[images[row]]
-        groups[into] = groups.get(into, 0) | lat.slices[s][j]
-    # for a loop s = t the AND keeps the j in groups[into] that lie in into
-    return sum(src & lat.up_of[t][into] for into, src in groups.items())
+def _arrow_masks(lat: _Lattice, s: int, t: int, matrices) -> list[int]:
+    """For each matrix m of s -> t (s, t 0-based), the tuples U with
+    m U_s inside U_t, as bits.
+
+    m is read as the numbers of its columns, the images of e_0, e_1, ...;
+    each other basis row at s, c e_k plus an earlier row (`rows[s]`),
+    has for image one multiple and one sum off `arithmetic(t)`, built
+    only when there is such a row.  The subspaces at t holding the image
+    of a subspace j at s hold that of its span less the last row and
+    that of the last row (`spans[s]`), one AND.  The subspaces at s that
+    map under the same set share one AND with the tuples above it."""
+    p, steps, spans = lat.p, lat.rows[s], lat.spans[s]
+    holders, slices, up_of = lat.holders[t], lat.slices[s], lat.up_of[t]
+    if steps:
+        plus, times = lat.arithmetic(t)
+        steps = [(times[c], k, i) for k, c, i in steps]
+    places = [p**i for i in range(lat.d[t])]
+    zero = [0] * lat.d[s]  # the columns when d_t = 0
+    top = (1 << len(lat.bases[t])) - 1
+    out = []
+    for m in matrices:
+        images = [sum(map(mul, column, places)) for column in zip(*m)] if m else zero[:]
+        for scale, k, i in steps:
+            images.append(plus[images[i]][scale[images[k]]])
+        into = [top]
+        for parent, row in spans:
+            into.append(into[parent] & holders[images[row]])
+        groups = {}  # the subspaces at t holding the image -> those slices at s
+        for x, src in zip(into, slices):
+            groups[x] = groups.get(x, 0) | src
+        # for a loop s = t the AND keeps the j in groups[into] that lie in into
+        out.append(sum(src & up_of[x] for x, src in groups.items()))
+    return out
 
 
 def _invariants(rep: FiniteFieldRep, budget: int) -> tuple[_Lattice, int]:
     """rep's lattice of subspace tuples and its invariant tuples in it."""
-    lat = _checked_lattice(rep.field, rep.dim, budget)
+    arrows = [(s - 1, t - 1) for s, t in rep.quiver.arrows]
+    lat = _checked_lattice(rep.field, rep.dim, budget, arrows)
     inv = lat.full
-    for (s, t), m in zip(rep.quiver.arrows, rep.matrices):
-        inv &= _arrow_mask(lat, s - 1, t - 1, m)
+    for (s, t), m in zip(arrows, rep.matrices):
+        inv &= _arrow_masks(lat, s, t, [m])[0]
     return lat, inv
 
 
 @lru_cache(maxsize=1024)
 def _by_slope(theta: tuple, low: tuple, d: tuple) -> list[tuple]:
-    """(f, f - low) for low < f <= d, by decreasing slope, then size, of f - low."""
-    theta = StabilityParameter._trusted(theta)
+    """(f, f - low) for low < f <= d, by decreasing slope, then size, of
+    f - low.  A slope theta(e) / |e| is compared as the integer
+    theta(e) (L / |e|), L the lcm of 1, ..., |d|, so no Fraction is made."""
+    scale = lcm(*range(1, sum(d) + 1))
     fs = itertools.product(*(range(a, b + 1) for a, b in zip(low, d)))
     out = [(f, DimensionVector._trusted(a - b for a, b in zip(f, low))) for f in fs if f != low]
-    out.sort(key=lambda fe: (slope(theta, fe[1]), sum(fe[1])), reverse=True)
+    out.sort(key=lambda fe: (sum(map(mul, theta, fe[1])) * (scale // sum(fe[1])), sum(fe[1])),
+             reverse=True)
     return out
 
 
@@ -277,14 +354,11 @@ def _type_from_invariants(lat: _Lattice, inv: int, theta: tuple) -> HNType:
     V/V_i, of slope <= mu_{i+1}, and V_i/(W n V_i) != 0 has slope >= mu_i
     > mu_{i+1}, so dim W - dim V_i has slope below mu_{i+1}.
     """
-    pieces = []
+    pieces, dims = [], lat.dims
     low = (0,) * len(lat.d)
     while low != lat.d:
         for f, e in _by_slope(theta, low, lat.d):
-            hit = inv
-            for slabs, r in zip(lat.slabs, f):
-                hit &= slabs[r]
-            if hit:
+            if inv & dims[f]:
                 break
         pieces.append(e)
         low = f
@@ -297,9 +371,7 @@ def has_subrep_of_dimension(rep: FiniteFieldRep, f: DimensionVector) -> bool:
     if not f.leq(rep.dim):
         return False
     lat, inv = _invariants(rep, DEFAULT_BUDGET)
-    for slabs, r in zip(lat.slabs, f):
-        inv &= slabs[r]
-    return inv != 0
+    return inv & lat.dims[f] != 0
 
 
 def hn_type_of(rep: FiniteFieldRep, theta, budget: int = DEFAULT_BUDGET) -> HNType:
@@ -316,9 +388,10 @@ def stratum_census(
     """Tally the HN type of every representation of d over F_field.
 
     Types come in the order of their first representation in
-    `enumerate_reps`.  The integers of the matrices of each vertex pair
-    count against the budget.  They are ANDed arrow by arrow, equal
-    partial results merged, so each invariant set is met once.
+    `enumerate_reps`.  The integers of the matrices of each vertex pair,
+    built in one `_arrow_masks` batch, count against the budget.  They
+    are ANDed arrow by arrow, equal partial results merged, so each
+    invariant set is met once.
 
     A first arrow s -> t that is not a loop is read at one matrix R_r per
     rank r (`_rank_classes`), weighted by its class.  This is exact: for
@@ -338,20 +411,22 @@ def stratum_census(
     theta = q._vertex_tuple(theta, StabilityParameter)
     arrows = [(s - 1, t - 1) for s, t in q.arrows]
     masks = sum(field ** (d[s] * d[t]) for s, t in set(arrows))
-    lat = _checked_lattice(field, d, budget, rep_count(field, q, d), masks)
+    lat = _checked_lattice(field, d, budget, arrows, rep_count(field, q, d), masks)
     first = arrows.pop(0) if arrows and arrows[0][0] != arrows[0][1] else None
     by_matrix = {}  # vertex pair -> matrix -> mask, in `_all_matrices` order
     for s, t in dict.fromkeys(arrows):
         matrices = _all_matrices(d[t], d[s], field)
-        by_matrix[s, t] = dict(zip(matrices, [_arrow_mask(lat, s, t, m) for m in matrices]))
+        by_matrix[s, t] = dict(zip(matrices, _arrow_masks(lat, s, t, matrices)))
     reached = Counter({lat.full: 1})
     if first is not None:
         s, t = first
         # R_0 = 0 keeps every tuple, so its mask is lat.full, counted once;
         # a parallel arrow has built the pair's masks, R_r's among them
-        known = by_matrix.get(first, {})
-        for m, n in _rank_classes(d[t], d[s], field)[1:]:
-            reached[known[m] if m in known else _arrow_mask(lat, s, t, m)] += n
+        classes = _rank_classes(d[t], d[s], field)[1:]
+        ranks = [m for m, _ in classes]
+        known = by_matrix.get(first) or dict(zip(ranks, _arrow_masks(lat, s, t, ranks)))
+        for m, n in classes:
+            reached[known[m]] += n
     pairs = {pair: Counter(masks.values()) for pair, masks in by_matrix.items()}
     for pair in arrows:
         merged = Counter()

@@ -703,7 +703,7 @@ class TestOracleCensusCommand:
         monkeypatch.setenv("QT_BUDGET", str(10**5))
         assert main(["oracle-census", path, "--field", "2"]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith(
-            "qt: error: subspace tables need 4672794 64-bit words, budget is 100000 "
+            "qt: error: subspace tables need 4674569 64-bit words, budget is 100000 "
         )
 
 
@@ -742,6 +742,26 @@ class TestFreshProcess:
         assert self.UNUSED_BY_VERDICT.isdisjoint(ran)
         assert proc.stdout == (GOLDEN / "K3-20-21.out").read_text()
         assert code == int((GOLDEN / "K3-20-21.exit").read_text())
+
+    def test_oracle_census_never_loads_dataclasses(self):
+        # its one record, `FiniteFieldRep`, is a named tuple; dataclasses
+        # would pull in inspect, ast, dis and tokenize
+        problem = str(GOLDEN / "census" / "K1-4-4-F2.json")
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import quivermoduli.cli\n"
+            f"code = quivermoduli.cli.main(['oracle-census', {problem!r}, '--field', '2'])\n"
+            "import json\n"
+            "sys.stderr.write(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = json.loads(proc.stderr)
+        assert code == 0 and "quivermoduli.oracle" in loaded
+        assert {"dataclasses", "inspect", "ast", "dis", "tokenize"}.isdisjoint(loaded)
+        assert proc.stdout == (GOLDEN / "census" / "K1-4-4-F2.txt").read_text()
 
     @pytest.mark.parametrize("problem, args, expected", [
         (KRONECKER_PROBLEM, ["strata", "--format", "csv"], 0),

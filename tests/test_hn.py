@@ -14,7 +14,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import quivermoduli
 import quivermoduli.hn
+from quivermoduli import semistability
 from quivermoduli import (
     DimensionVector,
     HNType,
@@ -553,3 +555,34 @@ class TestScaleInvariance:
                     for i in range(len(t)):
                         for j in range(len(t)):
                             assert a[i] * b[j] == a[j] * b[i]
+
+
+class TestBoxHeldInPart:
+    """A d whose box the ray table holds only in part, d's hom closure, as
+    `has_semistable` or a verdict at d leaves it: the stage that reads
+    every e <= d fills the rest of the box in one box pass, and the lean
+    pass reads no ray before it."""
+
+    A3 = Quiver(3, [(1, 2)] * 3 + [(2, 3)] * 3)
+
+    @pytest.mark.parametrize("q, d, first, then", [
+        (TRIANGLE_B, (3, 18, 18), has_semistable, verdict),  # with a witness
+        (A3, (6, 6, 6), verdict, enumerate_hn_types),  # without one: the tables
+    ], ids=["triangle-B-verdict", "A3-enumeration"])
+    def test_one_box_pass(self, monkeypatch, q, d, first, then):
+        d = DimensionVector(d)
+        theta = q.canonical_stability(d)
+        passes = []
+        fill_box = semistability._fill_box
+        monkeypatch.setattr(semistability, "_fill_box",
+                            lambda table, box: passes.append(box[-1]) or fill_box(table, box))
+        quivermoduli.clear_caches()
+        cold = then(q, d, theta)
+        quivermoduli.clear_caches()
+        first(q, d, theta)
+        table = semistability._memo[q]
+        box = list(product(*(range(x + 1) for x in d)))
+        assert not all(e in table for e in box)
+        passes.clear()
+        assert then(q, d, theta) == cold
+        assert passes == [tuple(d)] and all(e in table for e in box)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 
@@ -40,6 +41,7 @@ from cases import (
     TRIANGLE_B,
 )
 from weight_oracles import (
+    reference_arrow_mask,
     reference_hn_type_of,
     reference_subrep_dimensions,
     reference_subspaces_by_dim,
@@ -334,16 +336,86 @@ class TestRankClasses:
                 assert sum(n for _, n in classes) == p ** (rows * cols)
 
 
+def lattice_of(p, d):
+    """The census's lattice of F_p^d, through the budget check."""
+    return oracle._checked_lattice(p, d, 10**7)
+
+
+def per_matrix_masks(lat, s, t, matrices):
+    return [reference_arrow_mask(lat, s, t, m) for m in matrices]
+
+
+class TestArrowMasks:
+    """The batched kernel against the per-matrix formula."""
+
+    @pytest.mark.parametrize("p, most", [(2, 3), (3, 3), (5, 2)])
+    def test_every_pair_matches_the_per_matrix_formula(self, p, most):
+        # every pair of two vertices, loops and d_s = 0 or d_t = 0 among
+        # them; at most 300 matrices a pair, drawn from a fixed seed
+        rng = random.Random(p)
+        for d in itertools.product(range(most + 1), repeat=2):
+            lat = lattice_of(p, d)
+            for s, t in [(0, 1), (1, 0), (0, 0), (1, 1)]:
+                matrices = oracle._all_matrices(d[t], d[s], p)
+                if len(matrices) > 300:
+                    matrices = matrices[:10] + rng.sample(matrices, 290)
+                masks = oracle._arrow_masks(lat, s, t, matrices)
+                assert masks == per_matrix_masks(lat, s, t, matrices), (d, s, t)
+                assert [oracle._arrow_masks(lat, s, t, [m])[0] for m in matrices[:5]] == masks[:5]
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_arithmetic_tables(self, p):
+        for n in range(4 if p < 5 else 3):
+            lat = lattice_of(p, (n,))
+            plus, times = lat.arithmetic(0)
+            vectors = list(itertools.product(range(p), repeat=n))
+            number = {v: sum(c * p**i for i, c in enumerate(v)) for v in vectors}
+            for u in vectors:
+                for c in range(p):
+                    assert times[c][number[u]] == number[tuple(c * a % p for a in u)]
+                for v in vectors:
+                    assert plus[number[u]][number[v]] == number[tuple((a + b) % p for a, b in zip(u, v))]
+            assert lat.arithmetic(0) is lat.arithmetic(0)
+
+    def test_unit_rows_build_no_tables(self):
+        # K3 (1,2): the one basis row at the source is e_0
+        for p in (2, 3):
+            stratum_census(KRONECKER_3, DimensionVector((1, 2)), StabilityParameter((2, -1)), field=p)
+            assert lattice_of(p, (1, 2))._arithmetic == {}
+
+    def test_census_matches_the_per_matrix_route(self, monkeypatch):
+        # same dicts, order included, on seeded instances with loops over
+        # F_2, F_3 and F_5, the first arrow read by rank class unless a loop
+        rng = random.Random(20261020)
+        instances = []
+        while len(instances) < 40:
+            n = rng.randint(1, 3)
+            arrows = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 3))]
+            if len(instances) % 2:
+                v = rng.randint(1, n)
+                arrows.insert(rng.randint(0, len(arrows)), (v, v))
+            q = Quiver(n, arrows)
+            d = DimensionVector(rng.randint(0, 2) for _ in range(n))
+            p = rng.choice([2, 3, 5])
+            if any(d) and rep_count(p, q, d) <= 3000:
+                instances.append((q, d, p))
+        batched = [stratum_census(q, d, q.canonical_stability(d), p) for q, d, p in instances]
+        monkeypatch.setattr(oracle, "_arrow_masks", per_matrix_masks)
+        for (q, d, p), census in zip(instances, batched):
+            assert list(census.items()) == list(stratum_census(q, d, q.canonical_stability(d), p).items())
+
+
 class TestMaskCalls:
     @pytest.mark.parametrize("p, calls", [(2, 4), (3, 9)])
     def test_parallel_first_arrow_builds_its_pair_once(self, monkeypatch, p, calls):
         # K3 (1,2): the first arrow's pair recurs, so its p^2 masks are built
         # once and R_1's mask is read off them, not built a second time
         made = []
-        arrow_mask = oracle._arrow_mask
-        monkeypatch.setattr(oracle, "_arrow_mask", lambda *a: made.append(a[-1]) or arrow_mask(*a))
+        arrow_masks = oracle._arrow_masks
+        monkeypatch.setattr(oracle, "_arrow_masks", lambda *a: made.append(a[-1]) or arrow_masks(*a))
         stratum_census(KRONECKER_3, DimensionVector((1, 2)), StabilityParameter((2, -1)), field=p)
-        assert len(made) == calls == len(set(made))
+        (matrices,) = made
+        assert len(matrices) == calls == len(set(matrices))
 
 
 class TestGoldenCensus:
@@ -418,6 +490,20 @@ class TestValidation:
         rep = FiniteFieldRep(2, K1, (1, 1), (((1,),),))
         assert isinstance(rep.dim, DimensionVector)
 
+    def test_rep_is_a_named_tuple(self):
+        # the fields and their order are those of the former dataclass
+        m = (((1,),),)
+        rep = FiniteFieldRep(2, K1, (1, 1), m)
+        assert FiniteFieldRep._fields == ("field", "quiver", "dim", "matrices")
+        assert rep == FiniteFieldRep(field=2, quiver=K1, dim=D11, matrices=m) == (2, K1, D11, m)
+        assert hash(rep) == hash(FiniteFieldRep(2, K1, D11, m))
+        assert type(rep.field) is int and type(rep.dim) is DimensionVector
+        for name in FiniteFieldRep._fields:
+            with pytest.raises(AttributeError):
+                setattr(rep, name, None)
+        with pytest.raises(AttributeError):
+            rep.extra = 1
+
     def test_theta_length_checked(self):
         rep = FiniteFieldRep(2, K1, D11, (((1,),),))
         with pytest.raises(ValueError):
@@ -439,9 +525,9 @@ class TestBudgetMessages:
             hn_type_of(rep, StabilityParameter((1, -1)), budget=1000)
 
     def test_table_words(self):
-        # (2 * (67 + 67) + 8 + 2) words per 64 tuples, 71 blocks of 64
+        # (2 * (67 + 67) + 8 + 2 + 5 * 5) words per 64 tuples, 71 blocks of 64
         rep = FiniteFieldRep(2, K1, DimensionVector((4, 4)), (((0,) * 4,) * 4,))
-        with pytest.raises(BudgetExceededError, match="^subspace tables need 19738 64-bit words, budget is 10000 "):
+        with pytest.raises(BudgetExceededError, match="^subspace tables need 21513 64-bit words, budget is 10000 "):
             hn_type_of(rep, StabilityParameter((1, -1)), budget=10**4)
 
 
@@ -460,6 +546,29 @@ class TestTableBudget:
             stratum_census(q, d, q.canonical_stability(d), field=2, budget=10**5)
         assert exc.value.needed >= 65_536 * 71
         assert exc.value.budget == 10**5
+
+    def test_dimension_masks_counted_before_they_are_built(self, monkeypatch):
+        # 21513 words with the 25 masks of f <= (4,4), 19738 without them
+        monkeypatch.setattr(oracle, "_lattice", TestTableBudget.refuse)
+        rep = FiniteFieldRep(2, K1, DimensionVector((4, 4)), (((0,) * 4,) * 4,))
+        with pytest.raises(BudgetExceededError, match="^subspace tables need 21513 64-bit words, budget is 20000 "):
+            hn_type_of(rep, StabilityParameter((1, -1)), budget=20_000)
+
+    def test_arithmetic_tables_counted_before_they_are_built(self, monkeypatch):
+        # K1 (2,3)/F_5: the sums and multiples of F_5^3, 125 * (125 + 5)
+        # entries, are all that exceed 10^4: 512 tuples, 1304 words
+        monkeypatch.setattr(oracle, "_lattice", TestTableBudget.refuse)
+        rep = FiniteFieldRep(5, K1, DimensionVector((2, 3)), (((0, 0),) * 3,))
+        with pytest.raises(BudgetExceededError, match="^arithmetic tables need 16250 entries, budget is 10000 "):
+            hn_type_of(rep, StabilityParameter((3, -2)), budget=10**4)
+        # d_s = 1: the one basis row is e_0, so no tables are built or counted
+        rep = FiniteFieldRep(5, K1, DimensionVector((1, 3)), (((0,),) * 3,))
+        monkeypatch.undo()
+        assert hn_type_of(rep, StabilityParameter((3, -1)), budget=10**4).total() == (1, 3)
+
+    @staticmethod
+    def refuse(*args):
+        raise AssertionError("built despite the budget")
 
     def test_lattice_words_bound_single_reps(self):
         # 67 subspaces per vertex: the tuples fit 10^4, their masks do not

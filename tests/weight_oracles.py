@@ -20,7 +20,10 @@ representation by Gaussian elimination mod p: it tests every subspace
 tuple for invariance, splits off the maximal-slope, then
 maximal-dimension one, passes to the quotient and starts again, where
 `quivermoduli.oracle` reads the type off bitmask tables of the invariant
-tuples without forming a quotient.
+tuples without forming a quotient.  `reference_arrow_mask` builds one
+matrix's mask in those tables by multiplying each basis row out, where
+`quivermoduli.oracle._arrow_masks` folds the images of a batch of
+matrices from their column numbers.
 """
 
 from __future__ import annotations
@@ -365,3 +368,21 @@ def reference_hn_type_of(rep, theta):
 def reference_subrep_dimensions(rep):
     """The dimension vectors of rep's invariant subspace tuples."""
     return {e for e, _ in _invariant_tuples(rep)}
+
+
+def reference_arrow_mask(lat, s, t, m):
+    """The tuples U of the lattice `lat` with m U_s inside U_t (s, t
+    0-based), as bits, for one matrix m: each basis row's image is m
+    times the row, numbered by its base-p digits, first lowest."""
+    p, holders = lat.p, lat.holders[t]
+    images = {}
+    groups = {}  # the subspaces at t holding the image -> those slices at s
+    for j, basis in enumerate(lat.bases[s]):
+        into = (1 << len(lat.bases[t])) - 1
+        for row in basis:
+            if row not in images:
+                image = [sum(a * b for a, b in zip(r, row)) % p for r in m]
+                images[row] = sum(c * p**i for i, c in enumerate(image))
+            into &= holders[images[row]]
+        groups[into] = groups.get(into, 0) | lat.slices[s][j]
+    return sum(src & lat.up_of[t][into] for into, src in groups.items())
