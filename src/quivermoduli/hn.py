@@ -51,7 +51,6 @@ from .core import (
     slope,
 )
 from .semistability import (
-    _CLOSURE_MIN_BOX,
     _below_masks,
     _box_weights,
     _fill_whole,
@@ -150,9 +149,9 @@ class _Tables:
     """The verdict flags of (q, d, theta), and the DP tables over the
     remainders, in two stages.  The constructor is the lean pass every
     verdict runs: the vectors e <= d, their theta weights, c at each
-    remainder (`cuts`), `coprime`, `strong_failure_witness` and
-    `semistable`, which says whether d itself is a piece; it tests no
-    other e for semistability.  The table stage runs on the first read
+    remainder (`cuts`), `coprime` and `strong_failure_witness`; it tests
+    no e for semistability.  `semistable`, which says whether d itself
+    is a piece, tests d on first read.  The table stage runs on the first read
     of `tables`, which `search` makes: it tests every e <= d, then runs
     the table loop.  `least_codim` reads no table, and tests only the
     pieces of the edges it pops.  Both stages test
@@ -206,20 +205,18 @@ class _Tables:
     The lean pass runs on plain int tuples with theta(e) computed once
     per e, by outer sums (`_box_weights`).  It looks the quiver's ray
     table up once, as `table`.  The cuts and the edges of `least_codim`
-    read a vector's right form off its entry in `entries`, which is
-    `table`, but on a cold d, one not held yet, (None, right form) for
-    every e <= d, the forms built by outer sums, so that a cold d's
-    `strong_failure_witness` is found before any ray is read; so it is
-    on a box of `_CLOSURE_MIN_BOX` vectors or more that the table holds
-    only in part (d's hom closure, as `has_semistable` at d leaves it),
-    where each miss would run a closure pass of its own.  With a witness
-    it then fills the entry (rays, right form) of every e <= d, as the
-    tables test them all, and so does `tables` without one: one
-    `_fill_whole` per instance, which is a box pass unless the table
-    holds the whole box.  Otherwise d's test fills only d's hom
-    closure, or a small box whole (the `semistability` module
-    docstring), and a piece off the closure is filled when `least_codim`
-    pops it.  `stable()`
+    read a vector's right form off its entry in `entries`.  That is
+    `table` if it holds every e <= d, and otherwise (None, right form)
+    for every e <= d, the forms built by outer sums: so no ray is read
+    before `strong_failure_witness` is known, and a box held only in
+    part (d's hom closure, as `has_semistable` at d leaves it) runs no
+    closure pass per miss.  With a witness the constructor then fills
+    the entry (rays, right form) of every e <= d, as the tables test
+    them all, and so does `tables` without one, before its first test:
+    one `_fill_whole` per instance, which is a box pass unless the table
+    holds the whole box.  Otherwise d's test fills d's hom closure (the
+    `semistability` module docstring), and a piece off the closure is
+    filled when `least_codim` pops it.  `stable()`
     reads the rays of the e the table holds, as no other e is generic
     in d.  Only the pieces are wrapped as `DimensionVector`s, for the entries,
     unchecked: they come out of the box of a checked d.
@@ -271,13 +268,10 @@ class _Tables:
         last = len(vectors) - 1
 
         # the cuts and `least_codim` read right forms off `entries`: the ray
-        # table, but (None, right form) per e, by outer sums as right_form(e)_i
-        # = sum_j M_ij e_j is linear in e, on a cold d, so that no ray is read
-        # before the witness is known, and on a box of `_CLOSURE_MIN_BOX` or
-        # more held in part, where each miss would run a closure pass
-        held = d in table and (
-            len(vectors) < _CLOSURE_MIN_BOX or all(map(table.__contains__, vectors))
-        )
+        # table if it holds every e <= d, else (None, right form) per e, by
+        # outer sums as right_form(e)_i = sum_j M_ij e_j is linear in e, so
+        # that no ray is read before the witness is known
+        held = all(map(table.__contains__, vectors))
         self.entries = entries = table if held else dict(
             zip(vectors, zip(repeat(None), zip(*(_box_weights(row, d) for row in q.euler_matrix))))
         )
@@ -295,10 +289,13 @@ class _Tables:
         )
         if self.strong_failure_witness is not None:
             _fill_whole(table, vectors)  # the tables test every e <= d
-        # number -> is that vector a piece, tested at most once per number;
-        # d's test fills a cold d's hom closure, or its whole box if small
-        self.piece = {last: _semistable(q, d, theta, 0)}
-        self.semistable = self.piece[last]
+        self.piece = {}  # number -> is that vector a piece, tested once
+
+    @property
+    def semistable(self) -> bool:
+        """Whether d itself is a piece; the first read tests d, which on
+        a cold d fills d's hom closure."""
+        return self.is_piece(len(self.vectors) - 1)
 
     @cached_property
     def tables(self) -> dict[int, tuple]:

@@ -40,16 +40,16 @@ The memo `_memo` has one table per quiver q, `_memo[q]`, keyed by
 plain int tuples: e maps to the pair (e's rays, right_form(e)), and the
 table holds with each e its hom closure.  So each form is computed once,
 when e's rays are stored, and read there by the filter, the box pass
-and `hn._Tables`, which on a d the table does not hold yet builds the
-forms of d's box by outer sums.  A hot loop looks its quiver's table up
+and `hn._Tables`, which on a box the table does not hold whole builds
+the forms of d's box by outer sums.  A hot loop looks its quiver's table up
 once and then reads vectors only.  `clear_caches` empties `_memo`, rays
 and forms of every quiver.  The one-vector filter (`_members`) puts an f with no entry to
 the closure lemma's test before it reads f's entry, so it fills only
 e's closure; an f already held is read at once.  A miss at d whose
 predecessors d - u_j are all held runs it for d alone, as an ascending
 sweep does, and so does a miss at 0 or a unit vector.  Any other miss at
-d, on at most three vertices, is cold (`_QuiverRays.fill_cold`): a box
-of at least `_CLOSURE_MIN_BOX` vectors takes two packed passes,
+d, on at most three vertices, is cold (`_QuiverRays.fill_cold`), and
+takes two packed passes, whatever the size of its box:
 
 1. the closure pass (`_closure`).  Every e <= d, 0 included, owns the
    field numbered by its place in lexicographic order.  The columns are
@@ -63,15 +63,12 @@ of at least `_CLOSURE_MIN_BOX` vectors takes two packed passes,
    pass are read off; a held vector is reached but not expanded, as the
    table holds its closure;
 2. the box pass (`_fill_box`) below, over the vectors the closure pass
-   reached;
+   reached.
 
-and a smaller box one box pass over the whole box, as it did before the
-closure pass: there the closure, and the second one that a later miss
-at a piece off it costs (the least-codimension search makes such
-misses), outweigh what it skips.  No layout outlives its pass.
-`_fill_whole` fills the whole box for `hn._Tables` with a strong
+No layout outlives its pass.  Only a caller that reads every e <= d
+fills the whole box, by `_fill_whole`: `hn._Tables` with a strong
 failure witness, or building its DP tables for
-`hn.enumerate_hn_types`: those test every e <= d for semistability.
+`hn.enumerate_hn_types`, as those test every e <= d for semistability.
 
 The box pass over a list of vectors, each <= its last one d:
 
@@ -280,19 +277,10 @@ class _QuiverRays(dict):
 
     def fill_cold(self, d: tuple[int, ...]) -> None:
         """A cold miss at d: the closure pass from d, then the box pass
-        over the vectors it reaches; a box of fewer than
-        `_CLOSURE_MIN_BOX` vectors is filled whole."""
+        over the vectors it reaches."""
         box = _box(d)
         self.setdefault(box[0], ((), box[0]))
-        _fill_box(self, box[1:] if len(box) < _CLOSURE_MIN_BOX else _closure(self, box))
-
-
-# the smallest box the closure pass fills.  Below it the pass and the second
-# one that a piece off d's closure costs outweigh what it skips: cold verdicts
-# in process through the closure, against the whole box, took K3 (8,9), 90
-# vectors, 16 % longer, triangle B (1,6,6), 98 with a witness, 30 %, and
-# K3 (10,11), 132, 6 %; K3 (12,13), 182, took 8 % less, A3 (5,5,5), 216, 62 %
-_CLOSURE_MIN_BOX = 150
+        _fill_box(self, _closure(self, box))
 
 
 class _RayMemo(dict):

@@ -564,6 +564,22 @@ class TestBoxHeldInPart:
     pass reads no ray before it."""
 
     A3 = Quiver(3, [(1, 2)] * 3 + [(2, 3)] * 3)
+    A4_2 = Quiver(4, [(1, 2)] * 2 + [(2, 3)] * 2 + [(3, 4)] * 2)
+
+    @pytest.mark.parametrize("d", [(2, 2, 2, 2), (2, 1, 2, 1), (1, 1, 1, 1)])
+    def test_lean_pass_fills_no_ray(self, d):
+        # however small the box, the lean pass reads the forms built by
+        # outer sums, not the ray table, so the witness is known before
+        # any ray of a vector off d's hom closure is filled
+        q, d = self.A4_2, DimensionVector(d)
+        theta = q.canonical_stability(d)
+        quivermoduli.clear_caches()
+        has_semistable(q, d, theta)
+        table = semistability._memo[q]
+        held = len(table)
+        tables = _Tables(q, d, theta, "verdict")
+        assert len(table) == held
+        assert tables.entries is not table
 
     @pytest.mark.parametrize("q, d, first, then", [
         (TRIANGLE_B, (3, 18, 18), has_semistable, verdict),  # with a witness

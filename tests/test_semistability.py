@@ -484,25 +484,18 @@ def visit(d, order):
     return vectors
 
 
-@pytest.fixture
-def closure_on_every_box(monkeypatch):
-    """A cold miss fills the closure however small its box, so that the
-    references, which stop at small d, reach the closure pass."""
-    monkeypatch.setattr(semistability, "_CLOSURE_MIN_BOX", 1)
-
-
 @pytest.mark.parametrize("order", ["cold", "ascending", "shuffled"])
 class TestMemoPaths:
     """Every reader of the ray memo against the references, whichever way
-    the memo was filled: by the closure and box passes, the box pass over
-    a whole small box, or the one-vector filter."""
+    the memo was filled: by the closure and box passes, which every cold
+    box takes, or by the one-vector filter."""
 
     def test_paths_taken(self, order, monkeypatch):
         # a cold read at d, not 0 or a unit vector, on at most three
         # vertices runs one box pass, ending at d; it leaves the table
-        # holding d's whole box if that has fewer than `_CLOSURE_MIN_BOX`
-        # vectors, and 0 and d's hom closure otherwise, or from four
-        # vertices on; after every read, each held e holds its hom closure
+        # holding 0 and d's hom closure, whatever the size of the box, as
+        # the one-vector filter does from four vertices on; after every
+        # read, each held e holds its hom closure
         passes = []
         fill_box = semistability._fill_box
         monkeypatch.setattr(
@@ -512,14 +505,11 @@ class TestMemoPaths:
         for q, d, _ in memo_instances():
             quivermoduli.clear_caches()
             table = semistability._memo[q]
-            box = set(product(*(range(x + 1) for x in d)))
-            whole = len(d) <= 3 and len(box) < semistability._CLOSURE_MIN_BOX
             for k, e in enumerate(visit(d, order)):
                 _rays(q, e)
                 if k == 0 and order == "cold":
                     assert len(d) > 3 or sum(d) < 2 or passes[-1] == tuple(d)
-                    held = box if whole else {(0,) * len(d)} | hom_closure(q, tuple(d))
-                    assert set(table) == held, (q, d)
+                    assert set(table) == {(0,) * len(d)} | hom_closure(q, tuple(d)), (q, d)
                 if k in (0, 1):
                     assert_holds_closures(q, table)
             assert_holds_closures(q, table)
@@ -574,13 +564,6 @@ class TestMemoPaths:
         assert verdicts > 150
 
 
-@pytest.mark.usefixtures("closure_on_every_box")
-class TestMemoPathsOnTheClosure(TestMemoPaths):
-    """`TestMemoPaths` with every cold box filled by the closure pass: by
-    default only boxes of `_CLOSURE_MIN_BOX` vectors or more take it,
-    beyond most references, and `TestMemoPaths` checks the others."""
-
-
 def closure_instances():
     """(q, d): CORPUS, random instances, instances on four and five
     vertices, and every golden problem."""
@@ -591,7 +574,6 @@ def closure_instances():
 
 
 class TestClosureFill:
-    @pytest.mark.usefixtures("closure_on_every_box")
     def test_equals_the_full_box_pass(self):
         # a cold read at d fills d's hom closure; each of its entries equals
         # the entry the whole box gives: one box pass over every e <= d on
