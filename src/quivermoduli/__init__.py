@@ -21,6 +21,7 @@ from .hn import (
     codimension,
     codimension_cuts,
     enumerate_hn_types,
+    is_strongly_amply_stable,
     one_parameter_subgroup,
     pairing_table,
     validate_hn_type,
@@ -29,7 +30,6 @@ from .semistability import (
     clear_caches,
     generic_subdimension_vectors,
     has_semistable,
-    is_strongly_amply_stable,
 )
 from .windows import (
     StratumReport,

@@ -281,6 +281,19 @@ def subdimension_vectors(d: DimensionVector) -> list[DimensionVector]:
     ]
 
 
+def _box_weights(theta: tuple, d: tuple) -> list[int]:
+    """theta(e) for every 0 <= e <= d, in lexicographic order of e.
+
+    theta is linear, so the list is built by outer sums, one pass per
+    coordinate: each weight of the vectors over the first j coordinates
+    is followed by its sums with theta_j * x for x = 0, ..., d_j."""
+    out = [0]
+    for a, x in zip(theta, d):
+        steps = [a * k for k in range(x + 1)]
+        out = [v + s for v in out for s in steps]
+    return out
+
+
 def is_theta_coprime(theta: StabilityParameter, d: DimensionVector) -> bool:
     """True iff theta(e) != 0 for every 0 < e < d componentwise.
 
@@ -288,9 +301,7 @@ def is_theta_coprime(theta: StabilityParameter, d: DimensionVector) -> bool:
     setting in which the vanishing certificate applies.
     """
     d = DimensionVector(d)
-    if StabilityParameter(theta).dot(d) != 0:
+    theta = StabilityParameter(theta)
+    if theta.dot(d) != 0:
         raise ValueError("is_theta_coprime requires theta(d) = 0")
-    for e in subdimension_vectors(d)[1:-1]:
-        if sum(t * x for t, x in zip(theta, e)) == 0:
-            return False
-    return True
+    return 0 not in _box_weights(theta, d)[1:-1]

@@ -39,7 +39,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cached_property, reduce
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, compress, product, repeat
+from itertools import accumulate, compress, repeat
 from math import gcd, lcm
 from operator import and_, itemgetter, le, mul
 from typing import NamedTuple
@@ -48,11 +48,12 @@ from .core import (
     DimensionVector,
     Quiver,
     StabilityParameter,
+    _box_weights,
     slope,
 )
 from .semistability import (
     _below_masks,
-    _box_weights,
+    _box,
     _fill_whole,
     _memo,
     _semistable,
@@ -132,6 +133,25 @@ def enumerate_hn_types(
     return _Tables(q, d, theta, "enumerate_hn_types").search(lambda e, low: True)
 
 
+def is_strongly_amply_stable(
+    q: Quiver, d: DimensionVector, theta: StabilityParameter
+) -> tuple[bool, DimensionVector | None]:
+    """Check <e, d-e> <= -2 for every e with mu(e) > mu(d-e).
+
+    With theta(d) = 0, mu(e) > mu(d-e) exactly when theta(e) > 0, which
+    leaves out e = 0 and e = d.  Returns (True, None) or (False, w) with
+    w the lexicographically smallest violating vector, from the verdict's
+    lean pass.  This condition is sufficient for the weight inequality
+    on every unstable stratum, but not necessary.
+    """
+    d = q._vertex_tuple(d, DimensionVector)
+    theta = q._vertex_tuple(theta, StabilityParameter)
+    if not any(d):
+        return True, None  # no e has theta(e) > 0
+    w = _Tables(q, d, theta, "is_strongly_amply_stable").strong_failure_witness
+    return w is None, w
+
+
 def _dot(a: tuple, b: tuple) -> int:
     return sum(map(mul, a, b))
 
@@ -150,13 +170,13 @@ class _Tables:
     remainders, in two stages.  The constructor is the lean pass every
     verdict runs: the vectors e <= d, their theta weights, c at each
     remainder (`cuts`), `coprime` and `strong_failure_witness`; it tests
-    no e for semistability.  `semistable`, which says whether d itself
-    is a piece, tests d on first read.  The table stage runs on the first read
-    of `tables`, which `search` makes: it tests every e <= d, then runs
-    the table loop.  `least_codim` reads no table, and tests only the
-    pieces of the edges it pops.  Both stages test
-    through `is_piece`, which keeps each answer by number, so no vector
-    is tested twice.
+    no e for semistability and fills no ray.  `semistable`, which says
+    whether d itself is a piece, tests d on first read.  The table stage
+    runs on the first read of `tables`, which `search` makes: it tests
+    every e <= d, then runs the table loop.  `least_codim` reads no
+    table, and tests only the pieces of the edges it pops.  Both stages
+    test through `is_piece`, which keeps each answer by number, so no
+    vector is tested twice.
 
     A piece is a nonzero e <= d admitting a semistable representation;
     in the tables its slope s is scaled by the lcm of the piece sizes to
@@ -210,11 +230,12 @@ class _Tables:
     for every e <= d, the forms built by outer sums: so no ray is read
     before `strong_failure_witness` is known, and a box held only in
     part (d's hom closure, as `has_semistable` at d leaves it) runs no
-    closure pass per miss.  With a witness the constructor then fills
-    the entry (rays, right form) of every e <= d, as the tables test
-    them all, and so does `tables` without one, before its first test:
-    one `_fill_whole` per instance, which is a box pass unless the table
-    holds the whole box.  Otherwise d's test fills d's hom closure (the
+    closure pass per miss.  The tables test every e <= d, so `tables`
+    fills the entry (rays, right form) of every e <= d before its first
+    test, by `_fill_whole`: a box pass unless the table holds the whole
+    box, and then a scan.  With a witness `semistable` does so first,
+    before d's test, as the verdict will build the tables.  Otherwise
+    d's test fills d's hom closure (the
     `semistability` module docstring), and a piece off the closure is
     filled when `least_codim` pops it.  `stable()`
     reads the rays of the e the table holds, as no other e is generic
@@ -261,9 +282,9 @@ class _Tables:
             raise ValueError(f"{caller} requires a nonzero dimension vector")
         if _dot(theta, d) != 0:
             raise ValueError(f"{caller} requires theta(d) = 0")
-        self.q, self.d, self.theta = q, d, theta
+        self.d, self.theta = d, theta
         self.table = table = _memo[q]
-        self.vectors = vectors = list(product(*(range(x + 1) for x in d)))
+        self.vectors = vectors = _box(d)
         self.weights = weights = _box_weights(theta, d)
         last = len(vectors) - 1
 
@@ -287,22 +308,22 @@ class _Tables:
              if weights[i] > 0 and cuts[last - i] < 1),
             None,
         )
-        if self.strong_failure_witness is not None:
-            _fill_whole(table, vectors)  # the tables test every e <= d
         self.piece = {}  # number -> is that vector a piece, tested once
 
     @property
     def semistable(self) -> bool:
-        """Whether d itself is a piece; the first read tests d, which on
-        a cold d fills d's hom closure."""
+        """Whether d itself is a piece.  With a strong failure witness the
+        tables will test every e <= d, so the whole box is filled first;
+        otherwise testing a cold d fills d's hom closure."""
+        if self.strong_failure_witness is not None:
+            _fill_whole(self.table, self.vectors)
         return self.is_piece(len(self.vectors) - 1)
 
     @cached_property
     def tables(self) -> dict[int, tuple]:
         """The DP tables, built on first use; see the class docstring."""
         vectors, weights, cuts = self.vectors, self.weights, self.cuts
-        if self.strong_failure_witness is None:  # else the constructor filled it
-            _fill_whole(self.table, vectors)  # they test every e <= d
+        _fill_whole(self.table, vectors)  # they test every e <= d
         pieces = [
             (DimensionVector._trusted(vectors[i]), weights[i], i)
             for i in range(1, len(vectors)) if self.is_piece(i)
@@ -392,7 +413,7 @@ class _Tables:
         representation, tested once per number for both stages."""
         piece = self.piece
         if i not in piece:
-            piece[i] = _semistable(self.q, self.vectors[i], self.theta, self.weights[i])
+            piece[i] = _semistable(self.table, self.vectors[i], self.theta, self.weights[i])
         return piece[i]
 
     def search(self, keep) -> tuple[HNType, ...]:

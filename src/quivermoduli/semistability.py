@@ -1,4 +1,4 @@
-"""Existence of semistable representations, and ample stability.
+"""Existence of semistable representations.
 
 Nonemptiness of the semistable locus is decided combinatorially through
 generic subdimension vectors: f <= e is generic when every
@@ -54,7 +54,7 @@ takes two packed passes, whatever the size of its box:
 1. the closure pass (`_closure`).  Every e <= d, 0 included, owns the
    field numbered by its place in lexicographic order.  The columns are
    F_i = sum_k f_i 2^(wk) and Q = sum_k (BIAS - <f, f>) 2^(wk), built by
-   outer sums as `_box_weights` builds theta, so that for x the sum
+   outer sums as `core._box_weights` builds theta, so that for x the sum
    sum_i right_form(x)_i F_i + Q has BIAS + <f, x - f> in f's field,
    BIAS > B and every d_j as below; ANDed with one mask of the f with
    f_j <= x_j per coordinate, (BIAS + x_j) * ones - F_j read at the sign
@@ -65,10 +65,10 @@ takes two packed passes, whatever the size of its box:
 2. the box pass (`_fill_box`) below, over the vectors the closure pass
    reached.
 
-No layout outlives its pass.  Only a caller that reads every e <= d
-fills the whole box, by `_fill_whole`: `hn._Tables` with a strong
-failure witness, or building its DP tables for
-`hn.enumerate_hn_types`, as those test every e <= d for semistability.
+No layout outlives its pass.  Only `hn._Tables`, whose DP tables test
+every e <= d, fills the whole box, by `_fill_whole`: in `semistable`
+before d's test if there is a strong failure witness, and in `tables`,
+where a box already held costs a scan.
 
 The box pass over a list of vectors, each <= its last one d:
 
@@ -122,9 +122,9 @@ from __future__ import annotations
 
 from itertools import product, zip_longest
 from math import lcm
-from operator import mul, sub
+from operator import mul
 
-from .core import DimensionVector, Quiver, StabilityParameter
+from .core import DimensionVector, Quiver, StabilityParameter, _box_weights
 
 
 def _det3(a: tuple, b: tuple, c: tuple) -> int:
@@ -194,19 +194,6 @@ def _below_masks(d: tuple[int, ...], pairs) -> list[list[int]]:
         for v in range(1, len(row)):
             row[v] |= row[v - 1]
     return masks
-
-
-def _box_weights(theta: tuple, d: tuple) -> list[int]:
-    """theta(e) for every 0 <= e <= d, in lexicographic order of e.
-
-    theta is linear, so the list is built by outer sums, one pass per
-    coordinate: each weight of the vectors over the first j coordinates
-    is followed by its sums with theta_j * x for x = 0, ..., d_j."""
-    out = [0]
-    for a, x in zip(theta, d):
-        steps = [a * k for k in range(x + 1)]
-        out = [v + s for v in out for s in steps]
-    return out
 
 
 def _box_squares(m: tuple, d: tuple) -> list[int]:
@@ -447,37 +434,17 @@ def has_semistable(q: Quiver, e: DimensionVector, theta: StabilityParameter) -> 
     theta = q._vertex_tuple(theta, StabilityParameter)
     if not any(e):
         raise ValueError("has_semistable requires a nonzero dimension vector")
-    return _semistable(q, e, theta, sum(map(mul, theta, e)))
+    return _semistable(_memo[q], e, theta, sum(map(mul, theta, e)))
 
 
-def _semistable(q: Quiver, e: tuple, theta: tuple, weight: int) -> bool:
-    """`has_semistable` on a valid nonzero e, with weight = theta(e), unchecked."""
+def _semistable(table: _QuiverRays, e: tuple, theta: tuple, weight: int) -> bool:
+    """`has_semistable` on a valid nonzero e, with weight = theta(e),
+    unchecked, read off the quiver's ray `table`."""
     size = sum(e)
-    for f, _ in _memo[q][e][0]:
+    for f, _ in table[e][0]:
         if sum(map(mul, theta, f)) * size > weight * sum(f):
             return False
     return True
-
-
-def is_strongly_amply_stable(
-    q: Quiver, d: DimensionVector, theta: StabilityParameter
-) -> tuple[bool, DimensionVector | None]:
-    """Check <e, d-e> <= -2 for every e with mu(e) > mu(d-e).
-
-    With theta(d) = 0, mu(e) > mu(d-e) exactly when theta(e) > 0, which
-    leaves out e = 0 and e = d.  Returns (True, None) or (False, w) with
-    w the lexicographically smallest violating vector.  This condition
-    is sufficient for the weight inequality on every unstable stratum,
-    but not necessary.
-    """
-    d = q._vertex_tuple(d, DimensionVector)
-    theta = q._vertex_tuple(theta, StabilityParameter)
-    if sum(map(mul, theta, d)) != 0:
-        raise ValueError("is_strongly_amply_stable requires theta(d) = 0")
-    for e in product(*(range(x + 1) for x in d)):
-        if sum(map(mul, theta, e)) > 0 and q.euler_pairing(e, tuple(map(sub, d, e))) > -2:
-            return False, DimensionVector._trusted(e)
-    return True, None
 
 
 def clear_caches() -> None:

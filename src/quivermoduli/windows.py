@@ -59,9 +59,7 @@ lean pass over the e <= d, which runs before any table and tests
 only d for semistability, also yields the instance flags: coprime
 when no 0 < e < d has theta(e) = 0, and strongly amply stable when
 N(d - e) - 1 >= 1, i.e. <e, d - e> <= -2, for every e with
-theta(e) > 0.  `core.is_theta_coprime` and
-`semistability.is_strongly_amply_stable` compute the same flags on
-their own.
+theta(e) > 0.
 
 The tables are built only when the instance has a strong failure
 witness, and G never needs one.  Two lemmas:

@@ -9,6 +9,7 @@ from heapq import heappush
 from itertools import product
 from math import lcm
 from operator import le, mul, sub
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -35,7 +36,9 @@ from quivermoduli import (
     verdict,
     window_width,
 )
-from quivermoduli.hn import _box_weights, _dot, _Tables
+from quivermoduli.cli import load_problem
+from quivermoduli.core import _box_weights
+from quivermoduli.hn import _dot, _Tables
 
 from cases import (
     CORPUS,
@@ -54,9 +57,14 @@ from cases import (
     random_instances,
     wide_instances,
 )
-from weight_oracles import reference_hn_types
+from weight_oracles import (
+    reference_hn_types,
+    reference_strongly_amply_stable,
+    reference_theta_coprime,
+)
 
 K1 = Quiver.kronecker(1)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @st.composite
@@ -318,10 +326,10 @@ class TestFitLists:
 
     def test_length_checked_before_listing_vectors(self, monkeypatch):
         # (60,60,60) on a 2-vertex quiver used to list 226,981 vectors first
-        def never(*ranges):
+        def never(d):
             raise AssertionError("subdimension vectors listed before the length check")
 
-        monkeypatch.setattr(quivermoduli.hn, "product", never)
+        monkeypatch.setattr(quivermoduli.hn, "_box", never)
         for call in (verdict, enumerate_hn_types):
             with pytest.raises(ValueError, match="^vector of length 3 on a quiver with 2 vertices$"):
                 call(KRONECKER_3, (60, 60, 60), (1, 1, -2))
@@ -440,21 +448,45 @@ class TestLeastCodim:
         assert len(pushes) == 83
 
 class TestVerdictFlags:
-    """The coprime flag and the strong ample witness come out of the table
-    pass; `is_theta_coprime` and `is_strongly_amply_stable` are the
-    references."""
+    """The coprime flag and the strong ample witness come out of the lean
+    pass, and `is_theta_coprime` and `is_strongly_amply_stable` read it;
+    `reference_theta_coprime` and `reference_strongly_amply_stable`, one
+    e at a time, are the references for both."""
 
     def test_equal_to_reference(self):
         seen = Counter()
         for q, d, theta in CORPUS + random_instances(300, seed=37):
             tables = _Tables(q, d, theta, "test")
-            strong, witness = is_strongly_amply_stable(q, d, theta)
-            assert tables.coprime == is_theta_coprime(theta, d), (q, d, theta)
+            strong, witness = reference_strongly_amply_stable(q, d, theta)
+            assert tables.coprime == reference_theta_coprime(theta, d), (q, d, theta)
             assert tables.strong_failure_witness == witness, (q, d, theta)
             assert type(tables.strong_failure_witness) is type(witness)
             seen[tables.coprime, strong] += 1
         # every combination of the two flags occurs, witnesses included
         assert len(seen) == 4 and min(seen.values()) >= 10, seen
+
+    def test_public_flags_equal_to_reference(self):
+        wide = [(q, d, q.canonical_stability(d)) for q, d in wide_instances(80, seed=7)]
+        goldens = [load_problem(str(path)) for path in sorted(GOLDEN.glob("*.json"))]
+        instances = CORPUS + random_instances(300, seed=37) + wide
+        seen = Counter()
+        for q, d, theta in instances + [(g.quiver, g.d, g.theta) for g in goldens]:
+            coprime = is_theta_coprime(theta, d)
+            strong, witness = is_strongly_amply_stable(q, d, theta)
+            assert coprime == reference_theta_coprime(theta, d), (q, d, theta)
+            assert (strong, witness) == reference_strongly_amply_stable(q, d, theta), (q, d, theta)
+            assert type(coprime) is type(strong) is bool
+            assert witness is None or type(witness) is DimensionVector
+            seen[coprime, strong] += 1
+        assert len(seen) == 4 and min(seen.values()) >= 10, seen
+
+    def test_zero_d(self):
+        # no e has theta(e) > 0, and no 0 < e < 0 exists
+        for q in (K1, KRONECKER_3, TRIANGLE_B):
+            zero = (0,) * q.vertex_count
+            for theta in (zero, (1,) * q.vertex_count):
+                assert is_strongly_amply_stable(q, zero, theta) == (True, None)
+                assert is_theta_coprime(theta, zero)
 
 
 class TestCodimension:
@@ -580,6 +612,29 @@ class TestBoxHeldInPart:
         tables = _Tables(q, d, theta, "verdict")
         assert len(table) == held
         assert tables.entries is not table
+
+    @pytest.mark.parametrize("q, d, theta", [
+        (TRIANGLE_B, (3, 18, 18), (42, 5, -12)),
+        (TRIANGLE_A, (4, 1, 4), (9, -16, -5)),
+    ], ids=["triangle-B", "triangle-A"])
+    def test_lean_pass_fills_no_ray_with_a_witness(self, q, d, theta):
+        # with a strong failure witness too the constructor fills nothing:
+        # the whole box is filled by `semistable` or `tables`, which a
+        # verdict reads after it
+        quivermoduli.clear_caches()
+        has_semistable(q, d, theta)
+        table = semistability._memo[q]
+        held = len(table)
+        tables = _Tables(q, d, theta, "verdict")
+        assert tables.strong_failure_witness is not None
+        assert len(table) == held
+        assert tables.semistable
+        assert all(e in table for e in product(*(range(x + 1) for x in d)))
+
+    def test_flag_fills_no_ray(self):
+        quivermoduli.clear_caches()
+        assert is_strongly_amply_stable(TRIANGLE_B, (3, 18, 18), (42, 5, -12)) == (False, (0, 1, 0))
+        assert not any(rays for rays, _ in semistability._memo[TRIANGLE_B].values())
 
     @pytest.mark.parametrize("q, d, first, then", [
         (TRIANGLE_B, (3, 18, 18), has_semistable, verdict),  # with a witness

@@ -13,7 +13,9 @@ by stratum over those reference types, the route that
 The semistability references recurse on `DimensionVector`s, evaluate one
 Euler pairing per (generic f', f) and compare `Fraction` slopes, where
 `quivermoduli.semistability` works on plain int tuples with one linear
-form per f and cross-multiplied integer slopes.
+form per f and cross-multiplied integer slopes.  The two instance flags
+loop over the 0 < e < d one dot product or pair of slopes at a time,
+where the library reads both off the verdict's lean pass.
 
 `reference_hn_type_of` finds the HN type of one finite-field
 representation by Gaussian elimination mod p: it tests every subspace
@@ -37,8 +39,6 @@ from quivermoduli import (
     StabilityParameter,
     Verdict,
     has_semistable,
-    is_strongly_amply_stable,
-    is_theta_coprime,
     slope,
     stratum_report,
     subdimension_vectors,
@@ -73,6 +73,14 @@ def reference_has_semistable(quiver, e, theta):
         for f in reference_generic_subdimension_vectors(quiver, e)
         if not f.is_zero()
     )
+
+
+def reference_theta_coprime(theta, d):
+    """True iff theta(e) != 0 for every 0 < e < d, one dot product per e."""
+    for e in subdimension_vectors(d)[1:-1]:
+        if sum(t * x for t, x in zip(theta, e)) == 0:
+            return False
+    return True
 
 
 def reference_strongly_amply_stable(quiver, d, theta):
@@ -195,8 +203,8 @@ def reference_verdict(quiver, d, theta):
             failing.append(t)
         if min_codim is None or report.codim < min_codim:
             min_codim = report.codim
-    coprime = is_theta_coprime(theta, d)
-    strong, witness = is_strongly_amply_stable(quiver, d, theta)
+    coprime = reference_theta_coprime(theta, d)
+    strong, witness = reference_strongly_amply_stable(quiver, d, theta)
     vanishing = coprime and not failing
     # the general representation is stable: theta < 0 on every generic 0 < f < d
     stable = all(
