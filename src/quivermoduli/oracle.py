@@ -9,18 +9,23 @@ nonempty over the algebraic closure.
 No quotient is ever formed.  A vector of F_p^n is numbered by its base-p
 digits, a subspace is the set of its vectors' numbers, and a tuple of
 subspaces, one per vertex, is one bit of an integer.  The invariant
-tuples of a representation are the AND of one integer per arrow, built
-once per matrix, and its HN type depends only on them.  The integers of
-a vertex pair s -> t are built in one batch (`_arrow_masks`): a matrix
-is read as the numbers of its columns, and the image of each basis row
-is folded from them with tables of the sums and multiples of F_p^(d_t),
-kept on the lattice.  The type is read with one AND per dimension
+tuples of a representation are the AND of one integer per arrow, and its
+HN type depends only on them.  The integers of a vertex pair s -> t are
+built in one batch (`_arrow_masks`): a matrix is read as the numbers of
+its columns, and the image of each basis row is folded from them with
+tables of the sums and multiples of F_p^(d_t), kept on the lattice.  The
+tables of a vertex that depend only on its dimension n are built once
+per (n, p) (`_space`).  The type is read with one AND per dimension
 vector tried, against the tuples of that dimension.
 
 The HN type is an isomorphism invariant, and the GL(d_t) x GL(d_s)
 orbits of the matrices of an arrow s -> t with s != t are their rank
 classes.  So the census reads the first arrow, when it is not a loop,
-at one matrix per rank, weighted by the size of that rank class.
+at one matrix per rank, weighted by the size of that rank class.  An
+arrow's integer does not change when its matrix M is scaled by c != 0,
+since c M U_s = M U_s.  So every other arrow, and a loop first arrow,
+is read at one matrix per scalar class {c M : c != 0}, weighted by its
+p - 1 members, and at the zero matrix, alone in its class.
 """
 
 from __future__ import annotations
@@ -103,7 +108,20 @@ def rep_count(field: int, q: Quiver, d: DimensionVector) -> int:
 
 
 def _all_matrices(rows: int, cols: int, p: int) -> list[tuple]:
-    flats = itertools.product(range(p), repeat=rows * cols)
+    return _shaped(itertools.product(range(p), repeat=rows * cols), rows, cols)
+
+
+def _scalar_classes(rows: int, cols: int, p: int) -> list[tuple]:
+    """The first matrix of each class {c M : c != 0} in `_all_matrices`
+    order, in that order: zero, then each matrix whose first nonzero entry,
+    row by row, is 1, the later that entry the sooner."""
+    n = rows * cols
+    flats = [(0,) * n] + [(0,) * i + (1,) + tail for i in reversed(range(n))
+                          for tail in itertools.product(range(p), repeat=n - 1 - i)]
+    return _shaped(flats, rows, cols)
+
+
+def _shaped(flats, rows: int, cols: int) -> list[tuple]:
     return [tuple(flat[r * cols : (r + 1) * cols] for r in range(rows)) for flat in flats]
 
 
@@ -151,7 +169,6 @@ def subspace_count(n: int, p: int) -> int:
     return sum(_gaussian(n, r, p) for r in range(n + 1))
 
 
-@lru_cache(maxsize=None)
 def _subspaces(n: int, p: int) -> list[tuple]:
     """Every subspace of F_p^n as its RREF basis, by dimension, zero first."""
     out = []
@@ -172,63 +189,76 @@ def _number(v, p: int) -> int:
     return sum(c * p**i for i, c in enumerate(v))
 
 
+@lru_cache(maxsize=None)
+def _space(n: int, p: int) -> tuple:
+    """The tables of F_p^n that do not depend on where a vertex of
+    dimension n sits in a lattice: (bases, holders, aboves, rows, spans,
+    ranks), subspaces numbered j in `_subspaces` order, bases[j].
+
+    holders[x] is the set of subspaces holding vector number x, aboves[j]
+    the set of those holding subspace j, and ranks[r] the numbers of the
+    r-dimensional subspaces.  rows and spans let `_arrow_masks` build the
+    image of every subspace from a matrix's columns.  The basis rows are
+    numbered e_0, ..., e_(n-1) first, then the other nonzero vectors whose
+    first nonzero entry is 1, by vector number; rows holds (k, c, i) for
+    each of the others, which is c e_k plus the row numbered i, k its last
+    nonzero entry.  spans holds, for each subspace j > 0, the subspace
+    spanned by its basis but the last row, and that last row's number.
+    """
+    bases = _subspaces(n, p)
+    holders = [0] * p**n
+    for j, basis in enumerate(bases):
+        span = [(0,) * n]
+        for row in basis:
+            span = [tuple((a + c * b) % p for a, b in zip(u, row)) for u in span for c in range(p)]
+        for u in span:
+            holders[_number(u, p)] |= 1 << j
+    aboves = [(1 << len(bases)) - 1] * len(bases)
+    for j, basis in enumerate(bases):
+        for row in basis:
+            aboves[j] &= holders[_number(row, p)]
+    # a row less its last nonzero entry c e_k has a smaller number
+    vectors = sorted({row for basis in bases for row in basis},
+                     key=lambda row: (row.count(0) < n - 1, _number(row, p)))
+    number = {row: i for i, row in enumerate(vectors)}
+    place = {basis: j for j, basis in enumerate(bases)}
+    rows = [(k, row[k], number[row[:k] + (0,) + row[k + 1:]])
+            for row in vectors[n:] for k in [max(i for i, c in enumerate(row) if c)]]
+    spans = [(place[basis[:-1]], number[basis[-1]]) for basis in bases[1:]]
+    ranks = [[j for j, basis in enumerate(bases) if len(basis) == r] for r in range(n + 1)]
+    return bases, holders, aboves, rows, spans, ranks
+
+
 class _Lattice:
     """Every subspace tuple of F_p^d: tuple (j_1, ..., j_n) in `_subspaces`
-    order is bit sum_v j_v * stride_v.  Per vertex v, holders[v][x] is
-    the set of subspaces holding vector number x; slices[v][j] and
-    up_of[v][A] are the sets of tuples whose subspace at v is j or lies
-    in A, for A the set of subspaces above some one.  dims[f], for each
-    f <= d, is the set of tuples of dimension f.
-
-    rows[v] and spans[v] let `_arrow_masks` build the image of every
-    subspace at v from a matrix's columns.  The basis rows at v are
-    numbered e_0, ..., e_(n-1) first, then the other nonzero vectors whose
-    first nonzero entry is 1, by vector number; rows[v] holds (k, c, i)
-    for each of the others, which is c e_k plus the row numbered i, k its
-    last nonzero entry.  spans[v] holds, for each subspace j > 0, the
-    subspace spanned by its basis but the last row, and that last row's
-    number.  `arithmetic(v)` holds the sums and multiples of F_p^(d_v).
+    order is bit sum_v j_v * stride_v.  Per vertex v, bases[v], holders[v],
+    rows[v] and spans[v] are those of `_space(d_v, p)`, shared by every
+    vertex of that dimension; slices[v][j] and up_of[v][A] are the sets of
+    tuples whose subspace at v is j or lies in A, for A the set of
+    subspaces above some one.  dims[f], for each f <= d, is the set of
+    tuples of dimension f.  `arithmetic(v)` holds the sums and multiples
+    of F_p^(d_v).
     """
 
     def __init__(self, p: int, d: tuple, size: int):
         self.p, self.d = p, d
-        self.bases = [_subspaces(n, p) for n in d]
         self.full, stride = (1 << size) - 1, size
-        self.holders, self.slices, self.up_of, self.rows, self.spans = [], [], [], [], []
-        slabs = []
-        for n, bases in zip(d, self.bases):
+        self.bases, self.holders, self.rows, self.spans = [], [], [], []
+        self.slices, self.up_of, slabs = [], [], []
+        for n in d:
+            bases, holders, aboves, rows, spans, ranks = _space(n, p)
             count = len(bases)
             stride //= count
-            holders = [0] * p**n
-            for j, basis in enumerate(bases):
-                span = [(0,) * n]
-                for row in basis:
-                    span = [tuple((a + c * b) % p for a, b in zip(u, row))
-                            for u in span for c in range(p)]
-                for u in span:
-                    holders[_number(u, p)] |= 1 << j
             repeat = self.full // ((1 << stride * count) - 1)  # one bit every stride * count
             slices = [(((1 << stride) - 1) << (j * stride)) * repeat for j in range(count)]
-            aboves = [(1 << count) - 1] * count
-            for j, basis in enumerate(bases):
-                for row in basis:
-                    aboves[j] &= holders[_number(row, p)]
-            # a row less its last nonzero entry c e_k has a smaller number
-            rows = sorted({row for basis in bases for row in basis},
-                          key=lambda row: (row.count(0) < n - 1, _number(row, p)))
-            number = {row: i for i, row in enumerate(rows)}
-            place = {basis: j for j, basis in enumerate(bases)}
+            self.bases.append(bases)
             self.holders.append(holders)
             self.slices.append(slices)
             self.up_of.append({a: sum(x for k, x in enumerate(slices) if a >> k & 1)
                                for a in aboves})
-            self.rows.append([
-                (k, row[k], number[row[:k] + (0,) + row[k + 1:]])
-                for row in rows[n:] for k in [max(i for i, c in enumerate(row) if c)]
-            ])
-            self.spans.append([(place[basis[:-1]], number[basis[-1]]) for basis in bases[1:]])
-            slabs.append([sum(x for x, b in zip(slices, bases) if len(b) == r)
-                          for r in range(n + 1)])
+            self.rows.append(rows)
+            self.spans.append(spans)
+            slabs.append([sum(slices[j] for j in js) for js in ranks])
         self.dims = dict(zip(itertools.product(*(range(n + 1) for n in d)),
                              (reduce(and_, masks, self.full) for masks in itertools.product(*slabs))))
         self._arithmetic = {}
@@ -388,10 +418,18 @@ def stratum_census(
     """Tally the HN type of every representation of d over F_field.
 
     Types come in the order of their first representation in
-    `enumerate_reps`.  The integers of the matrices of each vertex pair,
-    built in one `_arrow_masks` batch, count against the budget.  They
-    are ANDed arrow by arrow, equal partial results merged, so each
-    invariant set is met once.
+    `enumerate_reps`.  The integers of each vertex pair, built in one
+    `_arrow_masks` batch, count against the budget, as many as are
+    built.  They are ANDed arrow by arrow, equal partial results merged,
+    so each invariant set is met once.
+
+    Each pair is read at one matrix per scalar class (`_scalar_classes`):
+    the zero matrix, weighted 1, and each matrix M whose first nonzero
+    entry is 1, weighted p - 1 for its class {c M : c != 0}.  This is
+    exact: c M U_s = M U_s for every subspace U_s, so c M has the mask of
+    M.  It keeps the order too: the chosen M is the first of its class in
+    `_all_matrices` order, so every mask is met first where it was met
+    before.
 
     A first arrow s -> t that is not a loop is read at one matrix R_r per
     rank r (`_rank_classes`), weighted by its class.  This is exact: for
@@ -402,7 +440,9 @@ def stratum_census(
     the slowest digit, so a block of M_1 that is not the first of its rank
     meets no type its rank's first block has not met, and the first
     blocks come in increasing rank, as the R_r do.  A loop's orbits are
-    conjugacy classes, so a loop first arrow is read matrix by matrix.
+    conjugacy classes, so a loop first arrow is read by scalar class only,
+    as every later arrow is.  The R_r are first of their scalar classes,
+    so a parallel arrow's batch holds their masks.
     """
     field = _field_size(field)
     d = q._vertex_tuple(d, DimensionVector)
@@ -410,13 +450,21 @@ def stratum_census(
         raise ValueError("stratum_census requires a nonzero dimension vector")
     theta = q._vertex_tuple(theta, StabilityParameter)
     arrows = [(s - 1, t - 1) for s, t in q.arrows]
-    masks = sum(field ** (d[s] * d[t]) for s, t in set(arrows))
+    first = arrows[0] if arrows and arrows[0][0] != arrows[0][1] else None
+    rest = arrows[1:] if first else arrows
+    pairs = dict.fromkeys(rest)
+    masks = sum(1 + (field ** (d[s] * d[t]) - 1) // (field - 1) for s, t in pairs)
+    if first is not None and first not in pairs:
+        masks += min(d[first[0]], d[first[1]])  # R_1, R_2, ... of `_rank_classes`
     lat = _checked_lattice(field, d, budget, arrows, rep_count(field, q, d), masks)
-    first = arrows.pop(0) if arrows and arrows[0][0] != arrows[0][1] else None
-    by_matrix = {}  # vertex pair -> matrix -> mask, in `_all_matrices` order
-    for s, t in dict.fromkeys(arrows):
-        matrices = _all_matrices(d[t], d[s], field)
-        by_matrix[s, t] = dict(zip(matrices, _arrow_masks(lat, s, t, matrices)))
+    by_matrix = {}  # vertex pair -> the first matrix of each scalar class -> mask
+    for s, t in pairs:
+        matrices = _scalar_classes(d[t], d[s], field)
+        built = _arrow_masks(lat, s, t, matrices)
+        by_matrix[s, t] = dict(zip(matrices, built))
+        pairs[s, t] = weights = Counter({built[0]: 1})  # the zero matrix, alone in its class
+        for mask in built[1:]:
+            weights[mask] += field - 1
     reached = Counter({lat.full: 1})
     if first is not None:
         s, t = first
@@ -427,8 +475,7 @@ def stratum_census(
         known = by_matrix.get(first) or dict(zip(ranks, _arrow_masks(lat, s, t, ranks)))
         for m, n in classes:
             reached[known[m]] += n
-    pairs = {pair: Counter(masks.values()) for pair, masks in by_matrix.items()}
-    for pair in arrows:
+    for pair in rest:
         merged = Counter()
         for part, n in reached.items():
             for mask, k in pairs[pair].items():

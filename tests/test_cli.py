@@ -688,23 +688,32 @@ class TestOracleCensusCommand:
         assert captured.err == (f"qt: error: subspace spans need {2 * field + 1} vectors, "
                                 "budget is 10000000 (raise the budget to force the computation)\n")
 
+    # the one-loop quiver at (4)/F_2 reads its loop matrix by matrix:
+    # (2 * 67 + 4 + 1 + 5 + 2^16) words per 64 of its 67 tuples, 2 blocks
+    LOOP_PROBLEM = {"vertices": 1, "arrows": [[1, 1]], "d": [4], "theta": [0]}
+
     def test_table_budget(self, tmp_path, capsys, monkeypatch):
-        # the per-matrix masks of K1 (4,4)/F_2 need about 4.6 M words
-        problem = {"vertices": 2, "arrows": [[1, 2]], "d": [4, 4], "theta": [1, -1]}
-        path = write_problem(tmp_path, problem)
+        path = write_problem(tmp_path, self.LOOP_PROBLEM)
         monkeypatch.setenv("QT_BUDGET", str(10**5))
         assert main(["oracle-census", path, "--field", "2"]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("qt: error:") and "budget is 100000" in err
 
     def test_table_budget_message(self, tmp_path, capsys, monkeypatch):
-        problem = {"vertices": 2, "arrows": [[1, 2]], "d": [4, 4], "theta": [1, -1]}
-        path = write_problem(tmp_path, problem)
+        path = write_problem(tmp_path, self.LOOP_PROBLEM)
         monkeypatch.setenv("QT_BUDGET", str(10**5))
         assert main(["oracle-census", path, "--field", "2"]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith(
-            "qt: error: subspace tables need 4674569 64-bit words, budget is 100000 "
+            "qt: error: subspace tables need 131360 64-bit words, budget is 100000 "
         )
+
+    def test_rank_read_first_arrow_within_table_budget(self, capsys, monkeypatch):
+        # K1 (4,4)/F_2 builds the 4 masks of R_1, ..., R_4 (21797 words),
+        # so 10^5 no longer refuses it as if all 2^16 were built
+        stem = GOLDEN / "census" / "K1-4-4-F2"
+        monkeypatch.setenv("QT_BUDGET", str(10**5))
+        assert main(["oracle-census", str(stem.with_suffix(".json")), "--field", "2"]) == 0
+        assert capsys.readouterr().out == stem.with_suffix(".txt").read_text()
 
 
 class TestFreshProcess:

@@ -383,33 +383,91 @@ class TestArrowMasks:
             stratum_census(KRONECKER_3, DimensionVector((1, 2)), StabilityParameter((2, -1)), field=p)
             assert lattice_of(p, (1, 2))._arithmetic == {}
 
-    def test_census_matches_the_per_matrix_route(self, monkeypatch):
-        # same dicts, order included, on seeded instances with loops over
-        # F_2, F_3 and F_5, the first arrow read by rank class unless a loop
+    def test_census_matches_the_per_matrix_route(self):
+        # same dicts, order included, as a fold that reads every matrix of
+        # every arrow with the per-matrix formula, on seeded instances with
+        # loops and parallel arrows over F_3, F_5 and F_2: the census reads
+        # one matrix per scalar class, and its first arrow by rank class
+        # unless a loop
         rng = random.Random(20261020)
         instances = []
-        while len(instances) < 40:
+        while len(instances) < 60:
             n = rng.randint(1, 3)
             arrows = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 3))]
             if len(instances) % 2:
                 v = rng.randint(1, n)
                 arrows.insert(rng.randint(0, len(arrows)), (v, v))
+            if arrows and len(instances) % 3 == 0:
+                arrows.insert(rng.randint(0, len(arrows)), rng.choice(arrows))
             q = Quiver(n, arrows)
             d = DimensionVector(rng.randint(0, 2) for _ in range(n))
-            p = rng.choice([2, 3, 5])
-            if any(d) and rep_count(p, q, d) <= 3000:
+            p = (3, 5, 2)[len(instances) % 3]
+            if any(d) and rep_count(p, q, d) <= 5**6:
                 instances.append((q, d, p))
-        batched = [stratum_census(q, d, q.canonical_stability(d), p) for q, d, p in instances]
-        monkeypatch.setattr(oracle, "_arrow_masks", per_matrix_masks)
-        for (q, d, p), census in zip(instances, batched):
-            assert list(census.items()) == list(stratum_census(q, d, q.canonical_stability(d), p).items())
+        for q, d, p in instances:
+            census = stratum_census(q, d, q.canonical_stability(d), p)
+            assert list(census.items()) == list(per_matrix_census(q, d, p).items())
+            assert sum(census.values()) == rep_count(p, q, d)
+
+
+def per_matrix_census(q, d, p):
+    """`stratum_census` with every matrix of every arrow read on its own,
+    in `_all_matrices` order, and no classes: the invariant sets ANDed
+    arrow by arrow, each new one met first at its first representation."""
+    lat = lattice_of(p, d)
+    reached = Counter({lat.full: 1})
+    for s, t in q.arrows:
+        matrices = oracle._all_matrices(d[t - 1], d[s - 1], p)
+        masks = Counter(per_matrix_masks(lat, s - 1, t - 1, matrices))
+        merged = Counter()
+        for part, n in reached.items():
+            for mask, k in masks.items():
+                merged[part & mask] += n * k
+        reached = merged
+    census = Counter()
+    for inv, n in reached.items():
+        census[oracle._type_from_invariants(lat, inv, q.canonical_stability(d))] += n
+    return census
+
+
+class TestScalarClasses:
+    """The census reads one matrix per class {c M : c != 0}."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_first_member_of_each_class(self, p):
+        for rows, cols in itertools.product(range(3), repeat=2):
+            if p ** (rows * cols) > 5**4:
+                continue
+            first = {}
+            for m in oracle._all_matrices(rows, cols, p):
+                flat = sum(m, ())
+                c = next((x for x in flat if x), 1)  # the class is named by its member with a leading 1
+                key = tuple(x * pow(c, -1, p) % p for x in flat)
+                first.setdefault(key, m)
+            assert oracle._scalar_classes(rows, cols, p) == list(first.values())
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_scaled_matrix_keeps_its_mask(self, p):
+        # c M U_s = M U_s for c != 0: every pair of two vertices, loops and
+        # d_s = 0 or d_t = 0 among them, at most 40 matrices a pair
+        rng = random.Random(p)
+        for d in itertools.product(range(3), repeat=2):
+            lat = lattice_of(p, d)
+            for s, t in [(0, 1), (1, 0), (0, 0), (1, 1)]:
+                matrices = oracle._all_matrices(d[t], d[s], p)
+                for m in rng.sample(matrices, min(40, len(matrices))):
+                    mask = reference_arrow_mask(lat, s, t, m)
+                    for c in range(2, p):
+                        scaled = tuple(tuple(c * x % p for x in row) for row in m)
+                        assert reference_arrow_mask(lat, s, t, scaled) == mask, (d, s, t, m, c)
 
 
 class TestMaskCalls:
-    @pytest.mark.parametrize("p, calls", [(2, 4), (3, 9)])
+    @pytest.mark.parametrize("p, calls", [(2, 4), (3, 5)])
     def test_parallel_first_arrow_builds_its_pair_once(self, monkeypatch, p, calls):
-        # K3 (1,2): the first arrow's pair recurs, so its p^2 masks are built
-        # once and R_1's mask is read off them, not built a second time
+        # K3 (1,2): the first arrow's pair recurs, so its 1 + (p^2 - 1) / (p - 1)
+        # scalar classes' masks are built once and R_1's mask is read off
+        # them, not built a second time
         made = []
         arrow_masks = oracle._arrow_masks
         monkeypatch.setattr(oracle, "_arrow_masks", lambda *a: made.append(a[-1]) or arrow_masks(*a))
@@ -533,19 +591,36 @@ class TestBudgetMessages:
 
 class TestTableBudget:
     def test_tables_refused_before_they_are_built(self, monkeypatch):
-        # 2^16 matrices, each a mask over 67^2 = 4489 tuples: about 4.6 M words
-        q, d = K1, DimensionVector((4, 4))
-        assert rep_count(2, q, d) == 65_536 and subspace_count(4, 2) ** 2 == 4_489
+        # the one-loop quiver at (4)/F_2, its loop read matrix by matrix:
+        # 1 + (2^16 - 1) / (2 - 1) = 2^16 masks over 67 tuples, 2 blocks of
+        # 64, with 2 * 67 + 4 + 1 + 5 words per block: (134 + 10 + 2^16) * 2
+        q, d = Quiver(1, [(1, 1)]), DimensionVector((4,))
+        assert rep_count(2, q, d) == 65_536 and subspace_count(4, 2) == 67
 
         def refuse(*args):
             raise AssertionError("built despite the budget")
 
         monkeypatch.setattr(oracle, "_lattice", refuse)
         monkeypatch.setattr(oracle, "_all_matrices", refuse)
-        with pytest.raises(BudgetExceededError) as exc:
-            stratum_census(q, d, q.canonical_stability(d), field=2, budget=10**5)
-        assert exc.value.needed >= 65_536 * 71
+        monkeypatch.setattr(oracle, "_scalar_classes", refuse)
+        with pytest.raises(BudgetExceededError, match="^subspace tables need 131360 64-bit words") as exc:
+            stratum_census(q, d, (0,), field=2, budget=10**5)
+        assert exc.value.needed == (134 + 10 + 65_536) * 2
         assert exc.value.budget == 10**5
+
+    @pytest.mark.parametrize("q, d, p, masks", [
+        (K1, (4, 4), 2, 4),  # R_1, ..., R_4 alone, not 2^16 matrices
+        (KRONECKER_3, (1, 2), 3, 5),  # the pair recurs: 1 + (3^2 - 1) / 2 classes
+        (Quiver(1, [(1, 1)]), (2,), 3, 41),  # a loop first arrow: 1 + (3^4 - 1) / 2
+        (Quiver(2, [(1, 2), (2, 2)]), (2, 2), 3, 2 + 41),
+    ], ids=["K1-4-4-F2", "K3-1-2-F3", "loop-2-F3", "arrow-loop-2-2-F3"])
+    def test_masks_counted_as_built(self, monkeypatch, q, d, p, masks):
+        counted, built = [], []
+        checked_lattice, arrow_masks = oracle._checked_lattice, oracle._arrow_masks
+        monkeypatch.setattr(oracle, "_checked_lattice", lambda *a: counted.append(a[-1]) or checked_lattice(*a))
+        monkeypatch.setattr(oracle, "_arrow_masks", lambda *a: built.extend(a[-1]) or arrow_masks(*a))
+        stratum_census(q, d, q.canonical_stability(d), field=p)
+        assert counted == [masks] and len(built) == masks
 
     def test_dimension_masks_counted_before_they_are_built(self, monkeypatch):
         # 21513 words with the 25 masks of f <= (4,4), 19738 without them
