@@ -17,7 +17,8 @@ The types are listed by one depth-first search over the states
 (remainder, slope bound).  It runs on `_Tables`, the one object built
 per (q, d, theta) that `enumerate_hn_types` and `windows.verdict` both
 read: the pieces, and for every remainder an HN type of d can leave
-(d itself and each rest <= d with theta(rest) < 0) one entry per
+(d itself and each rest <= d with theta(rest) < 0 whose cut
+codimension N(rest) = -<d - rest, rest> is >= 0) one entry per
 piece e <= rest that completes to a type, that is whose tail rest - e
 is zero or has a type with every slope below mu(e).  The remainders
 are numbered by their place in `subdimension_vectors(d)`, a
@@ -28,7 +29,9 @@ numbers.  Each entry carries the value of the DP F (derived in the
 minima of those values in slope order.  Every entry completes, so
 `enumerate_hn_types` enters them all; `verdict` enters only those
 that can still fail the weight inequality.  The tables are built on
-first use: a strongly amply stable verdict needs none of them.  The
+first use, and a verdict builds them only when some remainder has
+N = 0: otherwise a stratum fails iff every cut has N = 1, and smaller
+tables at those remainders alone list the failing strata.  The
 least codimension of an unstable type needs no table either: a
 best-first search from d finds it, and tests for semistability only
 the pieces of the edges it pops.
@@ -172,11 +175,13 @@ class _Tables:
     remainder (`cuts`), `coprime` and `strong_failure_witness`; it tests
     no e for semistability and fills no ray.  `semistable`, which says
     whether d itself is a piece, tests d on first read.  The table stage
-    runs on the first read of `tables`, which `search` makes: it tests
-    every e <= d, then runs the table loop.  `least_codim` reads no
-    table, and tests only the pieces of the edges it pops.  Both stages
-    test through `is_piece`, which keeps each answer by number, so no
-    vector is tested twice.
+    builds the full tables on the first read of `tables`, which `search`
+    makes by default: it tests every e <= d, then runs the table loop
+    (`_build`).  `failing_strata` runs the same loop on the zero-cut
+    tables instead when it can, which test only the differences of the
+    N = 1 remainders.  `least_codim` reads no table, and tests only the
+    pieces of the edges it pops.  All of them test through `is_piece`,
+    which keeps each answer by number, so no vector is tested twice.
 
     A piece is a nonzero e <= d admitting a semistable representation;
     in the tables its slope s is scaled by the lcm of the piece sizes to
@@ -197,11 +202,14 @@ class _Tables:
     mean of mu(d^{r+1}), ..., mu(d^l), all <= mu(d^{r+1}) < mu(d^r);
     so mu(rest) < mu(v - rest), and mu(v) lies between the two.  With
     theta(d) = 0 every remainder of a type of d has theta(rest) < 0.
-    So `tables` is a dict with one key r for each of rest = 0, rest = d
-    and every rest with theta(rest) < 0 (the keys of `cuts`), and no
-    other.  A piece e <= rest whose tail rest - e has no key is skipped:
-    by the lemma, applied to rest, it completes to no type of rest, so
-    each table is the one the unrestricted DP would build.
+    Lemma (c) below prunes further: every remainder of a type of d has
+    N >= 0.  So `tables` is a dict with one key r for each of rest = 0,
+    rest = d and every rest with theta(rest) < 0 and N(rest) >= 0 (the
+    keys of `cuts` with c >= -1), and no other.  A piece e <= rest whose
+    tail rest - e has no key is skipped: by the two lemmas it completes
+    to no type of d through rest.  So at every state the search reaches
+    from d, whose completions are the ends of types of d, each table and
+    each F equal those the unrestricted DP would build.
 
     tables[r], for the remainder rest numbered r, is
     (c, slopes, best_f, entries): c = N(rest) - 1 with
@@ -210,8 +218,9 @@ class _Tables:
     piece e <= rest that completes to a type, in ascending slope order,
     ties in lexicographic order, with t the number of the tail rest - e
     and f = F(tail, s); `slopes` their s; best_f[i] the minimum of
-    f - s c over the first i+1 entries.  Every nonzero rest with a table
-    has an entry, the first piece of any of its HN types.  tables[0], the
+    f - s c over the first i+1 entries.  d's table has an entry, the
+    first piece of any HN type of d; another remainder's table may be
+    empty, when every type of it has a remainder with N < 0.  tables[0], the
     zero remainder, has no entries and holds the DP's base case F = 0:
     c = 0 and one slope below every piece's, so every bound reads it.
 
@@ -233,11 +242,11 @@ class _Tables:
     closure pass per miss.  The tables test every e <= d, so `tables`
     fills the entry (rays, right form) of every e <= d before its first
     test, by `_fill_whole`: a box pass unless the table holds the whole
-    box, and then a scan.  With a witness `semistable` does so first,
-    before d's test, as the verdict will build the tables.  Otherwise
-    d's test fills d's hom closure (the
+    box, and then a scan.  With an N = 0 remainder `semistable` does so
+    first, before d's test, as the verdict will build the full tables.
+    Otherwise d's test fills d's hom closure (the
     `semistability` module docstring), and a piece off the closure is
-    filled when `least_codim` pops it.  `stable()`
+    filled when `least_codim` or the zero-cut tables test it.  `stable()`
     reads the rays of the e the table holds, as no other e is generic
     in d.  Only the pieces are wrapped as `DimensionVector`s, for the entries,
     unchecked: they come out of the box of a checked d.
@@ -254,14 +263,26 @@ class _Tables:
     pass keeps c for each such remainder in `cuts`, and the table loop
     and the root edges of `least_codim`, of weight c + 1, read it there.
 
-    Two lemmas (the `windows` module docstring has them in full) let
-    `verdict` find the least codimension without a table, and build no
-    table at all without a witness:
-    (a) No stratum fails.  A cut term of the failure sum is
-    (mu_r - mu_{r+1}) c at a remainder rest_r of a type, where
-    mu_r > mu_{r+1} and theta(rest_r) < 0 (the lemma above), so
-    rest_r = d - e with theta(e) > 0, and with no witness c >= 1 there.
-    Every term is positive.
+    Three lemmas (the `windows` module docstring has them in full) let
+    `verdict` find the least codimension without a table, and the
+    failing strata with the full tables only when a remainder has N = 0:
+    (c) Every cut of an HN type of d has N >= 0.  N_r is the sum of
+    -<d^m, d^n> over m <= r < n, and each is dim Ext between semistable
+    pieces of decreasing slope, as Hom between them vanishes (King
+    1994).  So the full tables skip the remainders with N < 0, and if
+    no remainder with theta < 0 has N = 0, each term (mu_r - mu_{r+1}) c
+    of the failure sum, at a remainder rest_r of a type, where
+    mu_r > mu_{r+1} (the zero-cut rule), is >= 0: a stratum fails iff
+    c = 0, N = 1, at every cut.  `failing_strata` then keys its tables
+    at 0, d and the N = 1 remainders, with c = 0 at each, so F = 0 at
+    every state, and the pieces are the differences rest - tail of two
+    keys with tail <= rest, each tested through `is_piece`; no whole box
+    is filled.
+    (a) Without a witness no stratum fails: it is the zero-cut rule with
+    no N = 1 remainder.  Each remainder rest_r has theta < 0 (the lemma
+    above), so rest_r = d - e with theta(e) > 0, and with no witness
+    c >= 1 there.  The zero-cut tables are keyed at 0 and d alone, and
+    d's only entry is d itself, which no unstable type starts with.
     (b) With or without a witness, an edge of the search from d into a
     state (rest - e, mu(e)) that completes, by pieces d^n of slope below
     mu(e), has weight -<e, rest - e> = sum_n -<e, d^n> >= 0: Hom
@@ -303,6 +324,9 @@ class _Tables:
             for r, rest in enumerate(vectors) if weights[r] < 0
         }
         self.coprime = 0 not in weights[1:-1]
+        # lemma (c): the zero-cut rule lists the failing strata unless some
+        # remainder with theta < 0 has N = 0
+        self.zero_cut = -1 not in cuts.values()
         self.strong_failure_witness = next(
             (DimensionVector._trusted(vectors[i]) for i in range(1, last)
              if weights[i] > 0 and cuts[last - i] < 1),
@@ -312,22 +336,54 @@ class _Tables:
 
     @property
     def semistable(self) -> bool:
-        """Whether d itself is a piece.  With a strong failure witness the
-        tables will test every e <= d, so the whole box is filled first;
-        otherwise testing a cold d fills d's hom closure."""
-        if self.strong_failure_witness is not None:
+        """Whether d itself is a piece.  With an N = 0 remainder the failing
+        strata need the full tables, which test every e <= d, so the whole
+        box is filled first; otherwise testing a cold d fills d's hom
+        closure."""
+        if not self.zero_cut:
             _fill_whole(self.table, self.vectors)
         return self.is_piece(len(self.vectors) - 1)
 
     @cached_property
     def tables(self) -> dict[int, tuple]:
-        """The DP tables, built on first use; see the class docstring."""
-        vectors, weights, cuts = self.vectors, self.weights, self.cuts
+        """The full DP tables, built on first use; see the class docstring."""
+        vectors = self.vectors
         _fill_whole(self.table, vectors)  # they test every e <= d
-        pieces = [
-            (DimensionVector._trusted(vectors[i]), weights[i], i)
-            for i in range(1, len(vectors)) if self.is_piece(i)
-        ]
+        cuts = {r: c for r, c in self.cuts.items() if c >= -1}  # lemma (c): N >= 0
+        return self._build(cuts, [i for i in range(1, len(vectors)) if self.is_piece(i)])
+
+    def failing_strata(self) -> tuple[HNType, ...]:
+        """The unstable types that fail the weight inequality, in
+        lexicographic order: by the zero-cut rule when it holds, else by
+        the full tables.  Under the zero-cut rule the tables are keyed at
+        0, d and the N = 1 remainders, with c = 0 at each, and their
+        pieces are the differences rest - tail of two such keys with
+        tail <= rest; no other e <= d is tested.  With no N = 1
+        remainder no table is built: d's would hold d alone."""
+        d, vectors = self.d, self.vectors
+        tables = None  # the full tables
+        if self.zero_cut:
+            if 0 not in self.cuts.values():  # d's table would hold d alone, as in lemma (a)
+                return ()
+            ones = {r: 0 for r, c in self.cuts.items() if not c}
+            keys = [0, *ones, len(vectors) - 1]
+            # below[j][v] has bit k set iff the k-th key has rest_j <= v
+            below = _below_masks(d, ((vectors[t], 1 << k) for k, t in enumerate(keys)))
+            pieces = {
+                r - t
+                for r in keys
+                for t in compress(keys, _bits(reduce(and_, map(list.__getitem__, below, vectors[r]))))
+                if t != r
+            }
+            tables = self._build(ones, [i for i in sorted(pieces) if self.is_piece(i)])
+        return self.search(lambda e, low: low <= 0 and e != d, tables)
+
+    def _build(self, cuts: dict[int, int], pieces: list[int]) -> dict[int, tuple]:
+        """The DP tables at 0, d and each remainder numbered in `cuts`, whose
+        value is its c, over the pieces numbered in `pieces`, ascending;
+        see the class docstring."""
+        vectors, weights = self.vectors, self.weights
+        pieces = [(DimensionVector._trusted(vectors[i]), weights[i], i) for i in pieces]
         scale = lcm(*{sum(e) for e, _, _ in pieces})
         by_slope = sorted(((e, w * (scale // sum(e)), i) for e, w, i in pieces), key=itemgetter(1))
         # below[j][v] has bit k set iff the k-th piece in slope order has e_j <= v
@@ -416,9 +472,10 @@ class _Tables:
             piece[i] = _semistable(self.table, self.vectors[i], self.theta, self.weights[i])
         return piece[i]
 
-    def search(self, keep) -> tuple[HNType, ...]:
+    def search(self, keep, tables: dict[int, tuple] | None = None) -> tuple[HNType, ...]:
         """The HN types of d reached through children that `keep`
-        accepts, in lexicographic order.
+        accepts, in lexicographic order, over `tables` (the full tables
+        unless given).
 
         Depth-first over the states (r, bound), r the number of the
         remainder, from d's number.  The children of a state are the
@@ -431,6 +488,8 @@ class _Tables:
         continue this branch.  For both callers every branch entered ends
         in at least one type.
         """
+        if tables is None:
+            tables = self.tables
         out = []
         stack = [(len(self.vectors) - 1, 0, 0, ())]
         while stack:
@@ -438,7 +497,7 @@ class _Tables:
             if not r:
                 out.append(HNType._trusted(prefix))
                 continue
-            c, slopes, _, entries = self.tables[r]
+            c, slopes, _, entries = tables[r]
             if prefix:
                 entries = entries[: bisect_left(slopes, bound)]
             children = []

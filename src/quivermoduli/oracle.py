@@ -281,12 +281,12 @@ _lattice = lru_cache(maxsize=8)(_Lattice)
 
 
 def _checked_lattice(
-    p: int, d: tuple, budget: int, arrows=(), reps: int = 0, masks: int = 0
+    p: int, d: tuple, budget: int, arrows=(), products: int = 0, masks: int = 0
 ) -> _Lattice:
-    """The lattice of F_p^d, once none of `reps`, its tuples, the words
-    of its integers with `masks` more, the vectors its build lists and
-    the entries of the arithmetic tables of `arrows` exceeds the budget
-    and then p, an int of at least 2, is prime.
+    """The lattice of F_p^d, once none of the census merge's `products`,
+    its tuples, the words of its integers with `masks` more, the vectors
+    its build lists and the entries of the arithmetic tables of `arrows`
+    exceeds the budget and then p, an int of at least 2, is prime.
 
     The integers are two per subspace at each vertex, one per dimension
     at each vertex and one per f <= d.  The build lists, per vertex v,
@@ -304,7 +304,7 @@ def _checked_lattice(
     vectors = sum(p**n + sum(g * p**r for r, g in enumerate(row)) for n, row in zip(d, by_rank))
     entries = sum(p ** d[t] * (p ** d[t] + p) for t in {t for s, t in arrows if d[s] >= 2})
     for needed, what in (
-        (reps, "enumeration needs {} points"),
+        (products, "census merge needs {} products"),
         (size, "subspace lattice needs {} tuples"),
         (words, "subspace tables need {} 64-bit words"),
         (vectors, "subspace spans need {} vectors"),
@@ -421,7 +421,10 @@ def stratum_census(
     `enumerate_reps`.  The integers of each vertex pair, built in one
     `_arrow_masks` batch, count against the budget, as many as are
     built.  They are ANDed arrow by arrow, equal partial results merged,
-    so each invariant set is met once.
+    so each invariant set is met once.  The ANDs count too, before any
+    integer is built: each arrow's merge makes at most (the bound on the
+    partial results so far) x (its pair's class count) of them.  No
+    representation is listed, so their number is not counted.
 
     Each pair is read at one matrix per scalar class (`_scalar_classes`):
     the zero matrix, weighted 1, and each matrix M whose first nonzero
@@ -452,11 +455,19 @@ def stratum_census(
     arrows = [(s - 1, t - 1) for s, t in q.arrows]
     first = arrows[0] if arrows and arrows[0][0] != arrows[0][1] else None
     rest = arrows[1:] if first else arrows
+    classes = {(s, t): 1 + (field ** (d[s] * d[t]) - 1) // (field - 1) for s, t in rest}
+    masks = sum(classes.values())
+    # `reached` holds R_0, R_1, ... of the first arrow, then at most its
+    # size times the classes of each arrow merged into it
+    bound = min(d[first[0]], d[first[1]]) + 1 if first is not None else 1
+    if first is not None and first not in classes:
+        masks += bound - 1  # R_1, R_2, ... of `_rank_classes`
+    products = 0
+    for pair in rest:
+        products += bound * classes[pair]
+        bound *= classes[pair]
+    lat = _checked_lattice(field, d, budget, arrows, products, masks)
     pairs = dict.fromkeys(rest)
-    masks = sum(1 + (field ** (d[s] * d[t]) - 1) // (field - 1) for s, t in pairs)
-    if first is not None and first not in pairs:
-        masks += min(d[first[0]], d[first[1]])  # R_1, R_2, ... of `_rank_classes`
-    lat = _checked_lattice(field, d, budget, arrows, rep_count(field, q, d), masks)
     by_matrix = {}  # vertex pair -> the first matrix of each scalar class -> mask
     for s, t in pairs:
         matrices = _scalar_classes(d[t], d[s], field)

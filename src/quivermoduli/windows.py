@@ -44,7 +44,8 @@ recursion G with edge weight -<e, rest - e>, and its minimum is the
 smallest unstable codimension.  Every remainder rest_r with 0 < r < l
 has theta(rest_r) < 0, by the lemma in the `hn._Tables` docstring, so
 F and G are needed only at states whose remainder is 0 or has
-theta < 0.  The edge term of F is
+theta < 0, and F only where it also has N >= 0 (lemma (c) below).
+The edge term of F is
 mu (N(rest) - 1) - mu(e) (N(rest) - 1), so one table for d and for
 each such remainder, keyed by number, and none for any other
 remainder (a piece whose tail has no table is skipped), keeping only
@@ -61,14 +62,31 @@ when no 0 < e < d has theta(e) = 0, and strongly amply stable when
 N(d - e) - 1 >= 1, i.e. <e, d - e> <= -2, for every e with
 theta(e) > 0.
 
-The tables are built only when the instance has a strong failure
-witness, and G never needs one.  Two lemmas:
+The full tables are built only when some remainder with theta < 0 has
+N = 0, and G never needs one.  Three lemmas:
 
-(a) A strongly amply stable instance has no failing stratum.  Proof:
-each cut term is (mu_r - mu_{r+1}) (N_r - 1) with mu_r > mu_{r+1}.  Its
-remainder rest_r has theta < 0, so rest_r = d - e with
+(c) Every cut of an HN type has N_r >= 0.  Proof: N_r is the sum of
+-<d^m, d^n> over m <= r < n.  For semistable M, N with mu(M) > mu(N),
+Hom(M, N) = 0 (King 1994), so -<d^m, d^n> = dim Ext(M, N) >= 0 for
+semistable M, N of dimensions d^m, d^n.  So F needs no state whose
+remainder has N < 0: the full tables skip those remainders.  And if no
+remainder with theta < 0 has N = 0 (the zero-cut rule), every cut of a
+type has N_r >= 1, so every term (mu_r - mu_{r+1}) (N_r - 1) is >= 0,
+and a stratum fails iff N_r = 1 at every cut.  The failing types are
+then the paths from d to the zero remainder through N = 1 remainders
+alone, each step a piece: a DP keyed at 0, d and those remainders,
+whose pieces are the differences rest - tail of two keys with
+tail <= rest, with F = 0 at every state.  It tests only those
+differences, not every e <= d.  Which rule applies depends only on the
+instance.
+
+(a) A strongly amply stable instance has no failing stratum: the
+zero-cut rule with no N = 1 remainder.  Proof: each cut's remainder
+rest_r has theta < 0, so rest_r = d - e with
 theta(e) = -theta(rest_r) > 0, and N_r = -<e, d - e> >= 2 by strong
-ample stability.  Every term is positive, so the sum is.
+ample stability.  So no remainder with theta < 0 has N <= 1, the
+zero-cut DP is keyed at 0 and d alone, and its only path is the
+dense type (d).
 
 (b) The least unstable codimension is a shortest path that Dijkstra's
 search (1959) finds from d, over the states (rest, mu), with the edges
@@ -95,10 +113,10 @@ push.  A strongly amply stable verdict thus tests d and the vectors of
 the edges it pops: 3 tests in all on every such golden instance in
 `tests/golden`, which have up to 2,651 nonzero e <= d.
 
-For the failing types, when there is a witness, the search over the
-tables enters a branch only when its partial sum plus F of its state is
-<= 0; each branch entered ends in a failing type, so the search costs
-in proportion to the failures and returns them sorted.
+For the failing types the search over the tables, the full ones or
+the zero-cut ones, enters a branch only when its partial sum plus F of
+its state is <= 0; each branch entered ends in a failing type, so the
+search costs in proportion to the failures and returns them sorted.
 `stratum_report` is the per-stratum view `qt strata` prints.
 """
 
@@ -251,10 +269,11 @@ def verdict(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> Verdict
     at least 2.  Requires theta(d) = 0 and a nonempty semistable locus.
     The strata are decided as the module docstring says, never by
     enumerating the HN types: the least codimension by the best-first
-    search of lemma (b), the failing strata by lemma (a) without a
-    strong failure witness and by the min-path DP with one.  Without a
-    witness, d and the vectors of the edges the search pops are the only
-    e <= d tested for semistability.  `stable` holds iff no generic
+    search of lemma (b), the failing strata by the min-path DP over the
+    N = 1 remainders under the zero-cut rule of lemma (c), and over
+    every remainder with N >= 0 when one has N = 0.  Without a witness,
+    d and the vectors of the edges the search pops are the only e <= d
+    tested for semistability (lemma (a)).  `stable` holds iff no generic
     0 < f < d has theta(f) = 0 (`hn._Tables.stable`).
     """
     tables = _Tables(q, d, theta, "verdict")
@@ -265,11 +284,7 @@ def verdict(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> Verdict
             f"({','.join(map(str, d))}) exists"
         )
     min_codim = tables.least_codim()
-    if tables.strong_failure_witness is None:
-        failing = ()  # lemma (a)
-    else:
-        failing = tables.search(lambda e, low: low <= 0 and e != d)
-
+    failing = tables.failing_strata()
     vanishing = tables.coprime and not failing
     return Verdict(
         coprime=tables.coprime,

@@ -666,8 +666,8 @@ class TestOracleCensusCommand:
         assert time.perf_counter() - start < 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("qt: error: enumeration needs ")
-        assert captured.err.endswith(" points, budget is 10000000 "
+        assert captured.err.startswith("qt: error: census merge needs ")
+        assert captured.err.endswith(" products, budget is 10000000 "
                                      "(raise the budget to force the computation)\n")
 
     @pytest.mark.parametrize("field", [10000019, 2**61 - 1])
@@ -706,6 +706,23 @@ class TestOracleCensusCommand:
         assert capsys.readouterr().err.startswith(
             "qt: error: subspace tables need 131360 64-bit words, budget is 100000 "
         )
+
+    def test_merge_budget(self, tmp_path, capsys, monkeypatch):
+        # K3 (2,2)/F_3 merges 3 * 41 + 3 * 41 * 41 = 5166 products: refused
+        # with exit 2 below that, before any mask is built
+        def refuse(*args):
+            raise AssertionError("built despite the budget")
+
+        for name in ("_lattice", "_arrow_masks", "_scalar_classes", "_rank_classes"):
+            monkeypatch.setattr(quivermoduli.oracle, name, refuse)
+        problem = {"vertices": 2, "arrows": [[1, 2]] * 3, "d": [2, 2], "theta": "canonical"}
+        path = write_problem(tmp_path, problem)
+        monkeypatch.setenv("QT_BUDGET", "5165")
+        assert main(["oracle-census", path, "--field", "3"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("qt: error: census merge needs 5166 products, budget is 5165 "
+                                "(raise the budget to force the computation)\n")
 
     def test_rank_read_first_arrow_within_table_budget(self, capsys, monkeypatch):
         # K1 (4,4)/F_2 builds the 4 masks of R_1, ..., R_4 (21797 words),

@@ -205,19 +205,26 @@ class TestEnumerateHNTypes:
 
 
 class TestFitLists:
-    """`_Tables` keys a table by the place r of each remainder in the
-    lexicographic list of the vectors 0 <= rest <= d, but only where an HN
-    type of d can leave that remainder: rest = d, rest = 0 and theta(rest)
-    < 0.  No other place has a table.  A built table keeps
+    """The full tables of `_Tables` key a table by the place r of each
+    remainder in the lexicographic list of the vectors 0 <= rest <= d, but
+    only where an HN type of d can leave that remainder: rest = d,
+    rest = 0, and theta(rest) < 0 with N(rest) = -<d - rest, rest> >= 0
+    (lemma (c)).  No other place has a table.  A built table keeps
     only the pieces e <= rest that complete to a type: rest - e is zero
     or has a type with every slope below mu(e), and its place is stored.
     The reference is the plain filter over the pieces in slope order,
     with the completions read off `reference_hn_types`, restricted to
-    tails that are zero or have theta < 0."""
+    those whose every remainder, rest - e first, has theta < 0 and
+    N >= 0."""
 
     @staticmethod
-    def built(d, theta, rest):
-        return rest == d or theta.dot(rest) < 0
+    def cut(q, d, rest):
+        """N(rest) = -<d - rest, rest>."""
+        return -q.euler_pairing(d - rest, rest)
+
+    @staticmethod
+    def built(q, d, theta, rest):
+        return rest == d or theta.dot(rest) < 0 and TestFitLists.cut(q, d, rest) >= 0
 
     @staticmethod
     def reference_entries(q, d, theta):
@@ -225,9 +232,17 @@ class TestFitLists:
         by_slope = sorted(pieces, key=lambda e: slope(theta, e))
         tail_types = {}
 
+        def kept(tail, t):
+            """Whether tail and every later remainder of its type t have N >= 0."""
+            for piece in (None, *t[:-1]):
+                tail = tail if piece is None else tail - piece
+                if TestFitLists.cut(q, d, tail) < 0:
+                    return False
+            return True
+
         def completions(e, rest):
             """The types of rest - e with every slope below mu(e), if
-            rest - e is zero or has theta < 0."""
+            rest - e is zero or has theta < 0, whose remainders have N >= 0."""
             tail = rest - e
             if tail.is_zero():
                 return [()]
@@ -235,13 +250,14 @@ class TestFitLists:
                 return []
             if tail not in tail_types:
                 tail_types[tail] = reference_hn_types(q, tail, theta)
-            return [t for t in tail_types[tail] if slope(theta, t[0]) < slope(theta, e)]
+            return [t for t in tail_types[tail]
+                    if slope(theta, t[0]) < slope(theta, e) and kept(tail, t)]
 
         return {
             tuple(rest): [(e, tails) for e in by_slope
                           if all(map(le, e, rest)) and (tails := completions(e, rest))]
             for rest in subdimension_vectors(d)[1:]
-            if TestFitLists.built(d, theta, rest)
+            if TestFitLists.built(q, d, theta, rest)
         }
 
     @staticmethod
@@ -256,6 +272,7 @@ class TestFitLists:
         return total
 
     def test_equal_to_filter(self):
+        pruned = empty = 0
         for q, d, theta in CORPUS + random_instances(200, seed=23):
             vectors = subdimension_vectors(d)
             tables = _Tables(q, d, theta, "test").tables
@@ -263,14 +280,19 @@ class TestFitLists:
             scale = lcm(*{sum(e) for e in vectors[1:] if has_semistable(q, e, theta)})
             # tables[r] belongs to the remainder vectors[r], key 0 to zero
             assert vectors[0].is_zero()
-            # the keys are exactly 0, d and the remainders with theta < 0,
-            # and only the zero remainder's table is empty
+            # the keys are exactly 0, d and the remainders with theta < 0
+            # and N >= 0; the zero remainder's table is empty, d's is not,
+            # and another is empty iff the filter below finds no entry, as
+            # where every type of rest has a remainder with N < 0
+            negative = {r for r, rest in enumerate(vectors) if theta.dot(rest) < 0}
             assert set(tables) == {0, len(vectors) - 1} | {
-                r for r, rest in enumerate(vectors) if theta.dot(rest) < 0
+                r for r in negative if self.cut(q, d, vectors[r]) >= 0
             }
-            assert [r for r in tables if not tables[r][3]] == [0]
+            pruned += len(negative - set(tables))
+            assert tables[0][3] == [] and tables[len(vectors) - 1][3]
+            empty += sum(not entries for entries in expected.values())
             for r, rest in enumerate(vectors[1:], 1):
-                if not self.built(d, theta, rest):
+                if not self.built(q, d, theta, rest):
                     continue
                 entries, stored = expected[tuple(rest)], tables[r][3]
                 assert [x[0] for x in stored] == [e for e, _ in entries], (q, d, rest)
@@ -280,16 +302,35 @@ class TestFitLists:
                 for (e, _, tail, f), (_, tails) in zip(stored, entries):
                     assert f == scale * min(self.failure_sum(q, d, theta, e, vectors[tail], t)
                                             for t in tails)
+        # the batch has remainders with theta < 0 and N < 0, left without a
+        # table, and remainders with a table but no entry
+        assert pruned > 100 and empty > 0
+
+    def test_enumeration_with_remainders_left_out(self):
+        # on instances where some remainder with theta < 0 has N < 0, which
+        # the full tables leave out by lemma (c), the enumeration is still
+        # the reference's
+        instances = types = 0
+        for q, d, theta in random_instances(300, seed=47):
+            if not any(theta.dot(rest) < 0 and self.cut(q, d, rest) < 0
+                       for rest in subdimension_vectors(d)):
+                continue
+            found = enumerate_hn_types(q, d, theta)
+            assert found == reference_hn_types(q, d, theta), (q, d, theta)
+            instances += 1
+            types += len(found)
+        assert instances >= 40 and types >= 80
 
     def test_prefix_minima_never_empty(self):
         for q, d, theta in CORPUS + random_instances(50, seed=29):
             tables = _Tables(q, d, theta, "test").tables
             assert tables[0][3] == []
             vectors = subdimension_vectors(d)
+            assert tables[len(vectors) - 1][3]
             for r, (c, slopes, best_f, entries) in tables.items():
                 if r:
-                    assert self.built(d, theta, vectors[r])
-                    assert entries and None not in best_f
+                    assert self.built(q, d, theta, vectors[r])
+                    assert None not in best_f
                     assert len(slopes) == len(best_f) == len(entries)
 
     def test_every_remainder_of_a_type_has_negative_theta(self):
@@ -613,14 +654,14 @@ class TestBoxHeldInPart:
         assert len(table) == held
         assert tables.entries is not table
 
-    @pytest.mark.parametrize("q, d, theta", [
-        (TRIANGLE_B, (3, 18, 18), (42, 5, -12)),
-        (TRIANGLE_A, (4, 1, 4), (9, -16, -5)),
+    @pytest.mark.parametrize("q, d, theta, whole", [
+        (TRIANGLE_B, (3, 18, 18), (42, 5, -12), True),  # the remainder (0,8,4) has N = 0
+        (TRIANGLE_A, (4, 1, 4), (9, -16, -5), False),
     ], ids=["triangle-B", "triangle-A"])
-    def test_lean_pass_fills_no_ray_with_a_witness(self, q, d, theta):
-        # with a strong failure witness too the constructor fills nothing:
-        # the whole box is filled by `semistable` or `tables`, which a
-        # verdict reads after it
+    def test_lean_pass_fills_no_ray_with_a_witness(self, q, d, theta, whole):
+        # with a strong failure witness too the constructor fills nothing;
+        # `semistable`, which a verdict reads after it, fills the whole box
+        # only when a remainder has N = 0 and the full tables will be built
         quivermoduli.clear_caches()
         has_semistable(q, d, theta)
         table = semistability._memo[q]
@@ -628,8 +669,9 @@ class TestBoxHeldInPart:
         tables = _Tables(q, d, theta, "verdict")
         assert tables.strong_failure_witness is not None
         assert len(table) == held
+        assert tables.zero_cut is not whole
         assert tables.semistable
-        assert all(e in table for e in product(*(range(x + 1) for x in d)))
+        assert all(e in table for e in product(*(range(x + 1) for x in d))) is whole
 
     def test_flag_fills_no_ray(self):
         quivermoduli.clear_caches()

@@ -498,7 +498,7 @@ class TestValidation:
             raise AssertionError("primality tested before the budget")
 
         monkeypatch.setattr(oracle, "_require_prime", no_trial_division)
-        with pytest.raises(BudgetExceededError, match="^enumeration needs "):
+        with pytest.raises(BudgetExceededError, match="^census merge needs "):
             stratum_census(KRONECKER_3, D_23, THETA_23, field=2**61 - 1)
         with pytest.raises(BudgetExceededError, match="^enumeration needs "):
             list(enumerate_reps(2**61 - 1, KRONECKER_3, D_23))
@@ -621,6 +621,30 @@ class TestTableBudget:
         monkeypatch.setattr(oracle, "_arrow_masks", lambda *a: built.extend(a[-1]) or arrow_masks(*a))
         stratum_census(q, d, q.canonical_stability(d), field=p)
         assert counted == [masks] and len(built) == masks
+
+    def test_points_not_counted(self):
+        # the census lists no representation: K2 (3,3)/F_3 has 3^18 of
+        # them, over the default budget, and its merge makes 4 * 9842
+        # products, R_0, ..., R_3 of the first arrow by the second's classes
+        q, d = Quiver.kronecker(2), DimensionVector((3, 3))
+        assert rep_count(3, q, d) == 3**18 > 10**7
+        census = stratum_census(q, d, q.canonical_stability(d), field=3)
+        assert sum(census.values()) == 3**18
+
+    def test_merge_products_refused_before_masks_are_built(self, monkeypatch):
+        # K3 (2,2)/F_3: 3 rank classes for the first arrow, then 41 scalar
+        # classes for each of the other two: 3 * 41 + 3 * 41 * 41 products,
+        # the only count over 5000 (41 masks, 80 words, 36 tuples)
+        for name in ("_lattice", "_arrow_masks", "_scalar_classes", "_rank_classes"):
+            monkeypatch.setattr(oracle, name, TestTableBudget.refuse)
+        d = DimensionVector((2, 2))
+        theta = KRONECKER_3.canonical_stability(d)
+        with pytest.raises(BudgetExceededError, match="^census merge needs 5166 products, budget is 5000 ") as exc:
+            stratum_census(KRONECKER_3, d, theta, field=3, budget=5000)
+        assert exc.value.needed == 3 * 41 + 3 * 41 * 41
+        monkeypatch.undo()
+        census = stratum_census(KRONECKER_3, d, theta, field=3, budget=5166)
+        assert sum(census.values()) == rep_count(3, KRONECKER_3, d) == 3**12
 
     def test_dimension_masks_counted_before_they_are_built(self, monkeypatch):
         # 21513 words with the 25 masks of f <= (4,4), 19738 without them

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 from collections import Counter
 from functools import cached_property
@@ -29,6 +30,7 @@ from quivermoduli import (
     one_parameter_subgroup,
     stratum_canonical_weight,
     stratum_report,
+    subdimension_vectors,
     verdict,
     window_width,
 )
@@ -81,6 +83,16 @@ def count_table_builds(monkeypatch):
     builds = []
     replace_table_stage(monkeypatch, lambda self, build: builds.append(self) or build(self))
     return builds
+
+
+def has_zero_cut(q, d, theta):
+    """Whether some remainder 0 <= rest <= d with theta(rest) < 0 has
+    N(rest) = -<d - rest, rest> = 0, the case the zero-cut rule leaves to
+    the full tables."""
+    return any(
+        theta.dot(rest) < 0 and q.euler_pairing(d - rest, rest) == 0
+        for rest in subdimension_vectors(d)
+    )
 
 
 def all_instances():
@@ -459,15 +471,91 @@ class TestVerdict:
             before = len(builds)
             v = verdict(q, d, theta)
             tables = len(builds) > before
-            # the tables are built exactly when strong ample stability fails
-            assert tables != v.strongly_amply_stable
-            branches[tables] += 1
+            # the full tables are built exactly when a remainder has N = 0
+            assert tables == has_zero_cut(q, d, theta)
+            branches[tables, v.strongly_amply_stable] += 1
             assert v == reference_verdict(q, d, theta)
             failing += bool(v.failing_strata)
         # the batch exercises the failing-strata search, not just the flags,
-        # and both the best-first branch and the tables
+        # and the best-first branch without a witness, the zero-cut rule
+        # with one, and the full tables
         assert failing >= 10
-        assert branches[False] >= 100 and branches[True] >= 100
+        assert branches[False, True] >= 100 and branches[False, False] >= 100
+        assert branches[True, False] >= 15 and branches[True, True] == 0
+
+    def test_each_regime_matches_reference(self):
+        # random instances at canonical theta, with few arrows so that both
+        # sides of the choice list failing strata: the zero-cut rule when
+        # no remainder has N = 0, the full tables when one does
+        rng = random.Random(31)
+        failing = Counter()
+        for _ in range(400):
+            n = rng.randint(2, 3)
+            q = Quiver(n, [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(1, 3))])
+            d = DimensionVector(rng.randint(1, 4) for _ in range(n))
+            theta = q.canonical_stability(d)
+            if has_semistable(q, d, theta):
+                v = verdict(q, d, theta)
+                assert v == reference_verdict(q, d, theta), (q, d)
+                failing[has_zero_cut(q, d, theta)] += bool(v.failing_strata)
+        assert failing[False] >= 20 and failing[True] >= 5, failing
+
+    def test_zero_cut_rule_keys_few_tables(self, monkeypatch):
+        # under the zero-cut rule a verdict never fills the whole box and
+        # keys its tables at 0, d and the N = 1 remainders alone, and builds
+        # none with no N = 1 remainder, as without a witness (lemma (a)).
+        # Its pieces are the semistable differences rest - tail of two keys
+        # with tail <= rest.  With an N = 0 remainder it fills the box and
+        # keys the full tables at every remainder with theta < 0 and N >= 0
+        fills, keys, pieces = [], [], []
+        fill_whole, build = quivermoduli.hn._fill_whole, quivermoduli.hn._Tables._build
+
+        def spy_fill(table, box):
+            fills.append(box[-1])
+            fill_whole(table, box)
+
+        def spy_build(self, cuts, numbers):
+            tables = build(self, cuts, numbers)
+            keys.append(set(tables))
+            pieces.append(numbers)
+            return tables
+
+        monkeypatch.setattr(quivermoduli.hn, "_fill_whole", spy_fill)
+        monkeypatch.setattr(quivermoduli.hn._Tables, "_build", spy_build)
+        specs = [load_problem(str(path)) for path in sorted(GOLDEN.glob("*.json"))]
+        instances = [(s.quiver, s.d, s.theta) for s in specs]
+        a3 = Quiver(3, [(1, 2), (2, 3)])
+        instances.append((a3, DimensionVector((3, 3, 3)), a3.canonical_stability((3, 3, 3))))
+        # three N = 1 remainders, two of them not <= one another, whose
+        # difference as numbers is a semistable vector that is no piece here
+        q = Quiver(3, [(1, 3), (2, 3), (1, 3)])
+        instances.append((q, DimensionVector((4, 2, 2)), q.canonical_stability((4, 2, 2))))
+        seen = Counter()
+        for q, d, theta in instances:
+            vectors = subdimension_vectors(d)
+            cuts = {r: -q.euler_pairing(d - rest, rest)
+                    for r, rest in enumerate(vectors) if theta.dot(rest) < 0}
+            ends = {0, len(vectors) - 1}
+            fills.clear()
+            keys.clear()
+            pieces.clear()
+            v = verdict(q, d, theta)
+            seen[0 in cuts.values(), v.strongly_amply_stable, bool(keys)] += 1
+            if 0 in cuts.values():
+                assert fills and keys == [ends | {r for r, n in cuts.items() if n >= 0}]
+                continue
+            ones = {r for r, n in cuts.items() if n == 1}
+            assert fills == [] and keys == ([ends | ones] if ones else [])
+            if ones:
+                rests = [vectors[r] for r in keys[0]]
+                differences = {a - b for a in rests for b in rests if a != b and b.leq(a)}
+                assert pieces == [[r for r, e in enumerate(vectors)
+                                   if e in differences and has_semistable(q, e, theta)]]
+        # goldens without a witness, four with one under the zero-cut rule
+        # (triangle A and B, K2 (60,61), (4,2,2)), and two with the full
+        # tables (A3 with single arrows at (10,10,10) and (3,3,3))
+        assert seen[False, True, False] >= 7
+        assert seen[False, False, True] >= 4 and seen[True, False, True] == 2
 
     def test_failing_strata_in_lexicographic_order(self):
         # two failing types share a first piece, so the search has to
@@ -501,7 +589,7 @@ class TestVerdict:
 
     def test_strongly_amply_stable_builds_no_table(self, monkeypatch):
         def refuse(self, build):
-            raise AssertionError("a strongly amply stable verdict must not build the DP tables")
+            raise AssertionError("a verdict with no N = 0 remainder must not build the full tables")
 
         replace_table_stage(monkeypatch, refuse)
         theta = KRONECKER_3.canonical_stability(D_23)
@@ -512,9 +600,15 @@ class TestVerdict:
         golden = int(re.search(r"smallest unstable stratum codimension (\d+)", out)[1])
         assert verdict(spec.quiver, spec.d, spec.theta).min_unstable_codim == golden
 
-        # with a strong failure witness the verdict falls back to the tables
-        builds = count_table_builds(monkeypatch)
+        # so does one with a witness when no remainder has N = 0 (the
+        # zero-cut rule); with an N = 0 remainder the verdict falls back to
+        # the full tables
         assert verdict(TRIANGLE_B, D_B, THETA_B).failing_strata == (FAILING_B,)
+        builds = count_table_builds(monkeypatch)
+        q, d = Quiver(3, [(1, 2), (2, 3)]), DimensionVector((3, 3, 3))
+        theta = q.canonical_stability(d)
+        assert has_zero_cut(q, d, theta)
+        assert verdict(q, d, theta) == reference_verdict(q, d, theta)
         assert len(builds) == 1
 
     def test_strongly_amply_stable_tests_few_pieces(self, monkeypatch):

@@ -10,10 +10,11 @@ remainder tables. `reference_verdict` decides the certificates stratum
 by stratum over those reference types, the route that
 `quivermoduli.verdict` replaces with a DP over remainders.
 
-The semistability references recurse on `DimensionVector`s, evaluate one
-Euler pairing per (generic f', f) and compare `Fraction` slopes, where
-`quivermoduli.semistability` works on plain int tuples with one linear
-form per f and cross-multiplied integer slopes.  The two instance flags
+The semistability references recurse on `DimensionVector`s, build the
+linear form <-, e - f> from the arrow list once per f and compare
+`Fraction` slopes, where `quivermoduli.semistability` works on plain int
+tuples with one linear form per e read off the Euler matrix, packed
+ray tests and cross-multiplied integer slopes.  The two instance flags
 loop over the 0 < e < d one dot product or pair of slopes at a time,
 where the library reads both off the verdict's lean pass.
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import mul
 
 from quivermoduli import (
     DimensionVector,
@@ -48,16 +50,22 @@ from quivermoduli.oracle import FiniteFieldRep
 
 @lru_cache(maxsize=None)
 def reference_generic_subdimension_vectors(quiver, e):
-    """Generic f <= e: f is 0 or e, or <f', e - f> >= 0 for every generic f' in f."""
+    """Generic f <= e: f is 0 or e, or <f', e - f> >= 0 for every generic f' in f.
+
+    <f', e - f> = sum_i f'_i (e - f)_i - sum_{arrows s->t} f'_s (e - f)_t
+    is read as f' . form, the form built once per f from the arrows."""
     e = DimensionVector(e)
     result = []
     for f in subdimension_vectors(e):
         if f.is_zero() or f == e:
             result.append(f)
             continue
-        rest = e - f
+        rest = [x - y for x, y in zip(e, f)]
+        form = rest[:]
+        for s, t in quiver.arrows:
+            form[s - 1] -= rest[t - 1]
         if all(
-            quiver.euler_pairing(fp, rest) >= 0
+            sum(map(mul, fp, form)) >= 0
             for fp in reference_generic_subdimension_vectors(quiver, f)
         ):
             result.append(f)
