@@ -133,7 +133,8 @@ def enumerate_hn_types(
     follows types x depth, and no tail is stored.  The count grows
     exponentially with d; `windows.verdict` never enumerates them.
     """
-    return _Tables(q, d, theta, "enumerate_hn_types").search(lambda e, low: True)
+    t = _Tables(q, d, theta, "enumerate_hn_types")
+    return t.search(lambda e, low: True, t.tables)
 
 
 def is_strongly_amply_stable(
@@ -175,8 +176,9 @@ class _Tables:
     remainder (`cuts`), `coprime` and `strong_failure_witness`; it tests
     no e for semistability and fills no ray.  `semistable`, which says
     whether d itself is a piece, tests d on first read.  The table stage
-    builds the full tables on the first read of `tables`, which `search`
-    makes by default: it tests every e <= d, then runs the table loop
+    builds the full tables on the first read of `tables`, which
+    `enumerate_hn_types` makes, and `failing_strata` with an N = 0
+    remainder: it tests every e <= d, then runs the table loop
     (`_build`).  `failing_strata` runs the same loop on the zero-cut
     tables instead when it can, which test only the differences of the
     N = 1 remainders.  `least_codim` reads no table, and tests only the
@@ -205,9 +207,10 @@ class _Tables:
     Lemma (c) below prunes further: every remainder of a type of d has
     N >= 0.  So `tables` is a dict with one key r for each of rest = 0,
     rest = d and every rest with theta(rest) < 0 and N(rest) >= 0 (the
-    keys of `cuts` with c >= -1), and no other.  A piece e <= rest whose
-    tail rest - e has no key is skipped: by the two lemmas it completes
-    to no type of d through rest.  So at every state the search reaches
+    keys of `cuts` with c >= -1) whose table has an entry, and no other.
+    A piece e <= rest whose tail rest - e has no key is skipped: by the
+    two lemmas, or as the tail has no type, it completes to no type of d
+    through rest.  So at every state the search reaches
     from d, whose completions are the ends of types of d, each table and
     each F equal those the unrestricted DP would build.
 
@@ -218,10 +221,11 @@ class _Tables:
     piece e <= rest that completes to a type, in ascending slope order,
     ties in lexicographic order, with t the number of the tail rest - e
     and f = F(tail, s); `slopes` their s; best_f[i] the minimum of
-    f - s c over the first i+1 entries.  d's table has an entry, the
-    first piece of any HN type of d; another remainder's table may be
-    empty, when every type of it has a remainder with N < 0.  tables[0], the
-    zero remainder, has no entries and holds the DP's base case F = 0:
+    f - s c over the first i+1 entries.  A remainder whose table would
+    be empty, as when every type of it has a remainder with N < 0, gets
+    no key: the search never reaches it.  d's table has an entry, the
+    first piece of any HN type of d.  tables[0], the zero remainder,
+    has no entries and holds the DP's base case F = 0:
     c = 0 and one slope below every piece's, so every bound reads it.
 
     The tables are built in ascending order of number, which puts every
@@ -277,7 +281,9 @@ class _Tables:
     at 0, d and the N = 1 remainders, with c = 0 at each, so F = 0 at
     every state, and the pieces are the differences rest - tail of two
     keys with tail <= rest, each tested through `is_piece`; no whole box
-    is filled.
+    is filled.  d is a piece then, so d's table has an entry: an
+    unstable d's generic HN type has codimension 0, a sum of terms >= 0,
+    so every cut of it has N = 0.
     (a) Without a witness no stratum fails: it is the zero-cut rule with
     no N = 1 remainder.  Each remainder rest_r has theta < 0 (the lemma
     above), so rest_r = d - e with theta(e) > 0, and with no witness
@@ -355,33 +361,36 @@ class _Tables:
     def failing_strata(self) -> tuple[HNType, ...]:
         """The unstable types that fail the weight inequality, in
         lexicographic order: by the zero-cut rule when it holds, else by
-        the full tables.  Under the zero-cut rule the tables are keyed at
+        the full tables.  Under the zero-cut rule the tables are built at
         0, d and the N = 1 remainders, with c = 0 at each, and their
-        pieces are the differences rest - tail of two such keys with
+        pieces are the differences rest - tail of two of those with
         tail <= rest; no other e <= d is tested.  With no N = 1
         remainder no table is built: d's would hold d alone."""
         d, vectors = self.d, self.vectors
-        tables = None  # the full tables
-        if self.zero_cut:
-            if 0 not in self.cuts.values():  # d's table would hold d alone, as in lemma (a)
-                return ()
-            ones = {r: 0 for r, c in self.cuts.items() if not c}
-            keys = [0, *ones, len(vectors) - 1]
-            # below[j][v] has bit k set iff the k-th key has rest_j <= v
-            below = _below_masks(d, ((vectors[t], 1 << k) for k, t in enumerate(keys)))
-            pieces = {
-                r - t
-                for r in keys
-                for t in compress(keys, _bits(reduce(and_, map(list.__getitem__, below, vectors[r]))))
-                if t != r
-            }
-            tables = self._build(ones, [i for i in sorted(pieces) if self.is_piece(i)])
-        return self.search(lambda e, low: low <= 0 and e != d, tables)
+
+        def keep(e, low):
+            return low <= 0 and e != d
+
+        if not self.zero_cut:
+            return self.search(keep, self.tables)
+        if 0 not in self.cuts.values():  # d's table would hold d alone, as in lemma (a)
+            return ()
+        ones = {r: 0 for r, c in self.cuts.items() if not c}
+        keys = [0, *ones, len(vectors) - 1]
+        # below[j][v] has bit k set iff the k-th key has rest_j <= v
+        below = _below_masks(d, ((vectors[t], 1 << k) for k, t in enumerate(keys)))
+        pieces = {
+            r - t
+            for r in keys
+            for t in compress(keys, _bits(reduce(and_, map(list.__getitem__, below, vectors[r]))))
+            if t != r
+        }
+        return self.search(keep, self._build(ones, [i for i in sorted(pieces) if self.is_piece(i)]))
 
     def _build(self, cuts: dict[int, int], pieces: list[int]) -> dict[int, tuple]:
         """The DP tables at 0, d and each remainder numbered in `cuts`, whose
-        value is its c, over the pieces numbered in `pieces`, ascending;
-        see the class docstring."""
+        value is its c, that has an entry, over the pieces numbered in
+        `pieces`, ascending; see the class docstring."""
         vectors, weights = self.vectors, self.weights
         pieces = [(DimensionVector._trusted(vectors[i]), weights[i], i) for i in pieces]
         scale = lcm(*{sum(e) for e, _, _ in pieces})
@@ -405,7 +414,8 @@ class _Tables:
                     entries.append((e, s, t, f))
                     slopes.append(s)
                     fs.append(f - s * c)
-            tables[r] = (c, slopes, list(accumulate(fs, min)), entries)
+            if entries:  # an empty table reads as a missing key
+                tables[r] = (c, slopes, list(accumulate(fs, min)), entries)
         return tables
 
     def least_codim(self) -> int | None:
@@ -472,10 +482,9 @@ class _Tables:
             piece[i] = _semistable(self.table, self.vectors[i], self.theta, self.weights[i])
         return piece[i]
 
-    def search(self, keep, tables: dict[int, tuple] | None = None) -> tuple[HNType, ...]:
+    def search(self, keep, tables: dict[int, tuple]) -> tuple[HNType, ...]:
         """The HN types of d reached through children that `keep`
-        accepts, in lexicographic order, over `tables` (the full tables
-        unless given).
+        accepts, in lexicographic order, over `tables`.
 
         Depth-first over the states (r, bound), r the number of the
         remainder, from d's number.  The children of a state are the
@@ -488,8 +497,6 @@ class _Tables:
         continue this branch.  For both callers every branch entered ends
         in at least one type.
         """
-        if tables is None:
-            tables = self.tables
         out = []
         stack = [(len(self.vectors) - 1, 0, 0, ())]
         while stack:

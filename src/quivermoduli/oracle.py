@@ -424,7 +424,9 @@ def stratum_census(
     so each invariant set is met once.  The ANDs count too, before any
     integer is built: each arrow's merge makes at most (the bound on the
     partial results so far) x (its pair's class count) of them.  No
-    representation is listed, so their number is not counted.
+    representation is listed, so their number is not counted.  At p = 2
+    the products can outnumber the representations, by the sum over the
+    merges before the last, as a pair has 2^(d_s d_t) classes there.
 
     Each pair is read at one matrix per scalar class (`_scalar_classes`):
     the zero matrix, weighted 1, and each matrix M whose first nonzero
@@ -481,10 +483,10 @@ def stratum_census(
         s, t = first
         # R_0 = 0 keeps every tuple, so its mask is lat.full, counted once;
         # a parallel arrow has built the pair's masks, R_r's among them
-        classes = _rank_classes(d[t], d[s], field)[1:]
-        ranks = [m for m, _ in classes]
+        ranked = _rank_classes(d[t], d[s], field)[1:]
+        ranks = [m for m, _ in ranked]
         known = by_matrix.get(first) or dict(zip(ranks, _arrow_masks(lat, s, t, ranks)))
-        for m, n in classes:
+        for m, n in ranked:
             reached[known[m]] += n
     for pair in rest:
         merged = Counter()

@@ -281,18 +281,19 @@ class TestFitLists:
             # tables[r] belongs to the remainder vectors[r], key 0 to zero
             assert vectors[0].is_zero()
             # the keys are exactly 0, d and the remainders with theta < 0
-            # and N >= 0; the zero remainder's table is empty, d's is not,
-            # and another is empty iff the filter below finds no entry, as
-            # where every type of rest has a remainder with N < 0
+            # and N >= 0 that the filter below finds an entry for, as it
+            # finds none where every type of rest has a remainder with
+            # N < 0; and only the zero remainder's table is empty
             negative = {r for r, rest in enumerate(vectors) if theta.dot(rest) < 0}
+            kept = {r for r in negative if self.cut(q, d, vectors[r]) >= 0}
             assert set(tables) == {0, len(vectors) - 1} | {
-                r for r in negative if self.cut(q, d, vectors[r]) >= 0
+                r for r in kept if expected[tuple(vectors[r])]
             }
-            pruned += len(negative - set(tables))
-            assert tables[0][3] == [] and tables[len(vectors) - 1][3]
+            assert [r for r in tables if not tables[r][3]] == [0]
+            pruned += len(negative - kept)
             empty += sum(not entries for entries in expected.values())
             for r, rest in enumerate(vectors[1:], 1):
-                if not self.built(q, d, theta, rest):
+                if r not in tables:
                     continue
                 entries, stored = expected[tuple(rest)], tables[r][3]
                 assert [x[0] for x in stored] == [e for e, _ in entries], (q, d, rest)
@@ -303,7 +304,8 @@ class TestFitLists:
                     assert f == scale * min(self.failure_sum(q, d, theta, e, vectors[tail], t)
                                             for t in tails)
         # the batch has remainders with theta < 0 and N < 0, left without a
-        # table, and remainders with a table but no entry
+        # table, and remainders with theta < 0 and N >= 0 but no entry, left
+        # without one too
         assert pruned > 100 and empty > 0
 
     def test_enumeration_with_remainders_left_out(self):
@@ -326,11 +328,10 @@ class TestFitLists:
             tables = _Tables(q, d, theta, "test").tables
             assert tables[0][3] == []
             vectors = subdimension_vectors(d)
-            assert tables[len(vectors) - 1][3]
             for r, (c, slopes, best_f, entries) in tables.items():
                 if r:
                     assert self.built(q, d, theta, vectors[r])
-                    assert None not in best_f
+                    assert entries and None not in best_f
                     assert len(slopes) == len(best_f) == len(entries)
 
     def test_every_remainder_of_a_type_has_negative_theta(self):
@@ -352,7 +353,8 @@ class TestFitLists:
             tables.tables = {
                 r: (c, s, None, entries) for r, (c, s, _, entries) in tables.tables.items()
             }
-            assert tables.search(lambda e, low: True) == reference_hn_types(q, d, theta)
+            found = tables.search(lambda e, low: True, tables.tables)
+            assert found == reference_hn_types(q, d, theta)
 
     def test_ties_in_lexicographic_order(self):
         ties = 0

@@ -502,12 +502,13 @@ class TestVerdict:
 
     def test_zero_cut_rule_keys_few_tables(self, monkeypatch):
         # under the zero-cut rule a verdict never fills the whole box and
-        # keys its tables at 0, d and the N = 1 remainders alone, and builds
+        # builds tables at 0, d and the N = 1 remainders alone, and builds
         # none with no N = 1 remainder, as without a witness (lemma (a)).
-        # Its pieces are the semistable differences rest - tail of two keys
-        # with tail <= rest.  With an N = 0 remainder it fills the box and
-        # keys the full tables at every remainder with theta < 0 and N >= 0
-        fills, keys, pieces = [], [], []
+        # Its pieces are the semistable differences rest - tail of two of
+        # those with tail <= rest.  With an N = 0 remainder it fills the box
+        # and builds the full tables at every remainder with theta < 0 and
+        # N >= 0.  Either way a table with no entry gets no key, save d's
+        fills, keys, built, pieces = [], [], [], []
         fill_whole, build = quivermoduli.hn._fill_whole, quivermoduli.hn._Tables._build
 
         def spy_fill(table, box):
@@ -516,7 +517,8 @@ class TestVerdict:
 
         def spy_build(self, cuts, numbers):
             tables = build(self, cuts, numbers)
-            keys.append(set(tables))
+            keys.append(set(cuts))
+            built.append(set(tables))
             pieces.append(numbers)
             return tables
 
@@ -538,16 +540,19 @@ class TestVerdict:
             ends = {0, len(vectors) - 1}
             fills.clear()
             keys.clear()
+            built.clear()
             pieces.clear()
             v = verdict(q, d, theta)
             seen[0 in cuts.values(), v.strongly_amply_stable, bool(keys)] += 1
+            for asked, found in zip(keys, built):
+                assert ends <= found <= ends | asked
             if 0 in cuts.values():
-                assert fills and keys == [ends | {r for r, n in cuts.items() if n >= 0}]
+                assert fills and keys == [{r for r, n in cuts.items() if n >= 0}]
                 continue
             ones = {r for r, n in cuts.items() if n == 1}
-            assert fills == [] and keys == ([ends | ones] if ones else [])
+            assert fills == [] and keys == ([ones] if ones else [])
             if ones:
-                rests = [vectors[r] for r in keys[0]]
+                rests = [vectors[r] for r in ends | ones]
                 differences = {a - b for a in rests for b in rests if a != b and b.leq(a)}
                 assert pieces == [[r for r, e in enumerate(vectors)
                                    if e in differences and has_semistable(q, e, theta)]]
