@@ -275,10 +275,13 @@ def subdimension_vectors(d: DimensionVector) -> list[DimensionVector]:
     """
     if type(d) is not DimensionVector:
         d = DimensionVector(d)
-    return [
-        DimensionVector._trusted(e)
-        for e in itertools.product(*(range(x + 1) for x in d))
-    ]
+    return list(map(DimensionVector._trusted, _box(d)))
+
+
+def _box(d: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The vectors 0 <= e <= d as plain int tuples, in lexicographic order,
+    the order `_box_weights` lists their weights in."""
+    return list(itertools.product(*(range(x + 1) for x in d)))
 
 
 def _box_weights(theta: tuple, d: tuple) -> list[int]:

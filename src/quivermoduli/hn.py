@@ -24,17 +24,18 @@ is zero or has a type with every slope below mu(e).  The remainders
 are numbered by their place in `subdimension_vectors(d)`, a
 mixed-radix number linear in the vector, so the tables form a dict
 keyed by number and a tail's number is the difference of two
-numbers.  Each entry carries the value of the DP F (derived in the
-`windows` module docstring) at its tail, and each table the prefix
-minima of those values in slope order.  Every entry completes, so
-`enumerate_hn_types` enters them all; `verdict` enters only those
-that can still fail the weight inequality.  The tables are built on
-first use, and a verdict builds them only when some remainder has
-N = 0: otherwise a stratum fails iff every cut has N = 1, and smaller
-tables at those remainders alone list the failing strata.  The
-least codimension of an unstable type needs no table either: a
-best-first search from d finds it, and tests for semistability only
-the pieces of the edges it pops.
+numbers.  Each entry carries the value of the DP F at its tail, and
+each table the prefix minima of those values in slope order.  Every
+entry completes, so `enumerate_hn_types` enters them all; `verdict`
+enters only those that can still fail the weight inequality.  The
+tables are built on first use, and a verdict builds them only when
+some remainder has N = 0: otherwise a stratum fails iff every cut has
+N = 1, and smaller tables at those remainders alone list the failing
+strata.  The least codimension of an unstable type needs no table
+either: a best-first search from d finds it, and tests for
+semistability only the pieces of the edges it pops.  The `windows`
+module docstring derives F and proves the lemmas, (a) to (c), that
+these rules rest on.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cached_property, reduce
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress
 from math import gcd, lcm
 from operator import and_, itemgetter, le, mul
 from typing import NamedTuple
@@ -51,12 +52,12 @@ from .core import (
     DimensionVector,
     Quiver,
     StabilityParameter,
+    _box,
     _box_weights,
     slope,
 )
 from .semistability import (
     _below_masks,
-    _box,
     _fill_whole,
     _memo,
     _semistable,
@@ -204,10 +205,11 @@ class _Tables:
     mean of mu(d^{r+1}), ..., mu(d^l), all <= mu(d^{r+1}) < mu(d^r);
     so mu(rest) < mu(v - rest), and mu(v) lies between the two.  With
     theta(d) = 0 every remainder of a type of d has theta(rest) < 0.
-    Lemma (c) below prunes further: every remainder of a type of d has
-    N >= 0.  So `tables` is a dict with one key r for each of rest = 0,
-    rest = d and every rest with theta(rest) < 0 and N(rest) >= 0 (the
-    keys of `cuts` with c >= -1) whose table has an entry, and no other.
+    Lemma (c) of the `windows` module docstring prunes further: every
+    remainder of a type of d has N >= 0.  So `tables` is a dict with one
+    key r for each of rest = 0, rest = d and every rest with
+    theta(rest) < 0 and N(rest) >= 0 (the keys of `cuts` with c >= -1)
+    whose table has an entry, and no other.
     A piece e <= rest whose tail rest - e has no key is skipped: by the
     two lemmas, or as the tail has no type, it completes to no type of d
     through rest.  So at every state the search reaches
@@ -235,25 +237,27 @@ class _Tables:
     rest are those e <= rest, a bitmask over the pieces in slope order
     (the AND of `_below_masks` over the coordinates of rest), read in
     bit order by `_bits`; a tail with no table costs one dict miss.
-    The lean pass runs on plain int tuples with theta(e) computed once
-    per e, by outer sums (`_box_weights`).  It looks the quiver's ray
-    table up once, as `table`.  The cuts and the edges of `least_codim`
-    read a vector's right form off its entry in `entries`.  That is
-    `table` if it holds every e <= d, and otherwise (None, right form)
-    for every e <= d, the forms built by outer sums: so no ray is read
+    The lean pass runs on plain int tuples, with theta(e) computed once
+    per e by outer sums (`_box_weights`), and keeps the right forms of
+    d's box in one list by number, `forms`: forms[r] = right_form(e) for
+    the e numbered r, so d's form is forms[-1].  They are read off the
+    quiver's ray table, looked up once as `table`, if it holds every
+    e <= d, and otherwise built by the same outer sums, as
+    right_form(e)_i = sum_j M_ij e_j is linear in e: so no ray is read
     before `strong_failure_witness` is known, and a box held only in
     part (d's hom closure, as `has_semistable` at d leaves it) runs no
-    closure pass per miss.  The tables test every e <= d, so `tables`
-    fills the entry (rays, right form) of every e <= d before its first
-    test, by `_fill_whole`: a box pass unless the table holds the whole
-    box, and then a scan.  With an N = 0 remainder `semistable` does so
-    first, before d's test, as the verdict will build the full tables.
-    Otherwise d's test fills d's hom closure (the
-    `semistability` module docstring), and a piece off the closure is
-    filled when `least_codim` or the zero-cut tables test it.  `stable()`
-    reads the rays of the e the table holds, as no other e is generic
-    in d.  Only the pieces are wrapped as `DimensionVector`s, for the entries,
-    unchecked: they come out of the box of a checked d.
+    closure pass per miss.  The cuts, the edges of `least_codim` and
+    `stable()` read their forms there.  The tables test every e <= d,
+    so `tables` fills the entry (rays, right form) of every e <= d
+    before its first test, by `_fill_whole`: a box pass unless the table
+    holds the whole box, and then a scan.  With an N = 0 remainder
+    `semistable` does so first, before d's test, as the verdict will
+    build the full tables.  Otherwise d's test fills d's hom closure
+    (the `semistability` module docstring), and a piece off the closure
+    is filled when `least_codim` or the zero-cut tables test it.
+    `stable()` reads the rays of the e the table holds, as no other e is
+    generic in d.  Only the pieces are wrapped as `DimensionVector`s, for
+    the entries, unchecked: they come out of the box of a checked d.
 
     The flags: `coprime` says that no 0 < e < d has theta(e) = 0, as
     `is_theta_coprime` does, and `stable()` that no generic one does,
@@ -267,39 +271,8 @@ class _Tables:
     pass keeps c for each such remainder in `cuts`, and the table loop
     and the root edges of `least_codim`, of weight c + 1, read it there.
 
-    Three lemmas (the `windows` module docstring has them in full) let
-    `verdict` find the least codimension without a table, and the
-    failing strata with the full tables only when a remainder has N = 0:
-    (c) Every cut of an HN type of d has N >= 0.  N_r is the sum of
-    -<d^m, d^n> over m <= r < n, and each is dim Ext between semistable
-    pieces of decreasing slope, as Hom between them vanishes (King
-    1994).  So the full tables skip the remainders with N < 0, and if
-    no remainder with theta < 0 has N = 0, each term (mu_r - mu_{r+1}) c
-    of the failure sum, at a remainder rest_r of a type, where
-    mu_r > mu_{r+1} (the zero-cut rule), is >= 0: a stratum fails iff
-    c = 0, N = 1, at every cut.  `failing_strata` then keys its tables
-    at 0, d and the N = 1 remainders, with c = 0 at each, so F = 0 at
-    every state, and the pieces are the differences rest - tail of two
-    keys with tail <= rest, each tested through `is_piece`; no whole box
-    is filled.  d is a piece then, so d's table has an entry: an
-    unstable d's generic HN type has codimension 0, a sum of terms >= 0,
-    so every cut of it has N = 0.
-    (a) Without a witness no stratum fails: it is the zero-cut rule with
-    no N = 1 remainder.  Each remainder rest_r has theta < 0 (the lemma
-    above), so rest_r = d - e with theta(e) > 0, and with no witness
-    c >= 1 there.  The zero-cut tables are keyed at 0 and d alone, and
-    d's only entry is d itself, which no unstable type starts with.
-    (b) With or without a witness, an edge of the search from d into a
-    state (rest - e, mu(e)) that completes, by pieces d^n of slope below
-    mu(e), has weight -<e, rest - e> = sum_n -<e, d^n> >= 0: Hom
-    vanishes from a semistable of larger slope to one of smaller slope
-    (King 1994), so <e, d^n> = -dim Ext <= 0.  A path to the zero
-    remainder is a genuine HN type, and every state on it completes; an
-    edge into a state that does not complete may be negative, but no
-    path through it reaches the zero remainder.  So Dijkstra's search
-    (1959), `least_codim`, pops the least codimension first.  An edge's
-    validity depends only on e, so testing it at pop runs Dijkstra on
-    the same graph as testing it at push.
+    Lemmas (a) to (c), on which `verdict`'s reads rest, are proved in
+    the `windows` module docstring.
     """
 
     def __init__(self, q: Quiver, d: DimensionVector, theta: StabilityParameter, caller: str):
@@ -315,19 +288,17 @@ class _Tables:
         self.weights = weights = _box_weights(theta, d)
         last = len(vectors) - 1
 
-        # the cuts and `least_codim` read right forms off `entries`: the ray
-        # table if it holds every e <= d, else (None, right form) per e, by
-        # outer sums as right_form(e)_i = sum_j M_ij e_j is linear in e, so
-        # that no ray is read before the witness is known
-        held = all(map(table.__contains__, vectors))
-        self.entries = entries = table if held else dict(
-            zip(vectors, zip(repeat(None), zip(*(_box_weights(row, d) for row in q.euler_matrix))))
-        )
+        # forms[r] = right_form(vectors[r]), off the ray table if it holds
+        # every e <= d, else by outer sums, as right_form(e)_i = sum_j M_ij e_j
+        # is linear in e, so that no ray is read before the witness is known
+        if all(map(table.__contains__, vectors)):
+            self.forms = forms = [table[e][1] for e in vectors]
+        else:
+            self.forms = forms = list(zip(*(_box_weights(row, d) for row in q.euler_matrix)))
         # c = N(rest) - 1 = -<d - rest, rest> - 1 at each rest with theta < 0,
         # d - rest being the (r+1)-th vector from the end
         self.cuts = cuts = {
-            r: -_dot(vectors[last - r], entries[rest][1]) - 1
-            for r, rest in enumerate(vectors) if weights[r] < 0
+            r: -_dot(vectors[last - r], forms[r]) - 1 for r, w in enumerate(weights) if w < 0
         }
         self.coprime = 0 not in weights[1:-1]
         # lemma (c): the zero-cut rule lists the failing strata unless some
@@ -429,11 +400,11 @@ class _Tables:
         a zero remainder returns g, and a state (r, mu(e)) seen before is
         skipped.  A state's edges are the e <= rest of slope below mu,
         slopes compared by cross multiplication, whose tail is 0 or has
-        theta < 0, each of weight -<e, tail> = -e . right_form(tail), the
-        form read off tail's entry in `entries`.  By lemma (b) the first
-        zero remainder popped has the least codimension.
+        theta < 0, each of weight -<e, tail> = -e . forms[tail's number].
+        By lemma (b) the first zero remainder popped has the least
+        codimension.
         """
-        vectors, weights, entries = self.vectors, self.weights, self.entries
+        vectors, weights, forms = self.vectors, self.weights, self.forms
         last = len(vectors) - 1
         heap = [(c + 1, r, last - r) for r, c in self.cuts.items()]
         heapify(heap)
@@ -455,7 +426,7 @@ class _Tables:
                 e = vectors[j]
                 if ((weights[j] > floor or j == r) and weights[j] * size < w * sum(e)
                         and all(map(le, e, rest))):
-                    heappush(heap, (g - _dot(e, entries[vectors[r - j]][1]), r - j, j))
+                    heappush(heap, (g - _dot(e, forms[r - j]), r - j, j))
         return None
 
     def stable(self) -> bool:
@@ -468,7 +439,7 @@ class _Tables:
         <e, d - e> < 0 and e is not generic.  With `coprime` there is no
         such e."""
         vectors, weights, table = self.vectors, self.weights, self.table
-        form = table[self.d][1]
+        form = self.forms[-1]
         return self.coprime or all(
             (entry := table.get(vectors[i])) is None or any(_dot(g, form) < ge for g, ge in entry[0])
             for i in range(1, len(vectors) - 1) if not weights[i]

@@ -43,6 +43,7 @@ from .core import (
     DimensionVector,
     Quiver,
     StabilityParameter,
+    _box,
 )
 from .hn import HNType
 
@@ -259,7 +260,7 @@ class _Lattice:
             self.rows.append(rows)
             self.spans.append(spans)
             slabs.append([sum(slices[j] for j in js) for js in ranks])
-        self.dims = dict(zip(itertools.product(*(range(n + 1) for n in d)),
+        self.dims = dict(zip(_box(d),
                              (reduce(and_, masks, self.full) for masks in itertools.product(*slabs))))
         self._arithmetic = {}
 

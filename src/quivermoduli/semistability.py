@@ -41,10 +41,11 @@ plain int tuples: e maps to the pair (e's rays, right_form(e)), and the
 table holds with each e its hom closure.  So each form is computed once,
 when e's rays are stored, and read there by the filter, the box pass
 and `hn._Tables`, which on a box the table does not hold whole builds
-the forms of d's box by outer sums.  A hot loop looks its quiver's table up
-once and then reads vectors only.  `clear_caches` empties `_memo`, rays
-and forms of every quiver.  The one-vector filter (`_members`) puts an f with no entry to
-the closure lemma's test before it reads f's entry, so it fills only
+its `forms` of d's box by outer sums instead.  A hot loop looks its
+quiver's table up once and then reads vectors only.  `clear_caches`
+empties `_memo`, rays and forms of every quiver.  The one-vector filter
+(`_members`) puts an f with no entry to the closure lemma's test
+before it reads f's entry, so it fills only
 e's closure; an f already held is read at once.  A miss at d whose
 predecessors d - u_j are all held runs it for d alone, as an ascending
 sweep does, and so does a miss at 0 or a unit vector.  Any other miss at
@@ -106,12 +107,12 @@ The box pass over a list of vectors, each <= its last one d:
   C(e), as h lies in C(h), is on an extreme ray of C(h): it is parallel
   to one of its own rays.  One mask `hull` keeps the sign bits of the
   packed fields whose vector is parallel to one of its rays, set as
-  each field is packed; a held e's rays may have no field, so their
-  projected points are computed.  The chain reads e's members ANDed
-  with `hull`
-  and e's own bit (e is not packed yet): every member on an extreme ray
-  of C(e) stays, so the chain keeps the same first member per extreme
-  point, and only interior points leave its input.
+  each field is packed, new or held, by one rule: some ray's projected
+  point, computed, as a held e's rays may have no field, equals e's own.
+  The chain reads e's members ANDed with `hull` and e's own bit (e is
+  not packed yet): every member on an extreme ray of C(e) stays, so the
+  chain keeps the same first member per extreme point, and only
+  interior points leave its input.
 
 From four vertices on the one-vector filter always runs: every
 projected point of a member is kept there, so the slots would be as
@@ -120,11 +121,11 @@ many as the largest generic set has directions.
 
 from __future__ import annotations
 
-from itertools import product, zip_longest
+from itertools import zip_longest
 from math import lcm
 from operator import mul
 
-from .core import DimensionVector, Quiver, StabilityParameter, _box_weights
+from .core import DimensionVector, Quiver, StabilityParameter, _box, _box_weights
 
 
 def _det3(a: tuple, b: tuple, c: tuple) -> int:
@@ -152,11 +153,11 @@ def _extreme_rays(points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         lo_size = hi_size = sum(lo)
         for g in points:
             size = sum(g)
-            if g[0] * lo_size > lo[0] * size:
-                lo, lo_size = g, size
-            if hi[0] * size > g[0] * hi_size:
+            if g[0] * hi_size > hi[0] * size:
                 hi, hi_size = g, size
-        return [lo] if lo[0] * hi_size == hi[0] * lo_size else [lo, hi]
+            if lo[0] * size > g[0] * lo_size:
+                lo, lo_size = g, size
+        return [hi] if hi[0] * lo_size == lo[0] * hi_size else [hi, lo]
     # one point per projected point, sorted by exact integer coordinates;
     # the first n - 1 of them fix the last, as all n sum to the scale
     scale = lcm(*{sum(g) for g in points})
@@ -225,7 +226,7 @@ def _members(table: _QuiverRays, e: tuple, form: tuple) -> list[tuple[int, ...]]
     Recurses only on vectors of smaller total, so it terminates."""
     out = []
     get, right_form = table.get, table.q.right_form
-    for f in product(*(range(x + 1) for x in e)):
+    for f in _box(e):
         entry = get(f)
         if entry is None:
             if f == e:  # e has no entry yet, and is always generic
@@ -265,9 +266,7 @@ class _QuiverRays(dict):
     def fill_cold(self, d: tuple[int, ...]) -> None:
         """A cold miss at d: the closure pass from d, then the box pass
         over the vectors it reaches."""
-        box = _box(d)
-        self.setdefault(box[0], ((), box[0]))
-        _fill_box(self, _closure(self, box))
+        _fill_box(self, _closure(self, _box(d)))
 
 
 class _RayMemo(dict):
@@ -287,11 +286,6 @@ def _rays(q: Quiver, e: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], .
     return _memo[q][e][0]
 
 
-def _box(d: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The vectors 0 <= e <= d in lexicographic order."""
-    return list(product(*(range(x + 1) for x in d)))
-
-
 def _bound(q: Quiver, d: tuple[int, ...]) -> int:
     """B = sum_ij d_i |M_ij| d_j >= |<g, e - f>| for 0 <= g, f, e <= d."""
     return sum(x * abs(m) * y for x, row in zip(d, q.euler_matrix) for m, y in zip(row, d))
@@ -303,7 +297,6 @@ def _fill_whole(table: _QuiverRays, box: list[tuple[int, ...]]) -> None:
     box, which packs the entries already held; from four on, each miss
     runs the one-vector filter."""
     if len(box[0]) <= 3 and not all(map(table.__contains__, box)):
-        table.setdefault(box[0], ((), box[0]))
         _fill_box(table, box[1:])
 
 
@@ -352,15 +345,18 @@ def _closure(table: _QuiverRays, box: list[tuple[int, ...]]) -> list[tuple[int, 
 def _fill_box(table: _QuiverRays, box: list[tuple[int, ...]]) -> None:
     """Put the entry (rays, right form) of every vector of `box` in the
     quiver's `table`, on at most three vertices, in one pass over packed
-    integers.  `box` is nonzero vectors in lexicographic order, the last
-    one d and the others <= d, and holds, with each vector the table does
-    not hold yet, its hom closure; the entries held are packed, not
-    recomputed.  The module docstring has the layout, the bound on w and
-    the lemma behind the n = 3 prefilter, which feeds the chain only e and
-    the members parallel to one of their own rays."""
+    integers, and the entry of 0, which neither caller lists.  `box` is
+    nonzero vectors in lexicographic order, the last one d and the others
+    <= d, and holds, with each vector the table does not hold yet, its
+    hom closure; the entries held are packed, not recomputed.  The module
+    docstring has the layout, the bound on w and the lemma behind the
+    n = 3 prefilter, which feeds the chain only e and the members
+    parallel to one of their own rays."""
     q = table.q
     d = box[-1]
     n = len(d)
+    zero = (0,) * n
+    table.setdefault(zero, ((), zero))  # no rays, and its right form is zero
     scale = lcm(*range(1, sum(d) + 1))
     # numbered by projected point, ties in lexicographic order
     points, vectors = zip(*sorted((tuple(x * (scale // sum(f)) for x in f), f) for f in box))
@@ -397,14 +393,11 @@ def _fill_box(table: _QuiverRays, box: list[tuple[int, ...]]) -> None:
                         ordered.append(vectors[k])
                         last = points[k]
                 gens = _chain(ordered)
-                if any(points[field[g]] == points[own] for g in gens):
-                    hull |= 1 << shift + w - 1
             table[e] = (tuple((g, sum(map(mul, g, form))) for g in gens), form)
-        elif n == 3 and any(
-            tuple(x * (scale // sum(g)) for x in g) == points[own] for g, _ in table[e][0]
-        ):  # a held e's rays may have no field here
-            hull |= 1 << shift + w - 1
         rays = table[e][0]
+        # a held e's rays may have no field here, so their points are computed
+        if n == 3 and any(tuple(x * (scale // sum(g)) for x in g) == points[own] for g, _ in rays):
+            hull |= 1 << shift + w - 1
         for s, (g, ge) in enumerate(rays):
             if s == len(slots):
                 slots.append([0] * n + [signs])

@@ -78,7 +78,9 @@ alone, each step a piece: a DP keyed at 0, d and those remainders,
 whose pieces are the differences rest - tail of two keys with
 tail <= rest, with F = 0 at every state.  It tests only those
 differences, not every e <= d.  Which rule applies depends only on the
-instance.
+instance.  Under the zero-cut rule d itself is semistable, so d's
+table is never empty: an unstable d's generic type has codimension 0,
+a sum of terms -<d^m, d^n> >= 0, so every cut of it has N = 0.
 
 (a) A strongly amply stable instance has no failing stratum: the
 zero-cut rule with no N = 1 remainder.  Proof: each cut's remainder
@@ -267,8 +269,8 @@ def verdict(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> Verdict
     weight inequality; rigidity_certified additionally needs an acyclic
     quiver.  amply_stable means every unstable stratum has codimension
     at least 2.  Requires theta(d) = 0 and a nonempty semistable locus.
-    The strata are decided as the module docstring says, never by
-    enumerating the HN types: the least codimension by the best-first
+    The strata are decided as the module docstring says, and by the
+    lemmas it proves, never by enumerating the HN types: the least codimension by the best-first
     search of lemma (b), the failing strata by the min-path DP over the
     N = 1 remainders under the zero-cut rule of lemma (c), and over
     every remainder with N >= 0 when one has N = 0.  Without a witness,

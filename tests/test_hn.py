@@ -490,6 +490,39 @@ class TestLeastCodim:
         assert _Tables(q, d, theta, "test").least_codim() == min(codims) == 0
         assert len(pushes) == 83
 
+def forms_by_outer_sums(q, table, tables):
+    """Whether `tables.forms` are every e <= d's right forms, built by outer
+    sums: equal to `right_form`, with some e the ray `table` does not hold."""
+    return (tables.forms == [q.right_form(e) for e in tables.vectors]
+            and not all(e in table for e in tables.vectors))
+
+
+class TestForms:
+    """`_Tables.forms`, the right forms of d's box by number, against
+    `right_form` one vector at a time: by outer sums on a cold table, which
+    the lean pass leaves as it found it, and off the ray table's entries
+    once `_fill_whole` has filled the box."""
+
+    def test_equal_to_right_form(self):
+        wide = [(q, d, q.canonical_stability(d)) for q, d in wide_instances(80, seed=7)]
+        goldens = [load_problem(str(path)) for path in sorted(GOLDEN.glob("*.json"))]
+        instances = CORPUS + random_instances(300, seed=53) + wide
+        read_off = 0
+        for q, d, theta in instances + [(g.quiver, g.d, g.theta) for g in goldens]:
+            quivermoduli.clear_caches()
+            table = semistability._memo[q]
+            cold = _Tables(q, d, theta, "test")
+            assert forms_by_outer_sums(q, table, cold), (q, d)
+            assert not table
+            semistability._fill_whole(table, cold.vectors)
+            tables = _Tables(q, d, theta, "test")
+            assert tables.forms == [q.right_form(e) for e in tables.vectors], (q, d)
+            if len(d) <= 3:  # from four vertices on `_fill_whole` fills nothing
+                assert all(form is table[e][1] for e, form in zip(tables.vectors, tables.forms))
+                read_off += 1
+        assert read_off >= 300
+
+
 class TestVerdictFlags:
     """The coprime flag and the strong ample witness come out of the lean
     pass, and `is_theta_coprime` and `is_strongly_amply_stable` read it;
@@ -654,7 +687,7 @@ class TestBoxHeldInPart:
         held = len(table)
         tables = _Tables(q, d, theta, "verdict")
         assert len(table) == held
-        assert tables.entries is not table
+        assert forms_by_outer_sums(q, table, tables)
 
     @pytest.mark.parametrize("q, d, theta, whole", [
         (TRIANGLE_B, (3, 18, 18), (42, 5, -12), True),  # the remainder (0,8,4) has N = 0

@@ -597,6 +597,24 @@ class TestClosureFill:
             skipped += len(box) - len(closure)
         assert skipped > 10_000
 
+    def test_box_pass_seeds_the_zero_entry(self):
+        # 0 has no rays and the zero form; the box pass puts it in the table
+        # for both of its callers, as neither the closure pass nor d's box
+        # without 0 lists it
+        for q, d in closure_instances():
+            if len(d) > 3 or sum(d) < 2:  # the one-vector filter runs there
+                continue
+            zero = (0,) * len(d)
+            quivermoduli.clear_caches()
+            table = semistability._memo[q]
+            table.fill_cold(d)
+            assert table.get(zero) == ((), zero), (q, d)
+            quivermoduli.clear_caches()
+            table = semistability._memo[q]
+            semistability._fill_whole(table, list(product(*(range(x + 1) for x in d))))
+            assert table.get(zero) == ((), zero), (q, d)
+
+
 class TestRayTables:
     """The memoized ray generators against the reference generic sets."""
 
